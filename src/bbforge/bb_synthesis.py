@@ -21,6 +21,7 @@ from math import gcd
 
 import numpy as np
 
+from .defaults import TOL
 from .errors import (
     DomainError,
     InfeasibleError,
@@ -28,11 +29,12 @@ from .errors import (
     NonRepresentableError,
     ShapeError,
 )
-from .open_system_sim import PulseGroup, _matrix_to_pairs, _readonly
+from .open_system_sim import PulseGroup, _matrix_to_pairs
 from .operator_algebra import (
     AdjointRotation,
     CoordinateVector,
     OperatorBasis,
+    _readonly,
     adjoint_of,
     axis_angle_rotation,
     axis_angle_unitary,
@@ -58,10 +60,6 @@ __all__ = [
     "modified_vector",
     "modified_pair_matrix",
 ]
-
-_SOLVE_TOL = 1e-9
-_ZERO = 1e-12
-
 
 @dataclass(frozen=True)
 class StabilizerSpace:
@@ -232,7 +230,7 @@ def axis_orthogonal_to(vectors, tol: float = 1e-9) -> np.ndarray | None:
     for v in vectors:
         v = np.asarray(v, dtype=float)
         n = np.linalg.norm(v)
-        if n > _ZERO:
+        if n > TOL.zero_vector:
             dirs.append(v / n)
     if not dirs:
         return np.array([1.0, 0.0, 0.0])
@@ -311,7 +309,7 @@ def solve_storage(generator, qubit: int = 0, max_group_size: int = 8, *, delta_t
         raise DomainError("max_group_size must be >= 2")
     xi = np.asarray(generator.xi[qubit] if hasattr(generator, "xi") else generator, dtype=float)
     basis1 = build_pauli_basis(1)
-    if np.linalg.norm(xi) <= _ZERO:
+    if np.linalg.norm(xi) <= TOL.zero_vector:
         group = _trivial_group(2, delta_t)
         return SynthesisResult(
             group=group,
@@ -323,7 +321,7 @@ def solve_storage(generator, qubit: int = 0, max_group_size: int = 8, *, delta_t
     group = parity_kick_group(axis, delta_t)
     achieved = modified_vector(group, xi)
     report = _report_vec(achieved, np.zeros(3), basis1)
-    if report.scalar_distance > _SOLVE_TOL:
+    if report.scalar_distance > TOL.linear_solve:
         raise InfeasibleError("parity kick failed to annihilate the generator", best_residual=report.scalar_distance)
     return SynthesisResult(
         group=group,
@@ -344,7 +342,7 @@ def solve_storage(generator, qubit: int = 0, max_group_size: int = 8, *, delta_t
 def _fan_vectors(u: np.ndarray, count: int, radius: float, plane_hint: np.ndarray) -> list[np.ndarray]:
     """``count`` vectors of norm ``radius`` summing to ``u`` (feasible by assumption)."""
     norm_u = np.linalg.norm(u)
-    if norm_u <= _ZERO:
+    if norm_u <= TOL.zero_vector:
         # balanced fan in the plane spanned by the hint and its canonical normal
         a = plane_hint / np.linalg.norm(plane_hint)
         b = axis_orthogonal_to([a])
@@ -404,7 +402,7 @@ def solve_single_qubit_gate(generator, target: TargetSpec, qubit: int = 0, max_g
     basis1 = build_pauli_basis(1)
     norm_xi, norm_w = np.linalg.norm(xi), np.linalg.norm(w)
     scale = max(norm_xi, norm_w, 1.0)
-    if np.linalg.norm(xi - w) <= _ZERO * scale:
+    if np.linalg.norm(xi - w) <= TOL.zero_vector * scale:
         group = _trivial_group(2, delta_t)
         return SynthesisResult(
             group=group,
@@ -412,9 +410,9 @@ def solve_single_qubit_gate(generator, target: TargetSpec, qubit: int = 0, max_g
             free_parameters="measured generator already equals the target",
             qubit=qubit,
         )
-    if norm_w <= _ZERO:
+    if norm_w <= TOL.zero_vector:
         return solve_storage(generator, qubit, max_group_size, delta_t=delta_t)
-    if norm_w > norm_xi + _ZERO:
+    if norm_w > norm_xi + TOL.zero_vector:
         raise InfeasibleMagnitudeError(
             "averaged rotations are contractions; target length "
             f"{norm_w:.3g} exceeds measured length {norm_xi:.3g} "
@@ -423,14 +421,14 @@ def solve_single_qubit_gate(generator, target: TargetSpec, qubit: int = 0, max_g
 
     axis_angles = None
     note = ""
-    if abs(w @ xi - norm_w**2) <= _SOLVE_TOL * scale**2:
+    if abs(w @ xi - norm_w**2) <= TOL.linear_solve * scale**2:
         # w is the projection of xi onto its own direction: one parity kick
         axis_angles = [(w / norm_w, np.pi / 2)]
         note = "target is a projection of the measured vector; parity kick about the target axis"
     else:
         for m in range(3, max_group_size + 1):
             u = m * w - xi
-            if np.linalg.norm(u) <= (m - 1) * norm_xi + _ZERO:
+            if np.linalg.norm(u) <= (m - 1) * norm_xi + TOL.zero_vector:
                 fans = _fan_vectors(u, m - 1, norm_xi, plane_hint=xi)
                 axis_angles = []
                 for v in fans:
@@ -453,7 +451,7 @@ def solve_single_qubit_gate(generator, target: TargetSpec, qubit: int = 0, max_g
     group = _group_from_axis_angles(axis_angles, delta_t)
     achieved = modified_vector(group, xi)
     report = _report_vec(achieved, w, basis1)
-    if report.scalar_distance > _SOLVE_TOL * max(1.0, scale):
+    if report.scalar_distance > TOL.linear_solve * max(1.0, scale):
         raise InfeasibleError("constructed pulse set missed the target", best_residual=report.scalar_distance)
     return SynthesisResult(group=group, residual=report, free_parameters=note, qubit=qubit)
 
@@ -483,14 +481,14 @@ def _single_qubit_pulse_lists(xi_vec: np.ndarray, w_vec: np.ndarray, max_group_s
     """Candidate pulse lists for one qubit's margin of the pair problem."""
     lists: list[list[np.ndarray]] = [[np.eye(2, dtype=complex)]]
     try:
-        if np.linalg.norm(w_vec) <= _ZERO:
+        if np.linalg.norm(w_vec) <= TOL.zero_vector:
             res = solve_storage(xi_vec, 0, max_group_size)
         else:
             res = solve_single_qubit_gate(xi_vec, TargetSpec(kind="single_qubit", wanted=w_vec), 0, max_group_size)
         lists.append([np.array(p) for p in res.group.pulses])
     except InfeasibleError:
         pass
-    if np.linalg.norm(xi_vec) > _ZERO:
+    if np.linalg.norm(xi_vec) > TOL.zero_vector:
         # parity kicks about each coordinate axis orthogonal enough to matter
         for m in range(3):
             e = np.zeros(3)
@@ -552,9 +550,9 @@ def solve_two_qubit(generator, target: TargetSpec, pair: tuple[int, int] = (0, 1
     basis2 = build_pauli_basis(2)
 
     modes = []
-    if np.linalg.norm(w_pair) <= np.linalg.norm(xi_pair) + _ZERO:
+    if np.linalg.norm(w_pair) <= np.linalg.norm(xi_pair) + TOL.zero_vector:
         modes.append(("direct", xi_pair))
-    if np.linalg.norm(w_pair) > _ZERO:
+    if np.linalg.norm(w_pair) > TOL.zero_vector:
         modes.append(("running", xi_pair + w_pair))
 
     candidates = _two_qubit_candidates(xi_pair, w_pair, max_group_size, delta_t)
@@ -565,7 +563,7 @@ def solve_two_qubit(generator, target: TargetSpec, pair: tuple[int, int] = (0, 1
             resid = np.linalg.norm(achieved - w_pair)
             if resid < best[0]:
                 best = (resid, group, mode)
-            if resid <= _SOLVE_TOL:
+            if resid <= TOL.linear_solve:
                 report = _pair_report(achieved, w_pair, basis2)
                 return SynthesisResult(
                     group=group,
@@ -578,7 +576,7 @@ def solve_two_qubit(generator, target: TargetSpec, pair: tuple[int, int] = (0, 1
         refined = _refine_general(modes, w_pair, best, max_group_size, delta_t)
         if refined is not None:
             resid, group, mode = refined
-            if resid <= _SOLVE_TOL:
+            if resid <= TOL.linear_solve:
                 achieved = modified_pair_matrix(group, dict(modes)[mode])
                 return SynthesisResult(
                     group=group,
@@ -697,7 +695,7 @@ def _refine_general(modes, w_pair, warm, max_group_size, delta_t):
             group = PulseGroup.from_pulses(pulses_from_params(res.x, count), delta_t)
             if best is None or resid < best[0]:
                 best = (resid, group, mode)
-            if resid <= _SOLVE_TOL:
+            if resid <= TOL.linear_solve:
                 return best
     return best
 

@@ -164,7 +164,7 @@ def cmd_tomography(args) -> int:
     dump_json(chi.to_dict(), out / "chi.json")
     print(
         f"wrote {out / 'chi.json'} (t={cfg.probe_time}, "
-        f"inversion residual {chi.residual:.3e}, skew norm {chi.skew_norm:.3e})"
+        f"trace-preservation residual {chi.residual:.3e}, skew norm {chi.skew_norm:.3e})"
     )
     return 0
 

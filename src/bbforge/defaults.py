@@ -15,7 +15,6 @@ class Tolerances:
     trace_orthogonality: float = 1e-12
     bath_eigenvalue_cutoff: float = 1e-14
     linear_solve: float = 1e-9
-    pinv_rcond: float = 1e-12
     zero_vector: float = 1e-12
 
 

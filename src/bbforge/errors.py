@@ -30,7 +30,7 @@ class InfeasibleMagnitudeError(InfeasibleError):
 
 
 class InconsistencyError(BBForgeError):
-    """Tomography inversion residual too large; data incompatible with the basis."""
+    """Tomography data do not describe a trace-preserving channel."""
 
 
 class DegenerateTimeError(BBForgeError):

@@ -17,7 +17,7 @@ from scipy.linalg import expm
 
 from .defaults import TOL
 from .errors import DomainError, ShapeError
-from .operator_algebra import AdjointRotation, OperatorBasis, adjoint_of, build_pauli_basis
+from .operator_algebra import AdjointRotation, OperatorBasis, _readonly, adjoint_of, build_pauli_basis
 
 __all__ = [
     "Coupling",
@@ -54,12 +54,6 @@ def _check_density(m: np.ndarray, name: str) -> np.ndarray:
     if np.linalg.eigvalsh(m).min() < -1e-10:
         raise DomainError(f"{name} must be positive semidefinite")
     return m
-
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.array(a)
-    a.setflags(write=False)
-    return a
 
 
 @dataclass(frozen=True)

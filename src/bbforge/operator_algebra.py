@@ -23,6 +23,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -146,11 +147,14 @@ class OperatorBasis:
         return int(round(np.log2(self.dim)))
 
 
+@functools.cache
 def build_pauli_basis(num_qubits: int) -> OperatorBasis:
     """Construct the full Pauli-string basis on ``num_qubits`` qubits.
 
     Returns all ``4**num_qubits`` strings ordered lexicographically by
     index vector (identity first), with normalization ``M = 2**num_qubits``.
+    One instance per qubit count is built and shared; it is frozen and its
+    elements are read-only.
 
     Raises
     ------

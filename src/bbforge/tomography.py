@@ -1,10 +1,12 @@
 """Simulated quantum process tomography and short-time generator extraction.
 
 The channel is probed on the matrix-unit input set (each off-diagonal unit
-realized through the four standard pure-state preparations), the response
-matrix ``lambda`` is inverted against the fixed-basis conjugation tensor
-``xi`` to obtain the process matrix ``chi``, and the Hamiltonian-like part
-of the short-time expansion is read off the first column:
+realized through the four standard pure-state preparations).  The response
+matrix ``lambda`` is turned into the process matrix ``chi`` in closed form
+(Chuang & Nielsen, J. Mod. Opt. 44, 2455, 1997), written as a change of
+basis from matrix units to the fixed Pauli basis: ``chi = A^dag L A / M^2``
+(Wood, Biamonte & Cory, arXiv:1111.6950).  The Hamiltonian-like part of
+the short-time expansion is read off the first column:
 ``xi_a = Im(chi_a0) / t`` in rate units.
 """
 
@@ -17,8 +19,8 @@ import numpy as np
 
 from .defaults import TOL
 from .errors import DegenerateTimeError, DomainError, InconsistencyError, ShapeError
-from .open_system_sim import _matrix_to_pairs, _pairs_to_matrix, _readonly
-from .operator_algebra import CoordinateVector, OperatorBasis, build_pauli_basis
+from .open_system_sim import _matrix_to_pairs, _pairs_to_matrix
+from .operator_algebra import CoordinateVector, OperatorBasis, _readonly, build_pauli_basis
 
 __all__ = [
     "TomographyData",
@@ -33,33 +35,32 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TomographyData:
-    """Raw process tomography output before inversion.
+    """Raw process tomography output before the change to the Pauli basis.
 
     ``lam[j, k]`` are the coefficients of the channel response to matrix
-    unit ``j`` expanded over matrix units ``k``; ``xi_tensor[j, k, a, b]``
-    encodes ``K_a E_j K_b = sum_k xi E_k`` and depends on the fixed basis
-    only.
+    unit ``j = (m, n)`` expanded over matrix units ``k = (p, q)``, i.e.
+    ``lam[(m, n), (p, q)] = channel(|m><n|)[p, q]``.
     """
 
     lam: np.ndarray
-    xi_tensor: np.ndarray
     basis: OperatorBasis
     time_tag: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "lam", _readonly(np.asarray(self.lam, dtype=complex)))
-        object.__setattr__(self, "xi_tensor", _readonly(np.asarray(self.xi_tensor, dtype=complex)))
         d2 = self.basis.dim**2
-        nb = self.basis.size
         if self.lam.shape != (d2, d2):
             raise ShapeError("lambda matrix has wrong shape")
-        if self.xi_tensor.shape != (d2, d2, nb, nb):
-            raise ShapeError("xi tensor has wrong shape")
 
 
 @dataclass(frozen=True)
 class ChiMatrix:
-    """Process matrix in the fixed Hermitian basis, ``rho -> sum chi_ab K_a rho K_b``."""
+    """Process matrix in the fixed Hermitian basis, ``rho -> sum chi_ab K_a rho K_b``.
+
+    ``skew_norm`` is the Frobenius norm of the skew-Hermitian part removed
+    from the measured chi; ``residual`` is the measured chi's
+    trace-preservation residual ``||sum_ab chi_ab K_b K_a - I||_F``.
+    """
 
     entries: np.ndarray
     time_tag: float | None
@@ -191,15 +192,6 @@ def _check_linear(channel, dim: int):
         raise DomainError("channel failed the superposition test; tomography needs a linear map")
 
 
-def _xi_tensor(basis: OperatorBasis) -> np.ndarray:
-    """xi[j, k, a, b] with j=(m,n), k=(p,q): (K_a E_mn K_b)[p,q] = K_a[p,m] K_b*[q,n]."""
-    k = basis.elements
-    d = basis.dim
-    nb = basis.size
-    xi = np.einsum("apm,bqn->mnpqab", k, k.conj())
-    return xi.reshape(d * d, d * d, nb, nb).transpose(0, 1, 2, 3)
-
-
 def run_qpt(channel, basis: OperatorBasis, *, time_tag: float | None = None) -> TomographyData:
     """Probe a channel on a spanning input set.
 
@@ -229,38 +221,45 @@ def run_qpt(channel, basis: OperatorBasis, *, time_tag: float | None = None) -> 
             out += coeff * responses[idx]
         # expansion over matrix units is just the entries themselves
         lam[m * d + n, :] = out.reshape(-1)
-    return TomographyData(lam=lam, xi_tensor=_xi_tensor(basis), basis=basis, time_tag=time_tag)
+    return TomographyData(lam=lam, basis=basis, time_tag=time_tag)
 
 
 def chi_from_lambda(data: TomographyData) -> ChiMatrix:
-    """Solve ``sum_ab xi_jk^ab chi_ab = lambda_jk`` for the process matrix.
+    """Process matrix from the response matrix, in closed form.
 
-    The system is solved by least squares with a relative singular-value
-    cutoff; the Hermitian part of the solution is returned and the
-    skew-Hermitian remainder reported.
+    With ``A[(p, m), a] = (K_a)[p, m]`` and the reordered response
+    ``L[(p, m), (q, n)] = lam[(m, n), (p, q)]`` the channel reads
+    ``L = A chi A^dag``.  The basis is trace-orthogonal,
+    ``A^dag A = M * I`` with ``M = basis.normalization``, so
+    ``chi = A^dag L A / M^2`` exactly.  The Hermitian part of chi is
+    returned and the skew-Hermitian remainder reported.
 
     Raises
     ------
     InconsistencyError
-        If the residual exceeds 1e-6, i.e. the measured map is not
-        expressible over the fixed basis.
+        If the trace-preservation residual ``||sum_ab chi_ab K_b K_a - I||_F``
+        exceeds 1e-6 or is not finite, i.e. the probed map is not a
+        trace-preserving channel.
     """
-    nb = data.basis.size
-    a = data.xi_tensor.reshape(-1, nb * nb)
-    b = data.lam.reshape(-1)
-    chi_vec, *_ = np.linalg.lstsq(a, b, rcond=TOL.pinv_rcond)
-    residual = float(np.linalg.norm(a @ chi_vec - b))
-    if residual > 1e-6:
+    basis = data.basis
+    d = basis.dim
+    k = basis.elements
+    a = k.transpose(1, 2, 0).reshape(d * d, basis.size)
+    lam = data.lam.reshape(d, d, d, d).transpose(2, 0, 3, 1).reshape(d * d, d * d)
+    chi = a.conj().T @ lam @ a / basis.normalization**2
+    # sum_ab chi_ab K_b K_a, summed over a first
+    tp = (k @ np.tensordot(chi, k, axes=(0, 0))).sum(axis=0)
+    residual = float(np.linalg.norm(tp - np.eye(d)))
+    if not residual <= 1e-6:
         raise InconsistencyError(
-            f"tomography inversion residual {residual:.2e}; channel incompatible with the basis"
+            f"trace-preservation residual {residual:.2e}; channel is not trace preserving"
         )
-    chi = chi_vec.reshape(nb, nb)
     skew = float(np.linalg.norm(chi - chi.conj().T) / 2.0)
     chi = (chi + chi.conj().T) / 2.0
     return ChiMatrix(
         entries=chi,
         time_tag=data.time_tag,
-        basis=data.basis,
+        basis=basis,
         skew_norm=skew,
         residual=residual,
     )

@@ -3,6 +3,7 @@ import pytest
 
 from bbforge.errors import CapacityError, DomainError, InfeasibleError, ShapeError
 from bbforge.operator_algebra import (
+    MAX_BASIS_QUBITS,
     AdjointRotation,
     AxisAngle,
     adjoint_of,
@@ -54,6 +55,23 @@ class TestPauliBasis:
             build_pauli_basis(9)
         with pytest.raises(DomainError):
             build_pauli_basis(0)
+
+    def test_basis_is_shared_per_qubit_count(self):
+        assert build_pauli_basis(2) is build_pauli_basis(2)
+        assert build_pauli_basis(1) is not build_pauli_basis(2)
+
+    def test_shared_basis_is_read_only(self):
+        b = build_pauli_basis(1)
+        with pytest.raises(ValueError):
+            b.elements[0, 0, 0] = 2.0
+        with pytest.raises(ValueError):
+            b.generators[0] *= 2.0
+        assert np.allclose(build_pauli_basis(1).elements[0], I2)
+
+    def test_capacity_error_raised_on_every_call(self):
+        for _ in range(2):
+            with pytest.raises(CapacityError):
+                build_pauli_basis(MAX_BASIS_QUBITS + 1)
 
     def test_string_weights(self):
         b = build_pauli_basis(2)

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bbforge.errors import DegenerateTimeError, DomainError, InconsistencyError
 from bbforge.open_system_sim import Coupling, SystemBathModel, kraus_from_model
 from bbforge.operator_algebra import build_pauli_basis, expand
 from bbforge.tomography import (
     ChiMatrix,
-    TomographyData,
     channel_from_kraus,
     chi_from_lambda,
     extract_generator,
@@ -76,24 +77,16 @@ class TestRunQPT:
         lam_want = p * run_qpt(ch1, b).lam + (1 - p) * run_qpt(ch2, b).lam
         assert np.linalg.norm(lam_mix - lam_want) < 1e-10
 
-    def test_xi_tensor_is_channel_independent(self):
-        b = build_pauli_basis(1)
-        d1 = run_qpt(lambda r: r, b)
-        d2 = run_qpt(lambda r: SZ @ r @ SZ, b)
-        assert np.array_equal(d1.xi_tensor, d2.xi_tensor)
-
-    def test_xi_tensor_definition(self, rng):
-        # oracle: K_a E_j K_b expanded over matrix units entry by entry
-        b = build_pauli_basis(1)
-        xi = run_qpt(lambda r: r, b).xi_tensor
-        for a in range(4):
-            for bb in range(4):
-                for m in range(2):
-                    for n in range(2):
-                        unit = np.zeros((2, 2), dtype=complex)
-                        unit[m, n] = 1.0
-                        want = (b.elements[a] @ unit @ b.elements[bb].conj().T).reshape(-1)
-                        assert np.linalg.norm(xi[2 * m + n, :, a, bb] - want) < 1e-12
+    def test_response_matrix_definition(self, rng):
+        # oracle: lam[(m, n), (p, q)] = channel(|m><n|)[p, q], unit by unit
+        u = random_unitary(2, rng)
+        data = run_qpt(lambda r: u @ r @ u.conj().T, build_pauli_basis(1))
+        for m in range(2):
+            for n in range(2):
+                unit = np.zeros((2, 2), dtype=complex)
+                unit[m, n] = 1.0
+                want = (u @ unit @ u.conj().T).reshape(-1)
+                assert np.linalg.norm(data.lam[2 * m + n] - want) < 1e-12
 
 
 class TestChiFromLambda:
@@ -127,17 +120,46 @@ class TestChiFromLambda:
         rho = random_density(2, rng)
         assert np.linalg.norm(chi.apply(rho) - u @ rho @ u.conj().T) < 1e-10
 
-    def test_inconsistency_guard(self):
-        # a complete basis always inverts exactly, so force the error with a
-        # deliberately rank-deficient conjugation tensor
+    @settings(max_examples=30, deadline=None)
+    @given(
+        num_qubits=st.integers(min_value=1, max_value=3),
+        count=st.integers(min_value=1, max_value=5),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_closed_form_matches_kraus_chi(self, num_qubits, count, seed):
+        # oracle: c_ka = Tr(K_a A_k) / M and chi_ab = sum_k c_ka conj(c_kb)
+        b = build_pauli_basis(num_qubits)
+        ops = normalized_kraus(b.dim, count, np.random.default_rng(seed))
+        c = np.array([[np.trace(k @ a) for k in b.elements] for a in ops]) / b.normalization
+        want = c.T @ c.conj()
+        chi = chi_from_lambda(run_qpt(channel_from_kraus(ops), b))
+        assert np.abs(chi.entries - want).max() < 1e-12
+        assert chi.residual < 1e-12
+
+    @pytest.mark.parametrize(
+        "channel",
+        [
+            lambda r: 0.9 * r,
+            lambda r: np.diag([1.0, np.sqrt(0.7)]) @ r @ np.diag([1.0, np.sqrt(0.7)]),
+        ],
+        ids=["scaled", "lone-amplitude-damping-kraus"],
+    )
+    def test_non_trace_preserving_map_rejected(self, channel):
         b = build_pauli_basis(1)
-        data = run_qpt(lambda r: SZ @ r @ SZ, b)
-        xi = np.array(data.xi_tensor)
-        xi[:, :, 3, :] = 0.0
-        xi[:, :, :, 3] = 0.0
-        broken = TomographyData(lam=data.lam, xi_tensor=xi, basis=b)
         with pytest.raises(InconsistencyError):
-            chi_from_lambda(broken)
+            chi_from_lambda(run_qpt(channel, b))
+
+    def test_non_finite_response_rejected(self):
+        b = build_pauli_basis(2)
+        with pytest.raises(InconsistencyError):
+            chi_from_lambda(run_qpt(lambda r: np.full_like(r, np.nan), b))
+
+    def test_trace_preserving_residual_reported(self):
+        # first-order maps are trace preserving though not completely positive
+        b = build_pauli_basis(1)
+        chi = chi_from_lambda(run_qpt(first_order_dephasing(1.0, 0.6), b, time_tag=0.6))
+        assert chi.residual < 1e-14
+        assert np.linalg.eigvalsh(chi.entries).min() < 0
 
     def test_json_roundtrip(self):
         b = build_pauli_basis(1)
