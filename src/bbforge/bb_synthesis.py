@@ -34,9 +34,10 @@ from .operator_algebra import (
     AdjointRotation,
     CoordinateVector,
     OperatorBasis,
+    _first_significant,
+    _kron,
     _readonly,
     adjoint_of,
-    axis_angle_rotation,
     axis_angle_unitary,
     build_pauli_basis,
     reconstruct,
@@ -146,18 +147,15 @@ class SynthesisResult:
     mode: str = "direct"
 
     def to_dict(self) -> dict:
-        axes = []
-        for p in self.group.pulses:
-            try:
-                aa = unitary_from_rotation(adjoint_of(p, build_pauli_basis(1))) if p.shape[0] == 2 else None
-            except InfeasibleError:
-                aa = None
-            axes.append(
-                None
-                if aa is None
-                else {"axis": [float(x) for x in aa.axis], "angle": float(aa.angle),
-                      "free_axis": list(aa.free_axis)}
-            )
+        axes = [None] * self.group.size
+        if self.group.dim == 2:
+            for k, r in enumerate(self.group.rotations):
+                try:
+                    aa = unitary_from_rotation(r)
+                except InfeasibleError:
+                    continue
+                axes[k] = {"axis": [float(x) for x in aa.axis], "angle": float(aa.angle),
+                           "free_axis": list(aa.free_axis)}
         return {
             "group_size": self.group.size,
             "delta_t": self.group.delta_t,
@@ -182,10 +180,8 @@ class SynthesisResult:
 
 
 def averaged_rotation(group: PulseGroup) -> np.ndarray:
-    """Mean adjoint rotation of a pulse set, recomputed from the pulses."""
-    basis = build_pauli_basis(int(round(np.log2(group.dim))))
-    mats = [adjoint_of(p, basis).matrix for p in group.pulses]
-    return np.mean(mats, axis=0)
+    """Mean adjoint rotation of a pulse set."""
+    return np.mean([r.matrix for r in group.rotations], axis=0)
 
 
 def modified_vector(group: PulseGroup, xi: np.ndarray) -> np.ndarray:
@@ -210,8 +206,8 @@ def modified_pair_matrix(group: PulseGroup, xi_pair: np.ndarray) -> np.ndarray:
     xi_flat = np.zeros(16)
     xi_flat[1:] = CoordinateVector(np.asarray(xi_pair, dtype=float), basis).as_flat()
     acc = np.zeros(16)
-    for p in group.pulses:
-        r16 = _extend_identity(adjoint_of(p, basis).matrix)
+    for r in group.rotations:
+        r16 = _extend_identity(r.matrix)
         acc += r16.T @ xi_flat
     acc /= group.size
     out = acc.reshape(4, 4)
@@ -258,21 +254,11 @@ def axis_orthogonal_to(vectors, tol: float = 1e-9) -> np.ndarray | None:
     return None
 
 
-def _first_significant(v: np.ndarray) -> float:
-    for x in v:
-        if abs(x) > 1e-9:
-            return x
-    return 0.0
-
-
 def _group_from_axis_angles(axis_angles, delta_t: float) -> PulseGroup:
     """Build a pulse group (identity first) from (axis, angle) parameters."""
     pulses = [np.eye(2, dtype=complex)]
-    rotations = [AdjointRotation(matrix=np.eye(3), source_dim=2)]
-    for axis, angle in axis_angles:
-        pulses.append(axis_angle_unitary(axis, angle))
-        rotations.append(AdjointRotation(matrix=axis_angle_rotation(axis, angle), source_dim=2))
-    return PulseGroup(pulses=tuple(pulses), delta_t=delta_t, rotations=tuple(rotations))
+    pulses.extend(axis_angle_unitary(axis, angle) for axis, angle in axis_angles)
+    return PulseGroup.from_pulses(pulses, delta_t)
 
 
 def parity_kick_group(axis, delta_t: float = 0.1) -> PulseGroup:
@@ -473,7 +459,7 @@ def _repeat_group(pulses: list[np.ndarray], size: int) -> list[np.ndarray]:
 def _product_group(pa: list[np.ndarray], pb: list[np.ndarray], delta_t: float) -> PulseGroup:
     size = _lcm(len(pa), len(pb))
     pa, pb = _repeat_group(pa, size), _repeat_group(pb, size)
-    pulses = [np.kron(a, b) for a, b in zip(pa, pb)]
+    pulses = [_kron(a, b) for a, b in zip(pa, pb)]
     return PulseGroup.from_pulses(pulses, delta_t)
 
 
@@ -649,7 +635,7 @@ def _tailored_kick_products(xi_pair, delta_t, max_group_size) -> list[PulseGroup
     if k1 is not None and k2 is not None:
         out.append(_product_group(k1, k2, delta_t))
         if max_group_size >= 4:
-            full = [np.kron(a, b) for a in k1 for b in k2]
+            full = [_kron(a, b) for a in k1 for b in k2]
             out.append(PulseGroup.from_pulses(full, delta_t))
     return out
 

@@ -1,13 +1,15 @@
 """Command-line front end for the simulate / probe / synthesize / optimize pipeline.
 
-Exit codes: 0 success, 2 configuration error, 3 tomography inconsistency,
-4 optimizer budget exhausted without convergence.
+Exit codes: 0 success, 1 other errors (numerical failures), 2 configuration
+error (including non-finite numbers), 3 tomography inconsistency, 4
+optimizer budget exhausted without convergence.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -45,6 +47,27 @@ class ConfigError(BBForgeError):
     """Malformed or incomplete experiment configuration."""
 
 
+def _reject_constant(token: str):
+    raise ValueError(f"non-finite number {token}")
+
+
+def _finite_float(token: str) -> float:
+    x = float(token)
+    if not math.isfinite(x):
+        raise ValueError(f"number {token} is not finite as a float")
+    return x
+
+
+def _read_json(path: Path, what: str):
+    """Parse a JSON input file; malformed text and non-finite numbers are config errors."""
+    try:
+        return json.loads(path.read_text(), parse_constant=_reject_constant, parse_float=_finite_float)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{what} parse failure at line {exc.lineno}: {exc.msg}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"{what}: {exc}") from exc
+
+
 @dataclass
 class ExperimentConfig:
     """Parsed experiment configuration."""
@@ -59,20 +82,14 @@ class ExperimentConfig:
         p = Path(path)
         if not p.exists():
             raise ConfigError(f"config file {path!r} does not exist")
-        try:
-            raw = json.loads(p.read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config parse failure at line {exc.lineno}: {exc.msg}") from exc
+        raw = _read_json(p, "config")
         if "model" in raw:
             model_data = raw["model"]
         elif "model_path" in raw:
             mp = p.parent / raw["model_path"]
             if not mp.exists():
                 raise ConfigError(f"referenced model file {raw['model_path']!r} does not exist")
-            try:
-                model_data = json.loads(mp.read_text())
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"model file parse failure at line {exc.lineno}: {exc.msg}") from exc
+            model_data = _read_json(mp, "model file")
         else:
             raise ConfigError("config needs a 'model' or 'model_path' entry")
         try:
@@ -83,8 +100,8 @@ class ExperimentConfig:
         if probe is None:
             probe = 0.01 / max(float(np.linalg.norm(model.total_hamiltonian, 2)), 1.0)
         probe = float(probe)
-        if probe <= 0:
-            raise ConfigError("probe_time must be positive")
+        if not (math.isfinite(probe) and probe > 0):
+            raise ConfigError("probe_time must be positive and finite")
         return cls(model=model, probe_time=probe, raw=raw, base_dir=p.parent)
 
     def initial_state(self) -> DensityMatrix:
@@ -216,7 +233,7 @@ def cmd_verify(args) -> int:
         gp = cfg.base_dir / ver["group_path"]
         if not gp.exists():
             raise ConfigError(f"group file {ver['group_path']!r} does not exist")
-        group_data = json.loads(gp.read_text())
+        group_data = _read_json(gp, "group file")
     elif "group" in ver:
         group_data = ver["group"]
     else:

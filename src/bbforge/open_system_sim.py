@@ -10,6 +10,7 @@ factor only and the bath does not evolve while they are applied.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,7 +18,7 @@ from scipy.linalg import expm
 
 from .defaults import TOL
 from .errors import DomainError, ShapeError
-from .operator_algebra import AdjointRotation, OperatorBasis, _readonly, adjoint_of, build_pauli_basis
+from .operator_algebra import AdjointRotation, _kron, _readonly, adjoint_of, build_pauli_basis
 
 __all__ = [
     "Coupling",
@@ -127,9 +128,9 @@ class SystemBathModel:
                 raise ShapeError(f"coupling {c.name!r} system operator has wrong dimension")
             if c.bath.shape != (nb, nb):
                 raise ShapeError(f"coupling {c.name!r} bath operator has wrong dimension")
-        total = np.kron(hs, np.eye(nb)) + np.kron(np.eye(ns), hb)
+        total = _kron(hs, np.eye(nb)) + _kron(np.eye(ns), hb)
         for c in self.couplings:
-            total = total + np.kron(c.system, c.bath)
+            total = total + _kron(c.system, c.bath)
         object.__setattr__(self, "_total", _readonly(total))
 
     @property
@@ -181,13 +182,12 @@ class PulseGroup:
     """An ordered pulse sequence with its free-evolution spacing.
 
     ``pulses[0]`` is always the identity; ``cycle_time`` is
-    ``len(pulses) * delta_t``.  ``rotations`` carries the adjoint image of
-    each pulse, kept consistent with the pulses at construction.
+    ``len(pulses) * delta_t``.  ``rotations``, the adjoint image of each
+    pulse, is derived from the pulses on first access and cached.
     """
 
     pulses: tuple[np.ndarray, ...]
     delta_t: float
-    rotations: tuple[AdjointRotation, ...]
 
     def __post_init__(self):
         pulses = tuple(_readonly(np.asarray(p, dtype=complex)) for p in self.pulses)
@@ -195,6 +195,8 @@ class PulseGroup:
         if self.delta_t < 0:
             raise DomainError("delta_t must be non-negative")
         d = pulses[0].shape[0]
+        if d < 2 or d & (d - 1):
+            raise ShapeError("pulse dimension must be a power of two")
         if np.linalg.norm(pulses[0] - np.eye(d)) > 1e-12:
             raise DomainError("pulse 0 must be the identity")
         for p in pulses:
@@ -202,21 +204,15 @@ class PulseGroup:
                 raise ShapeError("all pulses must share one dimension")
             if np.linalg.norm(p.conj().T @ p - np.eye(d)) > TOL.unitarity:
                 raise DomainError("pulses must be unitary within tolerance")
-        if len(self.rotations) != len(pulses):
-            raise ShapeError("one adjoint rotation required per pulse")
-        if d in (2, 4):
-            basis = build_pauli_basis(1 if d == 2 else 2)
-            for p, r in zip(pulses, self.rotations):
-                if np.linalg.norm(adjoint_of(p, basis).matrix - r.matrix) > 1e-9:
-                    raise DomainError("stored rotations do not match the pulses")
 
     @classmethod
-    def from_pulses(cls, pulses, delta_t: float, basis: OperatorBasis | None = None) -> "PulseGroup":
-        pulses = [np.asarray(p, dtype=complex) for p in pulses]
-        if basis is None:
-            basis = build_pauli_basis(int(round(np.log2(pulses[0].shape[0]))))
-        rotations = tuple(adjoint_of(p, basis) for p in pulses)
-        return cls(pulses=tuple(pulses), delta_t=delta_t, rotations=rotations)
+    def from_pulses(cls, pulses, delta_t: float) -> "PulseGroup":
+        return cls(pulses=tuple(pulses), delta_t=delta_t)
+
+    @functools.cached_property
+    def rotations(self) -> tuple[AdjointRotation, ...]:
+        basis = build_pauli_basis(self.dim.bit_length() - 1)
+        return tuple(adjoint_of(p, basis) for p in self.pulses)
 
     @property
     def size(self) -> int:
@@ -231,7 +227,7 @@ class PulseGroup:
         return self.size * self.delta_t
 
     def with_delta_t(self, delta_t: float) -> "PulseGroup":
-        return PulseGroup(pulses=self.pulses, delta_t=delta_t, rotations=self.rotations)
+        return PulseGroup(pulses=self.pulses, delta_t=delta_t)
 
 
 def propagate(model: SystemBathModel, t: float) -> np.ndarray:
@@ -247,7 +243,7 @@ def partial_trace_bath(rho_full: np.ndarray, system_dim: int, bath_dim: int) -> 
 
 
 def _lift(op: np.ndarray, bath_dim: int) -> np.ndarray:
-    return np.kron(op, np.eye(bath_dim))
+    return _kron(op, np.eye(bath_dim))
 
 
 def reduced_state(model: SystemBathModel, rho_system_0, t: float) -> DensityMatrix:
@@ -256,7 +252,7 @@ def reduced_state(model: SystemBathModel, rho_system_0, t: float) -> DensityMatr
     if rho0.shape != (model.system_dim, model.system_dim):
         raise ShapeError("initial state dimension does not match the system")
     u = propagate(model, t)
-    full = u @ np.kron(rho0, model.bath_initial) @ u.conj().T
+    full = u @ _kron(rho0, model.bath_initial) @ u.conj().T
     return DensityMatrix(partial_trace_bath(full, model.system_dim, model.bath_dim))
 
 
@@ -347,7 +343,7 @@ def apply_bb_cycle(model: SystemBathModel, group: PulseGroup, num_cycles: int, r
         raise ShapeError("initial state dimension does not match the system")
     cycle = bb_cycle_propagator(model, group)
     u = np.linalg.matrix_power(cycle, num_cycles)
-    full = u @ np.kron(rho0, model.bath_initial) @ u.conj().T
+    full = u @ _kron(rho0, model.bath_initial) @ u.conj().T
     return DensityMatrix(partial_trace_bath(full, model.system_dim, model.bath_dim))
 
 

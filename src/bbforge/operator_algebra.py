@@ -69,6 +69,12 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.kron`` of two square matrices: the same products, less call overhead."""
+    n = a.shape[0] * b.shape[0]
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(n, n)
+
+
 @dataclass(frozen=True)
 class PauliString:
     """A tensor product of single-qubit Pauli operators.

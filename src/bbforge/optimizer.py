@@ -20,6 +20,7 @@ import numpy as np
 from .bb_synthesis import (
     ErrorReport,
     TargetSpec,
+    _dim4_catalogue,
     _group_from_axis_angles,
     _product_group,
     axis_orthogonal_to,
@@ -31,6 +32,7 @@ from .errors import DomainError, InfeasibleError, ShapeError
 from .open_system_sim import PulseGroup, SystemBathModel, kraus_from_model, bb_propagator, partial_trace_bath
 from .operator_algebra import (
     CoordinateVector,
+    _kron,
     adjoint_of,
     axis_angle_unitary,
     build_pauli_basis,
@@ -120,7 +122,7 @@ def _pulsed_channel(model: SystemBathModel, u_full: np.ndarray):
     rho_b = model.bath_initial
 
     def channel(rho):
-        full = u_full @ np.kron(np.asarray(rho, dtype=complex), rho_b) @ u_full.conj().T
+        full = u_full @ _kron(np.asarray(rho, dtype=complex), rho_b) @ u_full.conj().T
         return partial_trace_bath(full, ns, nb)
 
     return channel
@@ -261,24 +263,7 @@ def enumerate_candidate_groups(dim: int, max_size: int, *, delta_t: float = 0.0)
     if dim == 2:
         return [_genome_to_group(g, delta_t) for g in _dim2_genomes(max_size) if len(g) + 1 <= max_size or len(g) == 1]
     if dim == 4:
-        groups = []
-        eye = [np.eye(2, dtype=complex)]
-        kick = {k: [np.eye(2, dtype=complex), axis_angle_unitary(_coord_axis(k), np.pi / 2)] for k in range(3)}
-        for k in range(3):
-            groups.append(_product_group(kick[k], kick[k], delta_t))
-        for k in range(3):
-            groups.append(_product_group(kick[k], eye, delta_t))
-            groups.append(_product_group(eye, kick[k], delta_t))
-        for a in range(3):
-            for b in range(3):
-                if a != b:
-                    groups.append(_product_group(kick[a], kick[b], delta_t))
-        if max_size >= 4:
-            pauli = [np.eye(2, dtype=complex)] + [axis_angle_unitary(_coord_axis(k), np.pi / 2) for k in range(3)]
-            groups.append(_product_group(pauli, pauli, delta_t))
-            groups.append(_product_group(pauli, eye, delta_t))
-            groups.append(_product_group(eye, pauli, delta_t))
-        return [g for g in groups if g.size <= max_size]
+        return _dim4_catalogue(max_size, delta_t)
     raise ShapeError("catalogue supports dim 2 and 4")
 
 
@@ -375,13 +360,13 @@ def _auto_probe(model: SystemBathModel, config: LearningLoopConfig) -> float:
 
 def _group_to_genome(group: PulseGroup, dim: int):
     """Axis-angle parameters of a pulse group, or None when not expressible."""
-    basis1 = build_pauli_basis(1)
     if dim == 2:
         genome = []
-        for p in group.pulses[1:]:
-            aa = unitary_from_rotation(adjoint_of(p, basis1))
+        for r in group.rotations[1:]:
+            aa = unitary_from_rotation(r)
             genome.append((np.array(aa.axis), float(aa.angle)))
         return genome
+    basis1 = build_pauli_basis(1)
     genome = []
     for p in group.pulses[1:]:
         factors = _factor_product(p)
@@ -413,7 +398,7 @@ def _genome_group(genome, dim: int, delta_t: float) -> PulseGroup:
         return _genome_to_group(genome, delta_t)
     pulses = [np.eye(4, dtype=complex)]
     for (axa, anga), (axb, angb) in genome:
-        pulses.append(np.kron(axis_angle_unitary(axa, anga), axis_angle_unitary(axb, angb)))
+        pulses.append(_kron(axis_angle_unitary(axa, anga), axis_angle_unitary(axb, angb)))
     return PulseGroup.from_pulses(pulses, delta_t)
 
 

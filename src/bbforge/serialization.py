@@ -1,12 +1,16 @@
 """Deterministic JSON and CSV writers.
 
 Floats are rendered with 17 significant digits so that identical inputs
-produce byte-identical artifacts across runs and platforms.
+produce byte-identical artifacts across runs and platforms.  A file is
+rendered in full, written beside its destination and renamed into place,
+so a failed write leaves any previous artifact intact.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from pathlib import Path
 
 __all__ = ["dumps_json", "dump_json", "format_float", "write_csv"]
 
@@ -55,21 +59,30 @@ def dumps_json(obj, indent: int = 2) -> str:
     return _render(obj, indent, 0) + "\n"
 
 
+def _write_atomic(path, text: str) -> None:
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def dump_json(obj, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(dumps_json(obj))
+    _write_atomic(path, dumps_json(obj))
+
+
+def _csv_cell(cell) -> str:
+    if isinstance(cell, bool):
+        return "true" if cell else "false"
+    if isinstance(cell, float):
+        return format_float(cell)
+    return str(cell)
 
 
 def write_csv(path, header: list[str], rows) -> None:
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            cells = []
-            for cell in row:
-                if isinstance(cell, bool):
-                    cells.append("true" if cell else "false")
-                elif isinstance(cell, float):
-                    cells.append(format_float(cell))
-                else:
-                    cells.append(str(cell))
-            fh.write(",".join(cells) + "\n")
+    lines = [",".join(header)] + [",".join(_csv_cell(cell) for cell in row) for row in rows]
+    _write_atomic(path, "\n".join(lines) + "\n")

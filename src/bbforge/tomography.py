@@ -12,6 +12,7 @@ the short-time expansion is read off the first column:
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -137,12 +138,15 @@ class EffectiveGenerator:
         return CoordinateVector(coords=self.xi[i], basis=build_pauli_basis(1))
 
 
+@functools.cache
 def _matrix_unit_inputs(dim: int):
     """Channel inputs for every matrix unit, via physical preparations.
 
-    Returns the list of pure states to feed the channel and, per matrix
-    unit ``|m><n|``, the complex combination over those states that
-    reconstructs the channel response by linearity.
+    Returns the pure states to feed the channel and, per matrix unit
+    ``|m><n|``, the complex combination over those states that
+    reconstructs the channel response by linearity.  One instance per
+    dimension is built and shared, so the states are read-only and the
+    containers are tuples.
     """
     states = []
     index = {}
@@ -163,22 +167,23 @@ def _matrix_unit_inputs(dim: int):
             index[("q", m, n)] = len(states)
             states.append(np.outer(plus_i, plus_i.conj()))
 
-    combos = {}
+    combos = []
     for m in range(dim):
         for n in range(dim):
             if m == n:
-                combos[(m, n)] = [(index[("d", m)], 1.0)]
+                parts = ((index[("d", m)], 1.0),)
             else:
                 a, b = min(m, n), max(m, n)
                 sign = 1.0j if m < n else -1.0j
                 corr = (1.0 + 1.0j) / 2.0 if m < n else (1.0 - 1.0j) / 2.0
-                combos[(m, n)] = [
+                parts = (
                     (index[("p", a, b)], 1.0),
                     (index[("q", a, b)], sign),
                     (index[("d", m)], -corr),
                     (index[("d", n)], -corr),
-                ]
-    return states, combos
+                )
+            combos.append(((m, n), parts))
+    return tuple(_readonly(s) for s in states), tuple(combos)
 
 
 def _check_linear(channel, dim: int):
@@ -215,7 +220,7 @@ def run_qpt(channel, basis: OperatorBasis, *, time_tag: float | None = None) -> 
         if r.shape != (d, d):
             raise ShapeError("channel output dimension does not match its input")
     lam = np.zeros((d * d, d * d), dtype=complex)
-    for (m, n), parts in combos.items():
+    for (m, n), parts in combos:
         out = np.zeros((d, d), dtype=complex)
         for idx, coeff in parts:
             out += coeff * responses[idx]

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from bbforge.cli import main
-from bbforge.open_system_sim import Coupling, SystemBathModel, model_to_dict
+from bbforge.open_system_sim import Coupling, SystemBathModel, _matrix_to_pairs, model_to_dict
 
-from conftest import SX, SZ
+from conftest import I2, SX, SZ
 
 
 def dephasing_config(g=1.0):
@@ -269,3 +269,64 @@ class TestOptimize:
         cfg["model_path"] = "model.json"
         code = main(["--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "out"), "tomography"])
         assert code == 0
+
+
+# (command, config path) for every config number a command reads
+NON_FINITE_FIELDS = [
+    ("simulate", ("simulate", "time_max")),
+    ("synthesize", ("synthesis", "delta_t")),
+    ("verify", ("verify", "total_time")),
+    ("tomography", ("model", "system_hamiltonian", 0, 0, 0)),
+    ("tomography", ("probe_time",)),
+]
+
+
+def full_config():
+    cfg = dephasing_config()
+    cfg["simulate"] = {"time_max": 1.0, "steps": 5}
+    cfg["verify"] = {"group": {"pulses": [_matrix_to_pairs(I2), _matrix_to_pairs(1j * SX)], "delta_t": 0.05}}
+    return cfg
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("command", sorted({c for c, _ in NON_FINITE_FIELDS}))
+    def test_finite_config_runs(self, tmp_path, command):
+        code = main(["--config", write_config(tmp_path, full_config()), "--out", str(tmp_path / "out"), command])
+        assert code == 0
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+    @pytest.mark.parametrize("command,path", NON_FINITE_FIELDS, ids=[".".join(map(str, p)) for _, p in NON_FINITE_FIELDS])
+    def test_config_field_exit_2(self, tmp_path, capsys, command, path, value):
+        cfg = full_config()
+        node = cfg
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        code = main(["--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "out"), command])
+        assert code == 2
+        assert "non-finite" in capsys.readouterr().err
+
+    def test_overflowing_literal_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(full_config()).replace('"probe_time": 0.01', '"probe_time": 1e999'))
+        assert main(["--config", str(path), "--out", str(tmp_path / "out"), "tomography"]) == 2
+        assert "not finite" in capsys.readouterr().err
+
+    def test_probe_time_override_exit_2(self, tmp_path):
+        cfg = write_config(tmp_path, full_config())
+        assert main(["--config", cfg, "--out", str(tmp_path / "out"), "--probe-time", "nan", "tomography"]) == 2
+
+    def test_model_file_exit_2(self, tmp_path):
+        cfg = full_config()
+        model_data = cfg.pop("model")
+        model_data["bath_hamiltonian"][0][0][1] = float("nan")
+        (tmp_path / "model.json").write_text(json.dumps(model_data))
+        cfg["model_path"] = "model.json"
+        assert main(["--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "out"), "tomography"]) == 2
+
+    @pytest.mark.parametrize("text", ['{"pulses": [[[NaN, 0]]]}', "{ not json", ""], ids=["nan", "malformed", "empty"])
+    def test_group_file_exit_2(self, tmp_path, text):
+        cfg = full_config()
+        cfg["verify"] = {"group_path": "group.json", "total_time": 1.0}
+        (tmp_path / "group.json").write_text(text)
+        assert main(["--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "out"), "verify"]) == 2

@@ -154,6 +154,34 @@ class TestPulseGroup:
         want = adjoint_of(kick, build_pauli_basis(1)).matrix
         assert np.linalg.norm(g.rotations[1].matrix - want) < 1e-12
 
+    def test_rotations_computed_once(self, monkeypatch, rng):
+        import bbforge.open_system_sim as sim_mod
+        from bbforge.operator_algebra import adjoint_of, build_pauli_basis
+
+        from conftest import random_unitary
+
+        pulses = [np.eye(4)] + [random_unitary(4, rng) for _ in range(3)]
+        calls = []
+
+        def counting(u, basis):
+            calls.append(basis)
+            return adjoint_of(u, basis)
+
+        monkeypatch.setattr(sim_mod, "adjoint_of", counting)
+        g = PulseGroup.from_pulses(pulses, 0.1)
+        assert calls == []
+        first = g.rotations
+        assert g.rotations is first
+        assert len(calls) == len(pulses)
+        basis = build_pauli_basis(2)
+        for p, r in zip(g.pulses, first):
+            assert np.array_equal(r.matrix, adjoint_of(p, basis).matrix)
+
+    @pytest.mark.parametrize("dim", [1, 3, 6])
+    def test_dimension_not_power_of_two_rejected_at_construction(self, dim):
+        with pytest.raises(ShapeError):
+            PulseGroup(pulses=(np.eye(dim),), delta_t=0.1)
+
 
 class TestApplyBBCycle:
     def test_trivial_group_equals_reduced_state(self, rng):

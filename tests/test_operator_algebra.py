@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from bbforge.errors import CapacityError, DomainError, InfeasibleError, ShapeError
 from bbforge.operator_algebra import (
     MAX_BASIS_QUBITS,
     AdjointRotation,
+    _kron,
     AxisAngle,
     adjoint_of,
     axis_angle_rotation,
@@ -150,6 +154,16 @@ class TestAdjoint:
                 got = sum(r[a, j] * paulis[j] for j in range(3))
                 assert np.linalg.norm(got - want) < 1e-10
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        axis=arrays(float, 3, elements=st.floats(-1.0, 1.0)).filter(lambda v: np.linalg.norm(v) > 1e-3),
+        angle=st.floats(-np.pi, np.pi),
+    )
+    def test_closed_form_rotation_matches_adjoint(self, axis, angle):
+        got = axis_angle_rotation(axis, angle)
+        want = adjoint_of(axis_angle_unitary(axis, angle), build_pauli_basis(1)).matrix
+        assert np.abs(got - want).max() < 1e-12
+
     def test_orthogonality_and_det(self, rng):
         b = build_pauli_basis(1)
         for _ in range(50):
@@ -265,3 +279,18 @@ class TestAdjointRotationValidation:
     def test_rejects_reflection(self):
         with pytest.raises(DomainError):
             AdjointRotation(matrix=np.diag([1.0, 1.0, -1.0]), source_dim=2)
+
+
+class TestKron:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dims=st.tuples(st.integers(1, 5), st.integers(1, 5)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_numpy_kron(self, dims, seed):
+        rng = np.random.default_rng(seed)
+        a, b = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) for n in dims)
+        for x, y in ((a, b), (a, np.eye(dims[1])), (np.eye(dims[0]), b)):
+            got, want = _kron(x, y), np.kron(x, y)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)

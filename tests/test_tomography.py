@@ -88,6 +88,24 @@ class TestRunQPT:
                 want = (u @ unit @ u.conj().T).reshape(-1)
                 assert np.linalg.norm(data.lam[2 * m + n] - want) < 1e-12
 
+    def test_shared_preparations_are_read_only(self, rng):
+        # a channel that writes into its input must not corrupt later probes
+        b = build_pauli_basis(2)
+        u = random_unitary(4, rng)
+
+        def unitary(r):
+            return u @ r @ u.conj().T
+
+        def overwriting(r):
+            out = unitary(r)
+            r *= 0
+            return out
+
+        want = run_qpt(unitary, b).lam
+        with pytest.raises(ValueError):
+            run_qpt(overwriting, b)
+        assert np.array_equal(run_qpt(unitary, b).lam, want)
+
 
 class TestChiFromLambda:
     def test_identity_channel(self):
