@@ -72,7 +72,7 @@ class StabilizerSpace:
         gens = tuple(_readonly(np.asarray(g, dtype=complex)) for g in self.generators)
         object.__setattr__(self, "generators", gens)
         for g in gens:
-            if np.linalg.norm(g - g.conj().T) > 1e-10:
+            if not np.linalg.norm(g - g.conj().T) <= 1e-10:
                 raise DomainError("stabilizer generators must be Hermitian")
         if gens:
             gram = np.array([[np.trace(a @ b).real for b in gens] for a in gens])
@@ -233,18 +233,14 @@ def axis_orthogonal_to(vectors, tol: float = 1e-9) -> np.ndarray | None:
     stack = np.array(dirs)
     for m in range(3):
         if np.abs(stack[:, m]).max() <= tol:
-            e = np.zeros(3)
-            e[m] = 1.0
-            return e
+            return np.eye(3)[m]
     _, s, vh = np.linalg.svd(stack)
     s_full = np.zeros(3)
     s_full[: len(s)] = s
     null = vh[s_full < 1e-9]
     if null.shape[0] == 0:
         return None
-    for m in range(3):
-        e = np.zeros(3)
-        e[m] = 1.0
+    for e in np.eye(3):
         proj = null.T @ (null @ e)
         if np.linalg.norm(proj) > 1e-9:
             proj = proj / np.linalg.norm(proj)
@@ -261,6 +257,11 @@ def _group_from_axis_angles(axis_angles, delta_t: float) -> PulseGroup:
     return PulseGroup.from_pulses(pulses, delta_t)
 
 
+def _kick_pulses(axis) -> list[np.ndarray]:
+    """Pulses of the parity kick ``{I, exp(i n.sigma pi/2)}`` about ``axis``."""
+    return [np.eye(2, dtype=complex), axis_angle_unitary(axis, np.pi / 2)]
+
+
 def parity_kick_group(axis, delta_t: float = 0.1) -> PulseGroup:
     """The minimal decoupling pair ``{I, exp(i n.sigma pi/2)}``."""
     axis = np.asarray(axis, dtype=float)
@@ -272,7 +273,7 @@ def _trivial_group(dim: int, delta_t: float) -> PulseGroup:
     return PulseGroup.from_pulses([np.eye(dim, dtype=complex)], delta_t)
 
 
-def _report_vec(achieved: np.ndarray, wanted: np.ndarray, basis: OperatorBasis) -> ErrorReport:
+def _report(achieved: np.ndarray, wanted: np.ndarray, basis: OperatorBasis) -> ErrorReport:
     return error_report(
         CoordinateVector(coords=np.asarray(achieved, dtype=float), basis=basis),
         CoordinateVector(coords=np.asarray(wanted, dtype=float), basis=basis),
@@ -299,14 +300,14 @@ def solve_storage(generator, qubit: int = 0, max_group_size: int = 8, *, delta_t
         group = _trivial_group(2, delta_t)
         return SynthesisResult(
             group=group,
-            residual=_report_vec(xi, np.zeros(3), basis1),
+            residual=_report(xi, np.zeros(3), basis1),
             free_parameters="generator already vanishes; no pulses required",
             qubit=qubit,
         )
     axis = axis_orthogonal_to([xi])
     group = parity_kick_group(axis, delta_t)
     achieved = modified_vector(group, xi)
-    report = _report_vec(achieved, np.zeros(3), basis1)
+    report = _report(achieved, np.zeros(3), basis1)
     if report.scalar_distance > TOL.linear_solve:
         raise InfeasibleError("parity kick failed to annihilate the generator", best_residual=report.scalar_distance)
     return SynthesisResult(
@@ -392,7 +393,7 @@ def solve_single_qubit_gate(generator, target: TargetSpec, qubit: int = 0, max_g
         group = _trivial_group(2, delta_t)
         return SynthesisResult(
             group=group,
-            residual=_report_vec(xi, w, basis1),
+            residual=_report(xi, w, basis1),
             free_parameters="measured generator already equals the target",
             qubit=qubit,
         )
@@ -436,7 +437,7 @@ def solve_single_qubit_gate(generator, target: TargetSpec, qubit: int = 0, max_g
 
     group = _group_from_axis_angles(axis_angles, delta_t)
     achieved = modified_vector(group, xi)
-    report = _report_vec(achieved, w, basis1)
+    report = _report(achieved, w, basis1)
     if report.scalar_distance > TOL.linear_solve * max(1.0, scale):
         raise InfeasibleError("constructed pulse set missed the target", best_residual=report.scalar_distance)
     return SynthesisResult(group=group, residual=report, free_parameters=note, qubit=qubit)
@@ -476,21 +477,14 @@ def _single_qubit_pulse_lists(xi_vec: np.ndarray, w_vec: np.ndarray, max_group_s
         pass
     if np.linalg.norm(xi_vec) > TOL.zero_vector:
         # parity kicks about each coordinate axis orthogonal enough to matter
-        for m in range(3):
-            e = np.zeros(3)
-            e[m] = 1.0
-            lists.append([np.eye(2, dtype=complex), axis_angle_unitary(e, np.pi / 2)])
+        lists.extend(_kick_pulses(e) for e in np.eye(3))
     return lists
 
 
 def _dim4_catalogue(max_size: int, delta_t: float) -> list[PulseGroup]:
     """Deterministic catalogue of two-qubit product pulse sets."""
     eye = [np.eye(2, dtype=complex)]
-    kicks = {}
-    for m in range(3):
-        e = np.zeros(3)
-        e[m] = 1.0
-        kicks[m] = [np.eye(2, dtype=complex), axis_angle_unitary(e, np.pi / 2)]
+    kicks = [_kick_pulses(e) for e in np.eye(3)]
     groups = []
     for m in range(3):
         groups.append(_product_group(kicks[m], kicks[m], delta_t))
@@ -550,7 +544,7 @@ def solve_two_qubit(generator, target: TargetSpec, pair: tuple[int, int] = (0, 1
             if resid < best[0]:
                 best = (resid, group, mode)
             if resid <= TOL.linear_solve:
-                report = _pair_report(achieved, w_pair, basis2)
+                report = _report(achieved, w_pair, basis2)
                 return SynthesisResult(
                     group=group,
                     residual=report,
@@ -566,7 +560,7 @@ def solve_two_qubit(generator, target: TargetSpec, pair: tuple[int, int] = (0, 1
                 achieved = modified_pair_matrix(group, dict(modes)[mode])
                 return SynthesisResult(
                     group=group,
-                    residual=_pair_report(achieved, w_pair, basis2),
+                    residual=_report(achieved, w_pair, basis2),
                     free_parameters=_two_qubit_note(mode) + "; refined numerically",
                     pair=tuple(pair),
                     mode=mode,
@@ -585,13 +579,6 @@ def _two_qubit_note(mode: str) -> str:
     return (
         "pulses commute with the wanted interaction and annihilate the measured noise; "
         "solved for the running evolution (wanted interaction active)"
-    )
-
-
-def _pair_report(achieved: np.ndarray, wanted: np.ndarray, basis2: OperatorBasis) -> ErrorReport:
-    return error_report(
-        CoordinateVector(coords=achieved, basis=basis2),
-        CoordinateVector(coords=wanted, basis=basis2),
     )
 
 
@@ -627,10 +614,10 @@ def _tailored_kick_products(xi_pair, delta_t, max_group_size) -> list[PulseGroup
     out = []
     k1 = k2 = None
     if n1 is not None:
-        k1 = [np.eye(2, dtype=complex), axis_angle_unitary(n1, np.pi / 2)]
+        k1 = _kick_pulses(n1)
         out.append(_product_group(k1, eye, delta_t))
     if n2 is not None:
-        k2 = [np.eye(2, dtype=complex), axis_angle_unitary(n2, np.pi / 2)]
+        k2 = _kick_pulses(n2)
         out.append(_product_group(eye, k2, delta_t))
     if k1 is not None and k2 is not None:
         out.append(_product_group(k1, k2, delta_t))
@@ -721,19 +708,15 @@ def check_encoded(result_generator: CoordinateVector, target: TargetSpec) -> Err
     reports the length of what remains.  An empty stabilizer reduces to the
     plain scalar distance.
     """
-    wanted = target.wanted
-    if wanted is None:
-        wanted_coords = np.zeros_like(result_generator.coords)
-    else:
-        wanted_coords = np.asarray(wanted, dtype=float)
-        if wanted_coords.shape != result_generator.coords.shape:
-            raise ShapeError("target coordinates do not match the generator shape")
-    e_vec = CoordinateVector(coords=result_generator.coords - wanted_coords, basis=result_generator.basis)
-    delta = reconstruct(e_vec)
-    d = float(np.sqrt(abs(np.trace(delta.conj().T @ delta).real)))
+    wanted = np.zeros_like(result_generator.coords) if target.wanted is None else target.wanted
+    if np.shape(wanted) != result_generator.coords.shape:
+        raise ShapeError("target coordinates do not match the generator shape")
+    report = error_report(result_generator, CoordinateVector(coords=wanted, basis=result_generator.basis))
+    e_vec, d = report.error_vector, report.scalar_distance
     stab = target.stabilizer
     if stab is None or stab.size == 0:
         return ErrorReport(error_vector=e_vec, scalar_distance=d, stabilizer_distance=d)
+    delta = reconstruct(e_vec)
     gens = stab.generators
     gram = np.array([[np.trace(a.conj().T @ b).real for b in gens] for a in gens])
     rhs = np.array([np.trace(g.conj().T @ delta).real for g in gens])

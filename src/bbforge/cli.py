@@ -1,8 +1,9 @@
 """Command-line front end for the simulate / probe / synthesize / optimize pipeline.
 
 Exit codes: 0 success, 1 other errors (numerical failures), 2 configuration
-error (including non-finite numbers), 3 tomography inconsistency, 4
-optimizer budget exhausted without convergence.
+error (including non-finite numbers, values of the wrong type and
+non-positive times), 3 tomography inconsistency, 4 optimizer budget
+exhausted without convergence.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .open_system_sim import (
     DensityMatrix,
     PulseGroup,
     SystemBathModel,
+    _matrix_to_pairs,
     _pairs_to_matrix,
     apply_bb_cycle,
     kraus_from_model,
@@ -36,7 +38,7 @@ from .open_system_sim import (
     reduced_state,
 )
 from .operator_algebra import CoordinateVector, build_pauli_basis
-from .optimizer import LearningLoopConfig, learning_loop
+from .optimizer import LearningLoopConfig, _default_probe_time, learning_loop
 from .serialization import dump_json, write_csv
 from .tomography import chi_from_lambda, extract_generator, run_qpt
 
@@ -68,6 +70,24 @@ def _read_json(path: Path, what: str):
         raise ConfigError(f"{what}: {exc}") from exc
 
 
+def _config_number(value, name: str, kind=float, minimum: int = 0):
+    """``kind(value)`` for a config entry, or a config error.
+
+    A value of the wrong type is an error, a float must be finite and
+    positive (every float the CLI reads is a time) and an int at least
+    ``minimum``.
+    """
+    try:
+        x = kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
+    if kind is float and not (math.isfinite(x) and x > 0):
+        raise ConfigError(f"{name} must be positive and finite, got {value!r}")
+    if kind is int and x < minimum:
+        raise ConfigError(f"{name} must be >= {minimum}, got {value!r}")
+    return x
+
+
 @dataclass
 class ExperimentConfig:
     """Parsed experiment configuration."""
@@ -94,14 +114,10 @@ class ExperimentConfig:
             raise ConfigError("config needs a 'model' or 'model_path' entry")
         try:
             model = model_from_dict(model_data)
-        except (KeyError, BBForgeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError, BBForgeError) as exc:
             raise ConfigError(f"invalid model: {exc}") from exc
         probe = probe_override if probe_override is not None else raw.get("probe_time")
-        if probe is None:
-            probe = 0.01 / max(float(np.linalg.norm(model.total_hamiltonian, 2)), 1.0)
-        probe = float(probe)
-        if not (math.isfinite(probe) and probe > 0):
-            raise ConfigError("probe_time must be positive and finite")
+        probe = _config_number(_default_probe_time(model) if probe is None else probe, "probe_time")
         return cls(model=model, probe_time=probe, raw=raw, base_dir=p.parent)
 
     def initial_state(self) -> DensityMatrix:
@@ -151,10 +167,8 @@ def _out_dir(args) -> Path:
 def cmd_simulate(args) -> int:
     cfg = ExperimentConfig.load(args.config, args.probe_time)
     sim = cfg.raw.get("simulate", {})
-    t_max = float(sim.get("time_max", 1.0))
-    steps = int(sim.get("steps", 50))
-    if t_max <= 0 or steps < 1:
-        raise ConfigError("simulate.time_max must be positive and steps >= 1")
+    t_max = _config_number(sim.get("time_max", 1.0), "simulate.time_max")
+    steps = _config_number(sim.get("steps", 50), "simulate.steps", int, minimum=1)
     rho0 = cfg.initial_state()
     rows = []
     for k in range(steps + 1):
@@ -190,15 +204,19 @@ def cmd_synthesize(args) -> int:
     cfg = ExperimentConfig.load(args.config, args.probe_time)
     target = cfg.target()
     synth = cfg.raw.get("synthesis", {})
-    max_size = int(synth.get("max_group_size", 8))
-    delta_t = float(synth.get("delta_t", 0.1))
+    max_size = _config_number(synth.get("max_group_size", 8), "synthesis.max_group_size", int, minimum=2)
+    delta_t = _config_number(synth.get("delta_t", 0.1), "synthesis.delta_t")
     ansatz = synth.get("ansatz", "local_products")
     chi, basis = _probe_chi(cfg)
     gen = extract_generator(chi)
+    if target.kind in ("storage", "single_qubit"):
+        qubit = _config_number(synth.get("qubit", 0), "synthesis.qubit", int)
+        if qubit >= gen.num_qubits:
+            raise ConfigError(f"synthesis.qubit {qubit} is outside the {gen.num_qubits}-qubit system")
     if target.kind == "storage":
-        result = solve_storage(gen, int(synth.get("qubit", 0)), max_size, delta_t=delta_t)
+        result = solve_storage(gen, qubit, max_size, delta_t=delta_t)
     elif target.kind == "single_qubit":
-        result = solve_single_qubit_gate(gen, target, int(synth.get("qubit", 0)), max_size, delta_t=delta_t)
+        result = solve_single_qubit_gate(gen, target, qubit, max_size, delta_t=delta_t)
     elif target.kind == "two_qubit":
         result = solve_two_qubit(gen, target, tuple(synth.get("pair", (0, 1))), ansatz, max_group_size=max_size, delta_t=delta_t)
     else:
@@ -222,7 +240,7 @@ def cmd_synthesize(args) -> int:
 
 def _group_from_payload(data: dict, delta_t: float | None) -> PulseGroup:
     pulses = [_pairs_to_matrix(p) for p in data["pulses"]]
-    dt = float(delta_t if delta_t is not None else data.get("delta_t", 0.1))
+    dt = _config_number(delta_t if delta_t is not None else data.get("delta_t", 0.1), "verify.delta_t")
     return PulseGroup.from_pulses(pulses, dt)
 
 
@@ -240,7 +258,7 @@ def cmd_verify(args) -> int:
         raise ConfigError("verify needs 'group_path' or an inline 'group'")
     delta_t = ver.get("delta_t")
     group = _group_from_payload(group_data, delta_t)
-    total_time = float(ver.get("total_time", 1.0))
+    total_time = _config_number(ver.get("total_time", 1.0), "verify.total_time")
     cycles = max(1, int(round(total_time / group.cycle_time)))
     rho0 = cfg.initial_state()
     pulsed = apply_bb_cycle(cfg.model, group, cycles, rho0)
@@ -279,7 +297,7 @@ def cmd_optimize(args) -> int:
         "group_size": best.size,
         "delta_t": best.delta_t,
         "cycle_time": best.cycle_time,
-        "pulses": [[[[float(x.real), float(x.imag)] for x in row] for row in p] for p in best.pulses],
+        "pulses": [_matrix_to_pairs(p) for p in best.pulses],
         "best_cost": records[-1].best_cost,
         "converged": records[-1].converged,
         "generations": len(records),

@@ -43,14 +43,14 @@ def _check_hermitian(m: np.ndarray, name: str) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ShapeError(f"{name} must be a square matrix")
-    if np.linalg.norm(m - m.conj().T) > TOL.hermiticity:
+    if not np.linalg.norm(m - m.conj().T) <= TOL.hermiticity:
         raise DomainError(f"{name} is not Hermitian within tolerance")
     return m
 
 
 def _check_density(m: np.ndarray, name: str) -> np.ndarray:
     m = _check_hermitian(m, name)
-    if abs(np.trace(m).real - 1.0) > TOL.hermiticity:
+    if not abs(np.trace(m).real - 1.0) <= TOL.hermiticity:
         raise DomainError(f"{name} must have unit trace")
     if np.linalg.eigvalsh(m).min() < -1e-10:
         raise DomainError(f"{name} must be positive semidefinite")
@@ -166,7 +166,7 @@ class KrausSet:
         object.__setattr__(self, "operators", ops)
         d = ops[0].shape[0]
         total = sum(a.conj().T @ a for a in ops)
-        if np.linalg.norm(total - np.eye(d)) > TOL.hermiticity:
+        if not np.linalg.norm(total - np.eye(d)) <= TOL.hermiticity:
             raise DomainError("Kraus set does not satisfy the completeness relation")
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
@@ -197,12 +197,12 @@ class PulseGroup:
         d = pulses[0].shape[0]
         if d < 2 or d & (d - 1):
             raise ShapeError("pulse dimension must be a power of two")
-        if np.linalg.norm(pulses[0] - np.eye(d)) > 1e-12:
+        if not np.linalg.norm(pulses[0] - np.eye(d)) <= 1e-12:
             raise DomainError("pulse 0 must be the identity")
         for p in pulses:
             if p.shape != (d, d):
                 raise ShapeError("all pulses must share one dimension")
-            if np.linalg.norm(p.conj().T @ p - np.eye(d)) > TOL.unitarity:
+            if not np.linalg.norm(p.conj().T @ p - np.eye(d)) <= TOL.unitarity:
                 raise DomainError("pulses must be unitary within tolerance")
 
     @classmethod
@@ -246,14 +246,28 @@ def _lift(op: np.ndarray, bath_dim: int) -> np.ndarray:
     return _kron(op, np.eye(bath_dim))
 
 
+def _reduced_channel(model: SystemBathModel, u_full: np.ndarray):
+    """Reduced dynamics ``rho -> Tr_B[U (rho (x) rho_B) U^dag]`` under a full propagator.
+
+    The returned channel accepts a :class:`DensityMatrix` or an array of the
+    system's dimension.
+    """
+    ns, nb = model.system_dim, model.bath_dim
+    rho_b = model.bath_initial
+
+    def channel(rho):
+        rho = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
+        if rho.shape != (ns, ns):
+            raise ShapeError("initial state dimension does not match the system")
+        full = u_full @ _kron(rho, rho_b) @ u_full.conj().T
+        return partial_trace_bath(full, ns, nb)
+
+    return channel
+
+
 def reduced_state(model: SystemBathModel, rho_system_0, t: float) -> DensityMatrix:
     """Evolve ``rho (x) rho_B`` for time ``t`` and trace out the bath."""
-    rho0 = rho_system_0.matrix if isinstance(rho_system_0, DensityMatrix) else np.asarray(rho_system_0, dtype=complex)
-    if rho0.shape != (model.system_dim, model.system_dim):
-        raise ShapeError("initial state dimension does not match the system")
-    u = propagate(model, t)
-    full = u @ _kron(rho0, model.bath_initial) @ u.conj().T
-    return DensityMatrix(partial_trace_bath(full, model.system_dim, model.bath_dim))
+    return DensityMatrix(_reduced_channel(model, propagate(model, t))(rho_system_0))
 
 
 def kraus_from_model(model: SystemBathModel, t: float) -> KrausSet:
@@ -338,13 +352,8 @@ def apply_bb_cycle(model: SystemBathModel, group: PulseGroup, num_cycles: int, r
     """
     if num_cycles < 1:
         raise DomainError("num_cycles must be >= 1")
-    rho0 = rho_system_0.matrix if isinstance(rho_system_0, DensityMatrix) else np.asarray(rho_system_0, dtype=complex)
-    if rho0.shape != (model.system_dim, model.system_dim):
-        raise ShapeError("initial state dimension does not match the system")
-    cycle = bb_cycle_propagator(model, group)
-    u = np.linalg.matrix_power(cycle, num_cycles)
-    full = u @ _kron(rho0, model.bath_initial) @ u.conj().T
-    return DensityMatrix(partial_trace_bath(full, model.system_dim, model.bath_dim))
+    u = np.linalg.matrix_power(bb_cycle_propagator(model, group), num_cycles)
+    return DensityMatrix(_reduced_channel(model, u)(rho_system_0))
 
 
 def symmetrize_hamiltonian(hamiltonian: np.ndarray, group: PulseGroup, check_centralizer: bool = False) -> np.ndarray:

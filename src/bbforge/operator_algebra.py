@@ -75,6 +75,33 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(n, n)
 
 
+@functools.cache
+def _pauli_offsets(num_qubits: int) -> np.ndarray:
+    """Per-qubit offsets of the lexicographic Pauli-string index.
+
+    ``table[i, a] = a * 4**(num_qubits - 1 - i)`` for label ``a`` on qubit
+    ``i``; the basis index of a string is the sum of one entry per qubit,
+    so a weight-1 index is one entry and a pair index the sum of two rows.
+    """
+    return _readonly(np.arange(4) * 4 ** np.arange(num_qubits - 1, -1, -1)[:, None])
+
+
+def _flat_coords(basis: OperatorBasis, vectors=(), pairs=None) -> np.ndarray:
+    """Scatter per-qubit 3-vectors and 4x4 pair matrices onto the flat generator ordering.
+
+    ``vectors[i]`` holds the x, y, z coordinates of qubit ``i``; ``pairs``
+    maps ``(i, j)`` to a matrix indexed by the labels of qubits ``i`` and
+    ``j``, whose ``[0, 0]`` entry (the identity) is dropped.
+    """
+    offsets = _pauli_offsets(basis.num_qubits)
+    full = np.zeros(basis.size)
+    for i, vec in enumerate(vectors):
+        full[offsets[i, 1:]] = vec
+    for (i, j), m in (pairs or {}).items():
+        full[offsets[i][:, None] + offsets[j]] = m
+    return full[1:]
+
+
 @dataclass(frozen=True)
 class PauliString:
     """A tensor product of single-qubit Pauli operators.
@@ -148,7 +175,7 @@ class OperatorBasis:
         """The non-identity (traceless) elements."""
         return self.elements[1:]
 
-    @property
+    @functools.cached_property
     def num_qubits(self) -> int:
         return int(round(np.log2(self.dim)))
 
@@ -214,13 +241,7 @@ class CoordinateVector:
             return self.coords
         if self.basis.size != 16:
             raise ShapeError("pair-matrix coordinates require a two-qubit basis")
-        flat = np.zeros(15)
-        for a in range(4):
-            for b in range(4):
-                if a == 0 and b == 0:
-                    continue
-                flat[4 * a + b - 1] = self.coords[a, b]
-        return flat
+        return _flat_coords(self.basis, (), {(0, 1): self.coords})
 
 
 @dataclass(frozen=True)
@@ -236,9 +257,9 @@ class AdjointRotation:
         n = m.shape[0]
         if m.shape != (n, n) or n != self.source_dim**2 - 1:
             raise ShapeError("adjoint rotation must be (n^2-1) x (n^2-1)")
-        if np.linalg.norm(m.T @ m - np.eye(n)) > TOL.orthogonality:
+        if not np.linalg.norm(m.T @ m - np.eye(n)) <= TOL.orthogonality:
             raise DomainError("adjoint rotation is not orthogonal")
-        if abs(np.linalg.det(m) - 1.0) > TOL.orthogonality:
+        if not abs(np.linalg.det(m) - 1.0) <= TOL.orthogonality:
             raise DomainError("adjoint rotation must have determinant +1")
 
 
@@ -259,7 +280,7 @@ class AxisAngle:
         object.__setattr__(self, "axis", axis)
         if axis.shape != (3,):
             raise ShapeError("axis must be a 3-vector")
-        if abs(np.linalg.norm(axis) - 1.0) > 1e-9:
+        if not abs(np.linalg.norm(axis) - 1.0) <= 1e-9:
             raise DomainError("axis must be a unit vector")
         if not (-np.pi < self.angle <= np.pi):
             raise DomainError("angle must lie in (-pi, pi]")
@@ -287,7 +308,7 @@ def expand(operator: np.ndarray, basis: OperatorBasis) -> CoordinateVector:
     a = np.asarray(operator, dtype=complex)
     if a.shape != (basis.dim, basis.dim):
         raise ShapeError(f"operator shape {a.shape} does not match basis dim {basis.dim}")
-    if np.linalg.norm(a - a.conj().T) > TOL.hermiticity:
+    if not np.linalg.norm(a - a.conj().T) <= TOL.hermiticity:
         raise DomainError("operator is not Hermitian within tolerance")
     coords = np.einsum("kij,ji->k", basis.generators, a) / basis.normalization
     return CoordinateVector(coords=coords.real, basis=basis)
@@ -315,7 +336,7 @@ def adjoint_of(unitary: np.ndarray, basis: OperatorBasis) -> AdjointRotation:
     u = np.asarray(unitary, dtype=complex)
     if u.shape != (basis.dim, basis.dim):
         raise ShapeError(f"unitary shape {u.shape} does not match basis dim {basis.dim}")
-    if np.linalg.norm(u.conj().T @ u - np.eye(basis.dim)) > TOL.unitarity:
+    if not np.linalg.norm(u.conj().T @ u - np.eye(basis.dim)) <= TOL.unitarity:
         raise DomainError("input is not unitary within tolerance")
     rotated = np.einsum("ab,kbc,cd->kad", u.conj().T, basis.generators, u)
     r = np.einsum("kad,jda->kj", rotated, basis.generators) / basis.normalization
@@ -373,9 +394,7 @@ def _rotation_jacobian(q: np.ndarray) -> np.ndarray:
     w, v = q[0], q[1:]
     jac = np.zeros((3, 3, 4))
     jac[:, :, 0] = 2.0 * w * np.eye(3) + 2.0 * _eps_matrix(v)
-    for k in range(3):
-        e = np.zeros(3)
-        e[k] = 1.0
+    for k, e in enumerate(np.eye(3)):
         jac[:, :, k + 1] = (
             -2.0 * v[k] * np.eye(3)
             + 2.0 * (np.outer(e, v) + np.outer(v, e))

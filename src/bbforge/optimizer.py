@@ -10,9 +10,8 @@ and wanted generators over a fixed horizon of pulse cycles.
 
 from __future__ import annotations
 
-import os
+import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,16 +21,18 @@ from .bb_synthesis import (
     TargetSpec,
     _dim4_catalogue,
     _group_from_axis_angles,
+    _kick_pulses,
     _product_group,
+    _report,
     axis_orthogonal_to,
-    error_report,
     solve_single_qubit_gate,
     solve_two_qubit,
 )
 from .errors import DomainError, InfeasibleError, ShapeError
-from .open_system_sim import PulseGroup, SystemBathModel, kraus_from_model, bb_propagator, partial_trace_bath
+from .open_system_sim import PulseGroup, SystemBathModel, _reduced_channel, bb_propagator, kraus_from_model
 from .operator_algebra import (
-    CoordinateVector,
+    _first_significant,
+    _flat_coords,
     _kron,
     adjoint_of,
     axis_angle_unitary,
@@ -98,12 +99,20 @@ class LearningLoopConfig:
             raise DomainError("population must be >= 2")
         if not 0.0 <= self.mutation_rate <= 1.0:
             raise DomainError("mutation_rate must be a probability")
-        if self.tolerance < 0.0:
+        if not self.tolerance >= 0.0:
             raise DomainError("tolerance must be non-negative")
         if self.generations < 1:
             raise DomainError("need at least one generation")
         if self.group_size_bound < 2:
             raise DomainError("group_size_bound must be >= 2")
+        if not (math.isfinite(self.delta_t) and self.delta_t > 0):
+            raise DomainError("delta_t must be positive and finite")
+        if self.probe_time is not None and not (math.isfinite(self.probe_time) and self.probe_time > 0):
+            raise DomainError("probe_time must be positive and finite")
+        if self.cycles < 1:
+            raise DomainError("horizon must cover at least one cycle")
+        if self.quadrature < 1:
+            raise DomainError("quadrature must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -116,54 +125,31 @@ class GenerationRecord:
     converged: bool
 
 
-def _pulsed_channel(model: SystemBathModel, u_full: np.ndarray):
-    """Channel for the reduced dynamics under an explicit full propagator."""
-    ns, nb = model.system_dim, model.bath_dim
-    rho_b = model.bath_initial
-
-    def channel(rho):
-        full = u_full @ _kron(np.asarray(rho, dtype=complex), rho_b) @ u_full.conj().T
-        return partial_trace_bath(full, ns, nb)
-
-    return channel
-
-
-def _generator_flat(gen, basis) -> np.ndarray:
-    """Flatten extracted per-qubit and pair coordinates onto the basis generators."""
-    nq = gen.num_qubits
-    flat = np.zeros(basis.num_generators)
-    for i, vec in enumerate(gen.xi):
-        for a in (1, 2, 3):
-            flat[a * 4 ** (nq - 1 - i) - 1] = vec[a - 1]
-    for (i, j), m in gen.xi_pair.items():
-        for a in (1, 2, 3):
-            for b in (1, 2, 3):
-                flat[a * 4 ** (nq - 1 - i) + b * 4 ** (nq - 1 - j) - 1] = m[a, b]
-    return flat
-
-
-def _target_flat(target: TargetSpec, num_qubits: int, basis, qubit: int = 0, pair=(0, 1)) -> np.ndarray:
-    flat = np.zeros(basis.num_generators)
-    if target.kind == "storage":
-        return flat
-    if target.kind in ("single_qubit", "encoded"):
-        w = target.wanted_vector() if target.wanted is not None else np.zeros(3)
-        if w.shape == (3,):
-            for a in (1, 2, 3):
-                flat[a * 4 ** (num_qubits - 1 - qubit) - 1] = w[a - 1]
-            return flat
-        raise ShapeError("unsupported encoded target shape for cost evaluation")
+def _target_flat(target: TargetSpec, basis) -> np.ndarray:
+    """Wanted generator coordinates over the flat basis ordering."""
     if target.kind == "two_qubit":
-        w = target.wanted_vector()
-        i, j = pair
-        for a in range(4):
-            for b in range(4):
-                if a == 0 and b == 0:
-                    continue
-                idx = a * 4 ** (num_qubits - 1 - i) + b * 4 ** (num_qubits - 1 - j)
-                flat[idx - 1] = w[a, b]
-        return flat
-    raise DomainError(f"unsupported target kind {target.kind!r}")
+        return _flat_coords(basis, (), {(0, 1): target.wanted_vector()})
+    if target.kind == "storage" or target.wanted is None:
+        return _flat_coords(basis)
+    if target.wanted.shape != (3,):
+        raise ShapeError("unsupported encoded target shape for cost evaluation")
+    return _flat_coords(basis, (target.wanted,))
+
+
+def _probe_generator(channel, basis, t: float):
+    """Process tomography of ``channel`` at time ``t``; the extracted generator.
+
+    The first-order-extraction warning is silenced for every probe the
+    learning loop makes.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return extract_generator(chi_from_lambda(run_qpt(channel, basis, time_tag=t)))
+
+
+def _generator_report(gen, w_flat: np.ndarray, basis) -> ErrorReport:
+    """Deviation of a measured generator from flat wanted coordinates."""
+    return _report(_flat_coords(basis, gen.xi, gen.xi_pair), w_flat, basis)
 
 
 def evaluate_cost(model: SystemBathModel, group: PulseGroup, cost: CostFunction) -> float:
@@ -177,26 +163,17 @@ def evaluate_cost(model: SystemBathModel, group: PulseGroup, cost: CostFunction)
     """
     if group.dim != model.system_dim:
         raise ShapeError("pulse dimension does not match the model")
-    nq = model.num_qubits
-    basis = build_pauli_basis(nq)
+    basis = build_pauli_basis(model.num_qubits)
     tc = group.cycle_time
     if tc <= 0:
         raise DomainError("cost evaluation needs delta_t > 0")
-    w_flat = _target_flat(cost.target, nq, basis)
+    w_flat = _target_flat(cost.target, basis)
     times, values = [0.0], [None]
     for m in range(1, cost.cycles + 1):
         for sub in range(1, cost.quadrature + 1):
             t = (m - 1 + sub / cost.quadrature) * tc
-            u = bb_propagator(model, group, t)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                chi = chi_from_lambda(run_qpt(_pulsed_channel(model, u), basis, time_tag=t))
-                gen = extract_generator(chi)
-            rep = error_report(
-                CoordinateVector(_generator_flat(gen, basis), basis),
-                CoordinateVector(w_flat, basis),
-            )
-            d = rep.scalar_distance
+            gen = _probe_generator(_reduced_channel(model, bb_propagator(model, group, t)), basis, t)
+            d = _generator_report(gen, w_flat, basis).scalar_distance
             times.append(t)
             values.append(0.0 if d < 1e-10 else d)
     values[0] = values[1]
@@ -220,16 +197,9 @@ def axis_grid() -> np.ndarray:
                 dirs.append(np.array([i, j, k], dtype=float))
     coord_first = sorted(
         dirs,
-        key=lambda v: (np.count_nonzero(v) != 1, -_lead_sign(v), tuple(-v)),
+        key=lambda v: (np.count_nonzero(v) != 1, -_first_significant(v), tuple(-v)),
     )
     return np.array([v / np.linalg.norm(v) for v in coord_first])
-
-
-def _lead_sign(v: np.ndarray) -> float:
-    for x in v:
-        if x != 0:
-            return float(np.sign(x))
-    return 0.0
 
 
 def _dim2_genomes(max_size: int) -> list[list[tuple[np.ndarray, float]]]:
@@ -237,9 +207,7 @@ def _dim2_genomes(max_size: int) -> list[list[tuple[np.ndarray, float]]]:
     for axis in axis_grid():
         genomes.append([(axis, np.pi / 2)])
     for m in range(3, max_size + 1):
-        for k in range(3):
-            e = np.zeros(3)
-            e[k] = 1.0
+        for e in np.eye(3):
             genomes.append([(e, np.pi * step / m) for step in range(1, m)])
     if max_size >= 4:
         genomes.append(
@@ -261,20 +229,10 @@ def enumerate_candidate_groups(dim: int, max_size: int, *, delta_t: float = 0.0)
     if max_size < 2:
         raise DomainError("max_size must be >= 2")
     if dim == 2:
-        return [_genome_to_group(g, delta_t) for g in _dim2_genomes(max_size) if len(g) + 1 <= max_size or len(g) == 1]
+        return [_group_from_axis_angles(g, delta_t) for g in _dim2_genomes(max_size) if len(g) + 1 <= max_size or len(g) == 1]
     if dim == 4:
         return _dim4_catalogue(max_size, delta_t)
     raise ShapeError("catalogue supports dim 2 and 4")
-
-
-def _coord_axis(k: int) -> np.ndarray:
-    e = np.zeros(3)
-    e[k] = 1.0
-    return e
-
-
-def _genome_to_group(genome, delta_t: float) -> PulseGroup:
-    return _group_from_axis_angles(genome, delta_t)
 
 
 # ---------------------------------------------------------------------------
@@ -285,17 +243,9 @@ def _genome_to_group(genome, delta_t: float) -> PulseGroup:
 def _measure_generator(model: SystemBathModel, group: PulseGroup | None, probe: float, basis):
     """QPT of the (optionally pulsed) evolution; returns the extracted generator."""
     if group is None or group.size == 1:
-        t = probe
-        ks = kraus_from_model(model, t)
-        channel = ks.apply
-    else:
-        t = group.cycle_time
-        u = bb_propagator(model, group, t)
-        channel = _pulsed_channel(model, u)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        chi = chi_from_lambda(run_qpt(channel, basis, time_tag=t))
-        return extract_generator(chi)
+        return _probe_generator(kraus_from_model(model, probe).apply, basis, probe)
+    t = group.cycle_time
+    return _probe_generator(_reduced_channel(model, bb_propagator(model, group, t)), basis, t)
 
 
 def _mask_detected(vec: np.ndarray, floor: float) -> np.ndarray:
@@ -328,11 +278,9 @@ def _analysis_candidate(model, target, config, state: _AnalysisState, current_be
                     continue
                 axis = axis_orthogonal_to(hist)
                 if axis is None:
-                    pulses = [np.eye(2, dtype=complex)] + [
-                        axis_angle_unitary(_coord_axis(k), np.pi / 2) for k in range(3)
-                    ]
+                    pulses = [np.eye(2, dtype=complex)] + [axis_angle_unitary(e, np.pi / 2) for e in np.eye(3)]
                 else:
-                    pulses = [np.eye(2, dtype=complex), axis_angle_unitary(axis, np.pi / 2)]
+                    pulses = _kick_pulses(axis)
                 per_qubit.append(pulses)
             if nq == 1:
                 return PulseGroup.from_pulses(per_qubit[0], config.delta_t)
@@ -351,11 +299,13 @@ def _analysis_candidate(model, target, config, state: _AnalysisState, current_be
     return None
 
 
+def _default_probe_time(model: SystemBathModel) -> float:
+    """Probe time short against the model's fastest rate: ``0.01 / max(||H||_2, 1)``."""
+    return 0.01 / max(np.linalg.norm(model.total_hamiltonian, 2), 1.0)
+
+
 def _auto_probe(model: SystemBathModel, config: LearningLoopConfig) -> float:
-    if config.probe_time is not None:
-        return config.probe_time
-    scale = np.linalg.norm(model.total_hamiltonian, 2)
-    return 0.01 / max(scale, 1.0)
+    return config.probe_time if config.probe_time is not None else _default_probe_time(model)
 
 
 def _group_to_genome(group: PulseGroup, dim: int):
@@ -395,7 +345,7 @@ def _factor_product(u: np.ndarray):
 
 def _genome_group(genome, dim: int, delta_t: float) -> PulseGroup:
     if dim == 2:
-        return _genome_to_group(genome, delta_t)
+        return _group_from_axis_angles(genome, delta_t)
     pulses = [np.eye(4, dtype=complex)]
     for (axa, anga), (axb, angb) in genome:
         pulses.append(_kron(axis_angle_unitary(axa, anga), axis_angle_unitary(axb, angb)))
@@ -440,20 +390,6 @@ def _random_genome(rng, dim: int, max_pulses: int):
     return [(one(), one()) for _ in range(count)]
 
 
-def _score_population(model, groups, cost, workers: int):
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            return list(ex.map(lambda g: evaluate_cost(model, g, cost), groups))
-    return [evaluate_cost(model, g, cost) for g in groups]
-
-
-def _residual_of(model, group, target, config, basis) -> ErrorReport:
-    gen = _measure_generator(model, group, _auto_probe(model, config), basis)
-    flat = _generator_flat(gen, basis)
-    w_flat = _target_flat(target, gen.num_qubits, basis)
-    return error_report(CoordinateVector(flat, basis), CoordinateVector(w_flat, basis))
-
-
 def learning_loop(model: SystemBathModel, target: TargetSpec, config: LearningLoopConfig):
     """Run the iterative analyze-and-search loop.
 
@@ -469,7 +405,7 @@ def learning_loop(model: SystemBathModel, target: TargetSpec, config: LearningLo
     basis = build_pauli_basis(nq)
     rng = np.random.default_rng(config.seed)
     cost = CostFunction(target=target, cycles=config.cycles, quadrature=config.quadrature)
-    workers = max(1, int(os.environ.get("BBFORGE_THREADS", "1")))
+    w_flat = _target_flat(target, basis)
 
     state = _AnalysisState()
     genomes = []
@@ -493,7 +429,7 @@ def learning_loop(model: SystemBathModel, target: TargetSpec, config: LearningLo
 
     for generation in range(config.generations):
         groups = [_genome_group(g, dim, config.delta_t) for g in genomes]
-        costs = _score_population(model, groups, cost, workers)
+        costs = [evaluate_cost(model, g, cost) for g in groups]
         order = np.argsort(costs, kind="stable")
         if costs[order[0]] < best_cost:
             best_cost = costs[order[0]]
@@ -506,7 +442,9 @@ def learning_loop(model: SystemBathModel, target: TargetSpec, config: LearningLo
                 best_cost=float(best_cost),
                 best_group=best_group,
                 mean_cost=float(np.mean(costs)),
-                residual=_residual_of(model, best_group, target, config, basis),
+                residual=_generator_report(
+                    _measure_generator(model, best_group, _auto_probe(model, config), basis), w_flat, basis
+                ),
                 converged=converged,
             )
         )

@@ -21,7 +21,7 @@ import numpy as np
 from .defaults import TOL
 from .errors import DegenerateTimeError, DomainError, InconsistencyError, ShapeError
 from .open_system_sim import _matrix_to_pairs, _pairs_to_matrix
-from .operator_algebra import CoordinateVector, OperatorBasis, _readonly, build_pauli_basis
+from .operator_algebra import CoordinateVector, OperatorBasis, _pauli_offsets, _readonly, build_pauli_basis
 
 __all__ = [
     "TomographyData",
@@ -30,7 +30,6 @@ __all__ = [
     "run_qpt",
     "chi_from_lambda",
     "extract_generator",
-    "channel_from_kraus",
 ]
 
 
@@ -75,7 +74,7 @@ class ChiMatrix:
         nb = self.basis.size
         if e.shape != (nb, nb):
             raise ShapeError("chi matrix shape does not match the basis")
-        if np.linalg.norm(e - e.conj().T) > TOL.hermiticity:
+        if not np.linalg.norm(e - e.conj().T) <= TOL.hermiticity:
             raise DomainError("chi matrix must be Hermitian within tolerance")
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
@@ -270,12 +269,7 @@ def chi_from_lambda(data: TomographyData) -> ChiMatrix:
     )
 
 
-def _weight1_index(qubit: int, alpha: int, num_qubits: int) -> int:
-    """Lexicographic index of the Pauli string with ``alpha`` on ``qubit``."""
-    return alpha * 4 ** (num_qubits - 1 - qubit)
-
-
-def extract_generator(chi: ChiMatrix, *, num_qubits: int | None = None, pairs=None) -> EffectiveGenerator:
+def extract_generator(chi: ChiMatrix) -> EffectiveGenerator:
     """Read the short-time generator coordinates off the chi matrix.
 
     Single-qubit coordinates are ``Im(chi_{a,0}) / t`` over the weight-1
@@ -291,28 +285,17 @@ def extract_generator(chi: ChiMatrix, *, num_qubits: int | None = None, pairs=No
     if chi.time_tag is None or chi.time_tag <= 0:
         raise DegenerateTimeError("generator extraction requires chi sampled at a time t > 0")
     t = float(chi.time_tag)
-    if num_qubits is None:
-        num_qubits = chi.basis.num_qubits
-    col0 = chi.entries[:, 0]
-    xi_by_qubit = []
-    for i in range(num_qubits):
-        vec = np.array(
-            [col0[_weight1_index(i, a, num_qubits)].imag for a in (1, 2, 3)]
-        ) / t
-        xi_by_qubit.append(vec)
-    if pairs is None:
-        pairs = [(i, j) for i in range(num_qubits) for j in range(i + 1, num_qubits)]
+    num_qubits = chi.basis.num_qubits
+    offsets = _pauli_offsets(num_qubits)
+    rates = chi.entries[:, 0].imag / t
+    xi_by_qubit = [rates[offsets[i, 1:]] for i in range(num_qubits)]
     xi_pair = {}
-    for (i, j) in pairs:
-        m = np.zeros((4, 4))
-        for a in range(4):
-            for b in range(4):
-                if a == 0 and b == 0:
-                    continue
-                idx = a * 4 ** (num_qubits - 1 - i) + b * 4 ** (num_qubits - 1 - j)
-                m[a, b] = col0[idx].imag / t
-        m.setflags(write=False)
-        xi_pair[(i, j)] = m
+    for i in range(num_qubits):
+        for j in range(i + 1, num_qubits):
+            m = rates[offsets[i][:, None] + offsets[j]]
+            m[0, 0] = 0.0
+            m.setflags(write=False)
+            xi_pair[(i, j)] = m
     scale = max((np.linalg.norm(v) for v in xi_by_qubit), default=0.0)
     for m in xi_pair.values():
         scale = max(scale, np.linalg.norm(m))
@@ -324,16 +307,3 @@ def extract_generator(chi: ChiMatrix, *, num_qubits: int | None = None, pairs=No
         )
     return EffectiveGenerator(xi=tuple(xi_by_qubit), xi_pair=xi_pair, time_scale=t, basis=chi.basis)
 
-
-def channel_from_kraus(operators) -> callable:
-    """Wrap a Kraus operator list as a channel function."""
-    ops = [np.asarray(a, dtype=complex) for a in operators]
-
-    def channel(rho):
-        rho = np.asarray(rho, dtype=complex)
-        out = np.zeros_like(rho)
-        for a in ops:
-            out += a @ rho @ a.conj().T
-        return out
-
-    return channel

@@ -50,3 +50,13 @@ def phase_aligned_distance(u, v):
         return float(np.linalg.norm(u - v))
     phase = overlap / abs(overlap)
     return float(np.linalg.norm(u - phase * v))
+
+
+def with_corner(m, x):
+    """Complex copy of ``m`` with its [0, 0] entry replaced by ``x``."""
+    out = np.array(m, dtype=complex)
+    out[0, 0] = x
+    return out
+
+
+NON_FINITE = pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])

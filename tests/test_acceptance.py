@@ -19,6 +19,7 @@ from bbforge.bb_synthesis import (
 from bbforge.open_system_sim import (
     Coupling,
     DensityMatrix,
+    KrausSet,
     PulseGroup,
     SystemBathModel,
     apply_bb_cycle,
@@ -35,7 +36,7 @@ from bbforge.operator_algebra import (
     unitary_from_rotation,
 )
 from bbforge.optimizer import LearningLoopConfig, learning_loop
-from bbforge.tomography import channel_from_kraus, chi_from_lambda, extract_generator, run_qpt
+from bbforge.tomography import chi_from_lambda, extract_generator, run_qpt
 
 from conftest import I2, SX, SY, SZ, random_hermitian, random_su2, trace_distance
 
@@ -183,7 +184,7 @@ def test_criterion_5_tomography_roundtrip():
                 total = sum(a.conj().T @ a for a in ops)
                 w, v = np.linalg.eigh(total)
                 inv_sqrt = v @ np.diag(1.0 / np.sqrt(w)) @ v.conj().T
-                channel = channel_from_kraus([a @ inv_sqrt for a in ops])
+                channel = KrausSet([a @ inv_sqrt for a in ops], source_time=0.0).apply
                 chi = chi_from_lambda(run_qpt(channel, basis))
                 for _ in range(20):
                     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))

@@ -31,7 +31,7 @@ from bbforge.operator_algebra import (
     unitary_from_rotation,
 )
 
-from conftest import I2, SX, SY, SZ, phase_aligned_distance, random_su2, random_unitary
+from conftest import I2, NON_FINITE, SX, SY, SZ, phase_aligned_distance, random_su2, random_unitary, with_corner
 
 B1 = build_pauli_basis(1)
 B2 = build_pauli_basis(2)
@@ -384,3 +384,10 @@ class TestHelpers:
         from bbforge.serialization import dumps_json
 
         dumps_json(payload)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@NON_FINITE
+def test_non_finite_stabilizer_rejected(value):
+    with pytest.raises(DomainError):
+        StabilizerSpace(generators=(with_corner(np.kron(SZ, SZ), value),))

@@ -330,3 +330,50 @@ class TestNonFiniteInput:
         cfg["verify"] = {"group_path": "group.json", "total_time": 1.0}
         (tmp_path / "group.json").write_text(text)
         assert main(["--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "out"), "verify"]) == 2
+
+
+# (command, config path, value) for config numbers of the wrong type or out of range
+BAD_CONFIG_VALUES = [
+    ("tomography", ("probe_time",), "abc"),
+    ("tomography", ("probe_time",), 0),
+    ("simulate", ("simulate", "steps"), "x"),
+    ("simulate", ("simulate", "steps"), 0),
+    ("simulate", ("simulate", "time_max"), 10**400),
+    ("simulate", ("simulate", "time_max"), -1),
+    ("synthesize", ("synthesis", "delta_t"), [1]),
+    ("synthesize", ("synthesis", "delta_t"), 0),
+    ("synthesize", ("synthesis", "max_group_size"), "x"),
+    ("synthesize", ("synthesis", "max_group_size"), 1),
+    ("synthesize", ("synthesis", "qubit"), "x"),
+    ("synthesize", ("synthesis", "qubit"), -1),
+    ("synthesize", ("synthesis", "qubit"), 1),
+    ("verify", ("verify", "delta_t"), 0),
+    ("verify", ("verify", "delta_t"), "x"),
+    ("verify", ("verify", "total_time"), -1),
+    ("verify", ("verify", "total_time"), {}),
+    ("verify", ("verify", "group", "delta_t"), 0),
+    ("optimize", ("loop", "delta_t"), 0),
+    ("optimize", ("loop", "delta_t"), -1),
+    ("optimize", ("loop", "cycles"), 0),
+    ("optimize", ("loop", "quadrature"), 0),
+    ("optimize", ("loop", "probe_time"), 0),
+    ("optimize", ("loop", "probe_time"), -1),
+]
+
+
+class TestConfigValues:
+    @pytest.mark.parametrize(
+        "command,path,value",
+        BAD_CONFIG_VALUES,
+        ids=[f"{'.'.join(map(str, p))}={v!r}"[:40] for _, p, v in BAD_CONFIG_VALUES],
+    )
+    def test_bad_value_exit_2(self, tmp_path, capsys, command, path, value):
+        cfg = full_config()
+        node = cfg
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        code = main(["--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "out"), command])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())

@@ -5,6 +5,7 @@ from bbforge.errors import DomainError, ShapeError
 from bbforge.open_system_sim import (
     Coupling,
     DensityMatrix,
+    KrausSet,
     PulseGroup,
     SystemBathModel,
     apply_bb_cycle,
@@ -19,7 +20,7 @@ from bbforge.open_system_sim import (
 )
 from bbforge.operator_algebra import axis_angle_unitary
 
-from conftest import I2, SX, SY, SZ, random_density, random_hermitian, trace_distance
+from conftest import I2, NON_FINITE, SX, SY, SZ, random_density, random_hermitian, trace_distance, with_corner
 
 
 def dephasing_model(g=0.5, omega=1.0):
@@ -306,3 +307,21 @@ class TestDensityMatrix:
     def test_rejects_negative(self):
         with pytest.raises(DomainError):
             DensityMatrix(np.diag([1.5, -0.5]))
+
+
+# Validators whose tolerance comparison must fail on NaN and Inf
+NON_FINITE_GUARDS = {
+    "hamiltonian": lambda x: SystemBathModel(system_hamiltonian=with_corner(np.zeros((2, 2)), x), bath_hamiltonian=np.zeros((1, 1))),
+    "density-trace": lambda x: DensityMatrix(with_corner(np.eye(2) / 2, x)),
+    "kraus-completeness": lambda x: KrausSet((with_corner(I2, x),), source_time=0.0),
+    "pulse-identity": lambda x: PulseGroup.from_pulses([with_corner(I2, x)], 0.1),
+    "pulse-unitarity": lambda x: PulseGroup.from_pulses([I2, with_corner(I2, x)], 0.1),
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@NON_FINITE
+@pytest.mark.parametrize("guard", sorted(NON_FINITE_GUARDS))
+def test_non_finite_rejected(guard, value):
+    with pytest.raises(DomainError):
+        NON_FINITE_GUARDS[guard](value)

@@ -9,7 +9,9 @@ from bbforge.operator_algebra import (
     MAX_BASIS_QUBITS,
     AdjointRotation,
     _kron,
+    _pauli_offsets,
     AxisAngle,
+    CoordinateVector,
     adjoint_of,
     axis_angle_rotation,
     axis_angle_unitary,
@@ -19,7 +21,7 @@ from bbforge.operator_algebra import (
     unitary_from_rotation,
 )
 
-from conftest import I2, SX, SY, SZ, phase_aligned_distance, random_hermitian, random_su2
+from conftest import I2, NON_FINITE, SX, SY, SZ, phase_aligned_distance, random_hermitian, random_su2, with_corner
 
 
 class TestPauliBasis:
@@ -294,3 +296,48 @@ class TestKron:
             got, want = _kron(x, y), np.kron(x, y)
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
+
+
+# Validators whose tolerance comparison must fail on NaN and Inf
+NON_FINITE_GUARDS = {
+    "adjoint_of": lambda x: adjoint_of(with_corner(I2, x), build_pauli_basis(1)),
+    "AdjointRotation": lambda x: AdjointRotation(matrix=with_corner(np.eye(3), x).real, source_dim=2),
+    "expand": lambda x: expand(with_corner(np.zeros((2, 2)), x), build_pauli_basis(1)),
+    "AxisAngle": lambda x: AxisAngle(axis=np.array([x, 0.0, 0.0]), angle=0.1),
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@NON_FINITE
+@pytest.mark.parametrize("guard", sorted(NON_FINITE_GUARDS))
+def test_non_finite_rejected(guard, value):
+    with pytest.raises(DomainError):
+        NON_FINITE_GUARDS[guard](value)
+
+
+class TestPauliOffsets:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_weight_one_and_two_indices_match_labels(self, n):
+        labels = build_pauli_basis(n).labels
+        offsets = _pauli_offsets(n)
+        for i in range(n):
+            for a in range(1, 4):
+                want = ["I"] * n
+                want[i] = "IXYZ"[a]
+                assert labels[offsets[i, a]] == "".join(want)
+            for j in range(i + 1, n):
+                for a in range(1, 4):
+                    for b in range(1, 4):
+                        want = ["I"] * n
+                        want[i], want[j] = "IXYZ"[a], "IXYZ"[b]
+                        assert labels[offsets[i, a] + offsets[j, b]] == "".join(want)
+
+    def test_pair_matrix_flattening(self, rng):
+        # oracle: the two-qubit pair entry (a, b) sits at index 4a + b
+        b2 = build_pauli_basis(2)
+        m = rng.normal(size=(4, 4))
+        flat = CoordinateVector(m, b2).as_flat()
+        for a in range(4):
+            for b in range(4):
+                if (a, b) != (0, 0):
+                    assert flat[4 * a + b - 1] == m[a, b]

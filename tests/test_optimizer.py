@@ -193,15 +193,6 @@ class TestLearningLoop:
         j = evaluate_cost(model, best, storage_cost(cycles=cfg.cycles, quadrature=cfg.quadrature))
         assert j <= cfg.tolerance
 
-    def test_threaded_scoring_matches_sequential(self, monkeypatch):
-        model = bath_noise_model()
-        cfg = LearningLoopConfig(population=8, generations=2, tolerance=0.0, seed=13, delta_t=0.02)
-        _, rec_seq = learning_loop(model, TargetSpec(kind="storage"), cfg)
-        monkeypatch.setenv("BBFORGE_THREADS", "4")
-        _, rec_thr = learning_loop(model, TargetSpec(kind="storage"), cfg)
-        assert [r.best_cost for r in rec_seq] == [r.best_cost for r in rec_thr]
-        assert [r.mean_cost for r in rec_seq] == [r.mean_cost for r in rec_thr]
-
 
 class TestTwoPassAnalysis:
     def test_weak_error_hidden_then_detected(self):
@@ -249,6 +240,26 @@ class TestConfigValidation:
 
     def test_zero_tolerance_allowed(self):
         LearningLoopConfig(tolerance=0.0)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("delta_t", 0.0),
+            ("delta_t", -1.0),
+            ("delta_t", float("nan")),
+            ("delta_t", float("inf")),
+            ("probe_time", 0.0),
+            ("probe_time", -1.0),
+            ("probe_time", float("nan")),
+            ("probe_time", float("inf")),
+            ("cycles", 0),
+            ("quadrature", 0),
+            ("tolerance", float("nan")),
+        ],
+    )
+    def test_owned_field_bounds(self, field, value):
+        with pytest.raises(DomainError):
+            LearningLoopConfig(**{field: value})
 
     def test_cost_function_bounds(self):
         with pytest.raises(DomainError):

@@ -4,17 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bbforge.errors import DegenerateTimeError, DomainError, InconsistencyError
-from bbforge.open_system_sim import Coupling, SystemBathModel, kraus_from_model
-from bbforge.operator_algebra import build_pauli_basis, expand
+from bbforge.open_system_sim import Coupling, KrausSet, SystemBathModel, kraus_from_model
+from bbforge.operator_algebra import _flat_coords, build_pauli_basis, expand
 from bbforge.tomography import (
     ChiMatrix,
-    channel_from_kraus,
     chi_from_lambda,
     extract_generator,
     run_qpt,
 )
 
-from conftest import I2, SX, SY, SZ, random_density, random_hermitian, random_unitary
+from conftest import I2, NON_FINITE, SX, SY, SZ, random_density, random_hermitian, random_unitary, with_corner
 
 
 def first_order_dephasing(g, t):
@@ -125,7 +124,7 @@ class TestChiFromLambda:
     def test_random_kraus_roundtrip(self, rng):
         for dim, nq in ((2, 1), (4, 2)):
             b = build_pauli_basis(nq)
-            channel = channel_from_kraus(normalized_kraus(dim, 3, rng))
+            channel = KrausSet(normalized_kraus(dim, 3, rng), source_time=0.0).apply
             chi = chi_from_lambda(run_qpt(channel, b))
             for _ in range(20):
                 rho = random_density(dim, rng)
@@ -150,7 +149,7 @@ class TestChiFromLambda:
         ops = normalized_kraus(b.dim, count, np.random.default_rng(seed))
         c = np.array([[np.trace(k @ a) for k in b.elements] for a in ops]) / b.normalization
         want = c.T @ c.conj()
-        chi = chi_from_lambda(run_qpt(channel_from_kraus(ops), b))
+        chi = chi_from_lambda(run_qpt(KrausSet(ops, source_time=0.0).apply, b))
         assert np.abs(chi.entries - want).max() < 1e-12
         assert chi.residual < 1e-12
 
@@ -256,8 +255,32 @@ class TestExtractGenerator:
     @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_generator_reality(self, rng):
         b = build_pauli_basis(1)
-        channel = channel_from_kraus(normalized_kraus(2, 2, rng))
+        channel = KrausSet(normalized_kraus(2, 2, rng), source_time=0.0).apply
         chi = chi_from_lambda(run_qpt(channel, b, time_tag=0.01))
         gen = extract_generator(chi)
         assert gen.xi[0].dtype == np.dtype(float)
         assert chi.skew_norm < 1e-8
+
+
+@pytest.mark.filterwarnings("ignore::UserWarning")
+@settings(max_examples=30, deadline=None)
+@given(
+    num_qubits=st.integers(min_value=1, max_value=2),
+    count=st.integers(min_value=1, max_value=4),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_flat_generator_is_first_chi_column(num_qubits, count, seed):
+    # every weight-1 and weight-2 string is placed by the offset table
+    b = build_pauli_basis(num_qubits)
+    t = 0.01
+    ops = normalized_kraus(b.dim, count, np.random.default_rng(seed))
+    chi = chi_from_lambda(run_qpt(KrausSet(ops, source_time=t).apply, b, time_tag=t))
+    gen = extract_generator(chi)
+    assert np.array_equal(_flat_coords(b, gen.xi, gen.xi_pair), chi.entries[1:, 0].imag / t)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@NON_FINITE
+def test_non_finite_chi_rejected(value):
+    with pytest.raises(DomainError):
+        ChiMatrix(entries=with_corner(np.eye(4), value), time_tag=0.01, basis=build_pauli_basis(1))
