@@ -752,7 +752,7 @@ def group_to_pulses(rotations, dim: int) -> list[np.ndarray]:
         n = dim * dim - 1
         if r.shape != (n, n):
             raise ShapeError(f"rotation must be {n}x{n} for dim {dim}")
-        if np.linalg.norm(r.T @ r - np.eye(n)) > 1e-8 or np.linalg.det(r) < 0:
+        if not (np.linalg.norm(r.T @ r - np.eye(n)) <= 1e-8 and np.linalg.det(r) > 0):
             raise DomainError("rotations must be orthogonal with determinant +1")
         if dim == 2:
             try:

@@ -1,7 +1,7 @@
 """Command-line front end for the simulate / probe / synthesize / optimize pipeline.
 
 Exit codes: 0 success, 1 other errors (numerical failures), 2 configuration
-error (including non-finite numbers, values of the wrong type and
+error (including non-finite numbers, values or sections of the wrong type and
 non-positive times), 3 tomography inconsistency, 4 optimizer budget
 exhausted without convergence.
 """
@@ -70,6 +70,16 @@ def _read_json(path: Path, what: str):
         raise ConfigError(f"{what}: {exc}") from exc
 
 
+def _read_referenced(base: Path, value, what: str):
+    """Parse the JSON file that a config entry names relative to ``base``."""
+    if not isinstance(value, str):
+        raise ConfigError(f"{what} must be a path string, got {value!r}")
+    path = base / value
+    if not path.exists():
+        raise ConfigError(f"referenced {what} {value!r} does not exist")
+    return _read_json(path, what)
+
+
 def _config_number(value, name: str, kind=float, minimum: int = 0):
     """``kind(value)`` for a config entry, or a config error.
 
@@ -103,33 +113,45 @@ class ExperimentConfig:
         if not p.exists():
             raise ConfigError(f"config file {path!r} does not exist")
         raw = _read_json(p, "config")
+        if not isinstance(raw, dict):
+            raise ConfigError("config must be a JSON object")
         if "model" in raw:
             model_data = raw["model"]
         elif "model_path" in raw:
-            mp = p.parent / raw["model_path"]
-            if not mp.exists():
-                raise ConfigError(f"referenced model file {raw['model_path']!r} does not exist")
-            model_data = _read_json(mp, "model file")
+            model_data = _read_referenced(p.parent, raw["model_path"], "model file")
         else:
             raise ConfigError("config needs a 'model' or 'model_path' entry")
         try:
             model = model_from_dict(model_data)
-        except (KeyError, TypeError, ValueError, OverflowError, BBForgeError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError, OverflowError, BBForgeError) as exc:
             raise ConfigError(f"invalid model: {exc}") from exc
         probe = probe_override if probe_override is not None else raw.get("probe_time")
         probe = _config_number(_default_probe_time(model) if probe is None else probe, "probe_time")
         return cls(model=model, probe_time=probe, raw=raw, base_dir=p.parent)
 
+    def section(self, name: str) -> dict:
+        """The config's ``name`` object, empty when absent; any other JSON type is a config error."""
+        value = self.raw.get(name, {})
+        if not isinstance(value, dict):
+            raise ConfigError(f"{name} must be a JSON object, got {value!r}")
+        return value
+
     def initial_state(self) -> DensityMatrix:
         if "initial_state" in self.raw:
-            return DensityMatrix(_pairs_to_matrix(self.raw["initial_state"]))
+            try:
+                rho = DensityMatrix(_pairs_to_matrix(self.raw["initial_state"]))
+            except (TypeError, ValueError, BBForgeError) as exc:
+                raise ConfigError(f"invalid initial_state: {exc}") from exc
+            if rho.dim != self.model.system_dim:
+                raise ConfigError(f"initial_state must be {self.model.system_dim}x{self.model.system_dim}")
+            return rho
         # default: |+> on every system qubit, the coherence-sensitive choice
         dim = self.model.system_dim
         psi = np.ones(dim, dtype=complex) / np.sqrt(dim)
         return DensityMatrix.from_state_vector(psi)
 
     def target(self) -> TargetSpec:
-        t = self.raw.get("target", {"kind": "storage"})
+        t = self.section("target")
         try:
             kind = t.get("kind", "storage")
             wanted = np.asarray(t["wanted"], dtype=float) if "wanted" in t else None
@@ -143,7 +165,7 @@ class ExperimentConfig:
             raise ConfigError(f"invalid target: {exc}") from exc
 
     def loop_config(self, seed_override: int | None = None) -> LearningLoopConfig:
-        loop = dict(self.raw.get("loop", {}))
+        loop = dict(self.section("loop"))
         if seed_override is not None:
             loop["seed"] = seed_override
         loop.setdefault("probe_time", self.probe_time)
@@ -166,7 +188,7 @@ def _out_dir(args) -> Path:
 
 def cmd_simulate(args) -> int:
     cfg = ExperimentConfig.load(args.config, args.probe_time)
-    sim = cfg.raw.get("simulate", {})
+    sim = cfg.section("simulate")
     t_max = _config_number(sim.get("time_max", 1.0), "simulate.time_max")
     steps = _config_number(sim.get("steps", 50), "simulate.steps", int, minimum=1)
     rho0 = cfg.initial_state()
@@ -203,7 +225,7 @@ def cmd_tomography(args) -> int:
 def cmd_synthesize(args) -> int:
     cfg = ExperimentConfig.load(args.config, args.probe_time)
     target = cfg.target()
-    synth = cfg.raw.get("synthesis", {})
+    synth = cfg.section("synthesis")
     max_size = _config_number(synth.get("max_group_size", 8), "synthesis.max_group_size", int, minimum=2)
     delta_t = _config_number(synth.get("delta_t", 0.1), "synthesis.delta_t")
     ansatz = synth.get("ansatz", "local_products")
@@ -218,7 +240,13 @@ def cmd_synthesize(args) -> int:
     elif target.kind == "single_qubit":
         result = solve_single_qubit_gate(gen, target, qubit, max_size, delta_t=delta_t)
     elif target.kind == "two_qubit":
-        result = solve_two_qubit(gen, target, tuple(synth.get("pair", (0, 1))), ansatz, max_group_size=max_size, delta_t=delta_t)
+        pair = synth.get("pair", [0, 1])
+        if not (isinstance(pair, list) and len(pair) == 2):
+            raise ConfigError(f"synthesis.pair must be a list of two qubit indices, got {pair!r}")
+        i, j = (_config_number(q, "synthesis.pair", int) for q in pair)
+        if not i < j < gen.num_qubits:
+            raise ConfigError(f"synthesis.pair needs qubits i < j < {gen.num_qubits}, got {pair!r}")
+        result = solve_two_qubit(gen, target, (i, j), ansatz, max_group_size=max_size, delta_t=delta_t)
     else:
         raise ConfigError(f"synthesize does not handle target kind {target.kind!r}")
     payload = result.to_dict()
@@ -239,19 +267,22 @@ def cmd_synthesize(args) -> int:
 
 
 def _group_from_payload(data: dict, delta_t: float | None) -> PulseGroup:
-    pulses = [_pairs_to_matrix(p) for p in data["pulses"]]
+    try:
+        pulses = [_pairs_to_matrix(p) for p in data["pulses"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"verify group needs a 'pulses' list of matrices: {exc!r}") from exc
     dt = _config_number(delta_t if delta_t is not None else data.get("delta_t", 0.1), "verify.delta_t")
-    return PulseGroup.from_pulses(pulses, dt)
+    try:
+        return PulseGroup.from_pulses(pulses, dt)
+    except BBForgeError as exc:
+        raise ConfigError(f"invalid verify group: {exc}") from exc
 
 
 def cmd_verify(args) -> int:
     cfg = ExperimentConfig.load(args.config, args.probe_time)
-    ver = cfg.raw.get("verify", {})
+    ver = cfg.section("verify")
     if "group_path" in ver:
-        gp = cfg.base_dir / ver["group_path"]
-        if not gp.exists():
-            raise ConfigError(f"group file {ver['group_path']!r} does not exist")
-        group_data = _read_json(gp, "group file")
+        group_data = _read_referenced(cfg.base_dir, ver["group_path"], "group file")
     elif "group" in ver:
         group_data = ver["group"]
     else:

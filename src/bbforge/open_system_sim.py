@@ -2,8 +2,10 @@
 
 The total Hamiltonian is ``H = H_S (x) I_B + I_S (x) H_B + sum_g S_g (x) B_g``
 with hbar = 1 and everything time independent.  Baths are small (a few
-qubits or a truncated mode), so propagation is an exact matrix exponential
-and the reduced dynamics doubles as the verification oracle for synthesized
+qubits or a truncated mode), so propagation is exact: ``H`` is Hermitian
+and fixed, and one eigendecomposition ``H = V diag(w) V^dag`` per model
+gives ``exp(-i H t) = V diag(exp(-i w t)) V^dag`` at every ``t``.  The
+reduced dynamics doubles as the verification oracle for synthesized
 pulse sequences.  Pulses are ideal and instantaneous: they act on the system
 factor only and the bath does not evolve while they are applied.
 """
@@ -11,10 +13,10 @@ factor only and the bath does not evolve while they are applied.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
 from .defaults import TOL
 from .errors import DomainError, ShapeError
@@ -153,6 +155,12 @@ class SystemBathModel:
     def num_qubits(self) -> int:
         return int(round(np.log2(self.system_dim)))
 
+    @functools.cached_property
+    def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenvalues and eigenvectors of the total Hamiltonian, computed once."""
+        w, v = np.linalg.eigh(self._total)
+        return _readonly(w), _readonly(v)
+
 
 @dataclass(frozen=True)
 class KrausSet:
@@ -192,8 +200,10 @@ class PulseGroup:
     def __post_init__(self):
         pulses = tuple(_readonly(np.asarray(p, dtype=complex)) for p in self.pulses)
         object.__setattr__(self, "pulses", pulses)
-        if self.delta_t < 0:
-            raise DomainError("delta_t must be non-negative")
+        if not pulses:
+            raise ShapeError("a pulse group needs at least the identity pulse")
+        if not (math.isfinite(self.delta_t) and self.delta_t >= 0):
+            raise DomainError("delta_t must be finite and non-negative")
         d = pulses[0].shape[0]
         if d < 2 or d & (d - 1):
             raise ShapeError("pulse dimension must be a power of two")
@@ -230,11 +240,16 @@ class PulseGroup:
         return PulseGroup(pulses=self.pulses, delta_t=delta_t)
 
 
+def _check_time(t: float) -> None:
+    if not (math.isfinite(t) and t >= 0):
+        raise DomainError("propagation time must be finite and non-negative")
+
+
 def propagate(model: SystemBathModel, t: float) -> np.ndarray:
-    """Full system+bath propagator ``exp(-i H t)``."""
-    if t < 0:
-        raise DomainError("propagation time must be non-negative")
-    return expm(-1j * model.total_hamiltonian * t)
+    """Full system+bath propagator ``exp(-i H t)`` from the model's spectrum."""
+    _check_time(t)
+    w, v = model.spectrum
+    return (v * np.exp(-1j * t * w)) @ v.conj().T
 
 
 def partial_trace_bath(rho_full: np.ndarray, system_dim: int, bath_dim: int) -> np.ndarray:
@@ -316,8 +331,7 @@ def bb_propagator(model: SystemBathModel, group: PulseGroup, t: float) -> np.nda
     unfinished segment the opening pulse has been applied but its closing
     conjugate has not.
     """
-    if t < 0:
-        raise DomainError("propagation time must be non-negative")
+    _check_time(t)
     tc = group.cycle_time
     if tc <= 0:
         raise DomainError("group needs delta_t > 0 for time evolution")

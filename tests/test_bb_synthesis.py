@@ -354,6 +354,16 @@ class TestGroupToPulses:
         with pytest.raises(DomainError):
             group_to_pulses([np.diag([1.0, 1.0, -1.0])], 2)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @NON_FINITE
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_rejects_non_finite_rotation(self, dim, value):
+        n = dim * dim - 1
+        with pytest.raises(DomainError):
+            group_to_pulses([np.full((n, n), value)], dim)
+        with pytest.raises(DomainError):
+            group_to_pulses([with_corner(np.eye(n), value).real], dim)
+
 
 class TestHelpers:
     def test_axis_orthogonal_prefers_coordinate_axes(self):

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -358,6 +362,17 @@ BAD_CONFIG_VALUES = [
     ("optimize", ("loop", "quadrature"), 0),
     ("optimize", ("loop", "probe_time"), 0),
     ("optimize", ("loop", "probe_time"), -1),
+    ("simulate", ("initial_state",), [[1, 2]]),
+    ("simulate", ("initial_state",), [[[1, 0]]]),
+    ("verify", ("verify", "group"), {"delta_t": 0.05}),
+    ("verify", ("verify", "group", "pulses"), []),
+    ("verify", ("verify", "group_path"), [1]),
+    ("simulate", ("model",), [1]),
+    ("simulate", ("simulate",), 5),
+    ("synthesize", ("synthesis",), [1]),
+    ("synthesize", ("target",), [1]),
+    ("verify", ("verify",), "group.json"),
+    ("optimize", ("loop",), [1]),
 ]
 
 
@@ -377,3 +392,69 @@ class TestConfigValues:
         assert code == 2
         assert capsys.readouterr().err.startswith("config error:")
         assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
+
+    @pytest.mark.parametrize("pair", [5, [1, 0], [0, 2], ["a", 1]], ids=repr)
+    def test_bad_pair_exit_2(self, tmp_path, capsys, pair):
+        cfg = heisenberg_config()
+        cfg["synthesis"]["pair"] = pair
+        code = main(["--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "out"), "synthesize"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text", ["5", '"model"'])
+    def test_config_not_an_object_exit_2(self, tmp_path, capsys, text):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        assert main(["--config", str(path), "--out", str(tmp_path / "out"), "simulate"]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# Runs every subcommand in one fresh interpreter and reports exit codes and loaded scipy modules
+PIPELINE_SCRIPT = """
+import json, sys
+from bbforge.cli import main
+config, out = sys.argv[1:]
+codes = [main(["--config", config, "--out", out, c]) for c in ("simulate", "tomography", "synthesize", "verify", "optimize")]
+print(json.dumps({"codes": codes, "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+"""
+
+
+def _fresh_python(*args):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def storage_bath_config():
+    model = SystemBathModel(
+        system_hamiltonian=0.3 * SZ,
+        bath_hamiltonian=0.5 * SZ,
+        couplings=(Coupling(system=0.1 * SZ, bath=SX),),
+        bath_initial=np.outer([1, 1j], [1, -1j]) / 2,
+    )
+    return {"model": model_to_dict(model), "probe_time": 0.01, "target": {"kind": "storage"}}
+
+
+class TestImportPath:
+    """The CLI's default path must not load scipy, which dominates a cold start."""
+
+    def test_import_loads_no_scipy(self):
+        loaded = _fresh_python("-c", "import json, sys, bbforge.cli; print(json.dumps(sorted(sys.modules)))")
+        assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
+
+    @pytest.mark.parametrize("config", [storage_bath_config, heisenberg_config], ids=["storage-1q", "heisenberg-2q"])
+    def test_every_subcommand_loads_no_scipy(self, tmp_path, config):
+        cfg = config()
+        cfg.update(
+            simulate={"time_max": 1.0, "steps": 5},
+            synthesis={"max_group_size": 4, "delta_t": 0.05},
+            verify={"group_path": "out/synthesis.json", "total_time": 1.0},
+            loop={"population": 6, "generations": 2, "tolerance": 0.0, "seed": 7},
+        )
+        report = _fresh_python("-c", PIPELINE_SCRIPT, write_config(tmp_path, cfg), str(tmp_path / "out"))
+        assert report["codes"][:4] == [0, 0, 0, 0] and report["codes"][4] in (0, 4)
+        assert report["scipy"] == []

@@ -1,5 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from bbforge.errors import DomainError, ShapeError
 from bbforge.open_system_sim import (
@@ -70,6 +75,48 @@ class TestPropagate:
     def test_negative_time_rejected(self):
         with pytest.raises(DomainError):
             propagate(dephasing_model(), -0.1)
+
+
+@st.composite
+def random_models(draw):
+    """Random Hermitian system+bath models of total dimension 2 to 16."""
+    ns = draw(st.sampled_from([2, 4, 8]))
+    nb = draw(st.integers(1, 16 // ns))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return SystemBathModel(
+        system_hamiltonian=random_hermitian(ns, rng),
+        bath_hamiltonian=random_hermitian(nb, rng),
+        couplings=(Coupling(system=random_hermitian(ns, rng), bath=random_hermitian(nb, rng)),),
+    )
+
+
+times = st.floats(0.0, 50.0)
+
+
+class TestSpectralPropagator:
+    @settings(max_examples=60, deadline=None)
+    @given(model=random_models(), t=times)
+    def test_unitary_and_equal_to_expm(self, model, t):
+        u = propagate(model, t)
+        assert np.linalg.norm(u.conj().T @ u - np.eye(model.total_dim)) < 1e-12
+        assert np.linalg.norm(u - expm(-1j * model.total_hamiltonian * t)) < 1e-11
+
+    @settings(max_examples=60, deadline=None)
+    @given(model=random_models(), s=times, t=times)
+    def test_composition(self, model, s, t):
+        assert np.linalg.norm(propagate(model, s) @ propagate(model, t) - propagate(model, s + t)) < 1e-11
+
+    @settings(max_examples=20, deadline=None)
+    @given(model=random_models())
+    def test_cached_spectrum_leaves_equality_and_repr(self, model):
+        text = repr(model)
+        spectrum = model.spectrum
+        assert model.spectrum is spectrum
+        assert repr(model) == text
+        assert model == model
+        assert "spectrum" not in {f.name for f in dataclasses.fields(model)}
+        w, v = spectrum
+        assert np.linalg.norm((v * w) @ v.conj().T - model.total_hamiltonian) < 1e-12
 
 
 class TestReducedState:
@@ -309,13 +356,16 @@ class TestDensityMatrix:
             DensityMatrix(np.diag([1.5, -0.5]))
 
 
-# Validators whose tolerance comparison must fail on NaN and Inf
+# Validators whose tolerance or time comparison must fail on NaN and Inf
 NON_FINITE_GUARDS = {
     "hamiltonian": lambda x: SystemBathModel(system_hamiltonian=with_corner(np.zeros((2, 2)), x), bath_hamiltonian=np.zeros((1, 1))),
     "density-trace": lambda x: DensityMatrix(with_corner(np.eye(2) / 2, x)),
     "kraus-completeness": lambda x: KrausSet((with_corner(I2, x),), source_time=0.0),
     "pulse-identity": lambda x: PulseGroup.from_pulses([with_corner(I2, x)], 0.1),
     "pulse-unitarity": lambda x: PulseGroup.from_pulses([I2, with_corner(I2, x)], 0.1),
+    "pulse-delta_t": lambda x: PulseGroup.from_pulses([I2], x),
+    "propagate-time": lambda x: propagate(dephasing_model(), x),
+    "bb-propagator-time": lambda x: bb_propagator(dephasing_model(), PulseGroup.from_pulses([I2], 0.1), x),
 }
 
 
