@@ -17,7 +17,8 @@ equal-length vectors with the required resultant.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from functools import reduce
+from math import lcm
 
 import numpy as np
 
@@ -448,19 +449,14 @@ def solve_single_qubit_gate(generator, target: TargetSpec, qubit: int = 0, max_g
 # ---------------------------------------------------------------------------
 
 
-def _lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
+def _product_group(per_qubit: list[list[np.ndarray]], delta_t: float) -> PulseGroup:
+    """Local product of per-qubit pulse lists, qubit 0 first.
 
-
-def _repeat_group(pulses: list[np.ndarray], size: int) -> list[np.ndarray]:
-    """Cyclic repetition; leaves the average over the set unchanged."""
-    return [pulses[k % len(pulses)] for k in range(size)]
-
-
-def _product_group(pa: list[np.ndarray], pb: list[np.ndarray], delta_t: float) -> PulseGroup:
-    size = _lcm(len(pa), len(pb))
-    pa, pb = _repeat_group(pa, size), _repeat_group(pb, size)
-    pulses = [_kron(a, b) for a, b in zip(pa, pb)]
+    Each list is repeated cyclically to the lcm of their lengths, which keeps
+    its average; pulse ``k`` is ``per_qubit[0][k] (x) per_qubit[1][k] (x) ...``.
+    """
+    size = lcm(*map(len, per_qubit))
+    pulses = [reduce(_kron, (qubit[k % len(qubit)] for qubit in per_qubit)) for k in range(size)]
     return PulseGroup.from_pulses(pulses, delta_t)
 
 
@@ -487,21 +483,21 @@ def _dim4_catalogue(max_size: int, delta_t: float) -> list[PulseGroup]:
     kicks = [_kick_pulses(e) for e in np.eye(3)]
     groups = []
     for m in range(3):
-        groups.append(_product_group(kicks[m], kicks[m], delta_t))
+        groups.append(_product_group([kicks[m], kicks[m]], delta_t))
     for m in range(3):
-        groups.append(_product_group(kicks[m], eye, delta_t))
-        groups.append(_product_group(eye, kicks[m], delta_t))
+        groups.append(_product_group([kicks[m], eye], delta_t))
+        groups.append(_product_group([eye, kicks[m]], delta_t))
     for a in range(3):
         for b in range(3):
             if a != b:
-                groups.append(_product_group(kicks[a], kicks[b], delta_t))
+                groups.append(_product_group([kicks[a], kicks[b]], delta_t))
     if max_size >= 4:
         paulis = [np.eye(2, dtype=complex), axis_angle_unitary([1, 0, 0], np.pi / 2),
                   axis_angle_unitary([0, 1, 0], np.pi / 2), axis_angle_unitary([0, 0, 1], np.pi / 2)]
-        groups.append(_product_group(paulis, paulis, delta_t))
-        groups.append(_product_group(paulis, eye, delta_t))
-        groups.append(_product_group(eye, paulis, delta_t))
-    return [g for g in groups if g.size <= max(max_size, 2)]
+        groups.append(_product_group([paulis, paulis], delta_t))
+        groups.append(_product_group([paulis, eye], delta_t))
+        groups.append(_product_group([eye, paulis], delta_t))
+    return groups
 
 
 def solve_two_qubit(generator, target: TargetSpec, pair: tuple[int, int] = (0, 1), ansatz: str = "local_products", *, max_group_size: int = 8, delta_t: float = 0.1) -> SynthesisResult:
@@ -590,8 +586,8 @@ def _two_qubit_candidates(xi_pair, w_pair, max_group_size, delta_t) -> list[Puls
     lists_b = _single_qubit_pulse_lists(b_vec, wb, max_group_size)
     for pa in lists_a:
         for pb in lists_b:
-            if _lcm(len(pa), len(pb)) <= max_group_size:
-                groups.append(_product_group(pa, pb, delta_t))
+            if lcm(len(pa), len(pb)) <= max_group_size:
+                groups.append(_product_group([pa, pb], delta_t))
     groups.extend(_tailored_kick_products(xi_pair, delta_t, max_group_size))
     groups.extend(g for g in _dim4_catalogue(max_group_size, delta_t) if g.size <= max_group_size)
     groups.sort(key=lambda g: g.size)
@@ -615,12 +611,12 @@ def _tailored_kick_products(xi_pair, delta_t, max_group_size) -> list[PulseGroup
     k1 = k2 = None
     if n1 is not None:
         k1 = _kick_pulses(n1)
-        out.append(_product_group(k1, eye, delta_t))
+        out.append(_product_group([k1, eye], delta_t))
     if n2 is not None:
         k2 = _kick_pulses(n2)
-        out.append(_product_group(eye, k2, delta_t))
+        out.append(_product_group([eye, k2], delta_t))
     if k1 is not None and k2 is not None:
-        out.append(_product_group(k1, k2, delta_t))
+        out.append(_product_group([k1, k2], delta_t))
         if max_group_size >= 4:
             full = [_kron(a, b) for a in k1 for b in k2]
             out.append(PulseGroup.from_pulses(full, delta_t))

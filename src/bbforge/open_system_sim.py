@@ -13,7 +13,8 @@ factor only and the bath does not evolve while they are applied.
 from __future__ import annotations
 
 import functools
-import math
+import operator
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -202,8 +203,7 @@ class PulseGroup:
         object.__setattr__(self, "pulses", pulses)
         if not pulses:
             raise ShapeError("a pulse group needs at least the identity pulse")
-        if not (math.isfinite(self.delta_t) and self.delta_t >= 0):
-            raise DomainError("delta_t must be finite and non-negative")
+        _check_time(self.delta_t, "delta_t")
         d = pulses[0].shape[0]
         if d < 2 or d & (d - 1):
             raise ShapeError("pulse dimension must be a power of two")
@@ -240,9 +240,9 @@ class PulseGroup:
         return PulseGroup(pulses=self.pulses, delta_t=delta_t)
 
 
-def _check_time(t: float) -> None:
-    if not (math.isfinite(t) and t >= 0):
-        raise DomainError("propagation time must be finite and non-negative")
+def _check_time(t: float, name: str = "propagation time") -> None:
+    if not 0 <= t <= sys.float_info.max:  # also false for NaN and ints beyond the float range
+        raise DomainError(f"{name} must be finite and non-negative")
 
 
 def propagate(model: SystemBathModel, t: float) -> np.ndarray:
@@ -364,6 +364,10 @@ def apply_bb_cycle(model: SystemBathModel, group: PulseGroup, num_cycles: int, r
     segments; with the trivial group this is exactly ``reduced_state`` at
     ``num_cycles * delta_t``.
     """
+    try:
+        num_cycles = operator.index(num_cycles)
+    except TypeError:
+        raise DomainError("num_cycles must be an integer") from None
     if num_cycles < 1:
         raise DomainError("num_cycles must be >= 1")
     u = np.linalg.matrix_power(bb_cycle_propagator(model, group), num_cycles)

@@ -507,6 +507,8 @@ def unitary_from_rotation(rotation, *, tol: float = 1e-9) -> AxisAngle:
 
     Raises
     ------
+    DomainError
+        If an entry is infinite.
     InfeasibleError
         If no pulse satisfies the constraints within ``tol``.
     """
@@ -518,6 +520,8 @@ def unitary_from_rotation(rotation, *, tol: float = 1e-9) -> AxisAngle:
         target = np.asarray(rotation, dtype=float)
     if target.shape != (3, 3):
         raise ShapeError("rotation must be a 3x3 matrix (NaN marks free entries)")
+    if np.isinf(target).any():
+        raise DomainError("rotation entries must be finite or NaN (free)")
     mask = ~np.isnan(target)
     if not mask.any():
         return AxisAngle(axis=np.array([1.0, 0.0, 0.0]), angle=0.0, free_axis=(True, True, True))

@@ -33,7 +33,6 @@ from .open_system_sim import PulseGroup, SystemBathModel, _reduced_channel, bb_p
 from .operator_algebra import (
     _first_significant,
     _flat_coords,
-    _kron,
     adjoint_of,
     axis_angle_unitary,
     build_pauli_basis,
@@ -229,7 +228,7 @@ def enumerate_candidate_groups(dim: int, max_size: int, *, delta_t: float = 0.0)
     if max_size < 2:
         raise DomainError("max_size must be >= 2")
     if dim == 2:
-        return [_group_from_axis_angles(g, delta_t) for g in _dim2_genomes(max_size) if len(g) + 1 <= max_size or len(g) == 1]
+        return [_group_from_axis_angles(g, delta_t) for g in _dim2_genomes(max_size)]
     if dim == 4:
         return _dim4_catalogue(max_size, delta_t)
     raise ShapeError("catalogue supports dim 2 and 4")
@@ -282,12 +281,7 @@ def _analysis_candidate(model, target, config, state: _AnalysisState, current_be
                 else:
                     pulses = _kick_pulses(axis)
                 per_qubit.append(pulses)
-            if nq == 1:
-                return PulseGroup.from_pulses(per_qubit[0], config.delta_t)
-            group = _product_group(per_qubit[0], per_qubit[1], config.delta_t)
-            for extra in per_qubit[2:]:
-                group = _product_group(list(group.pulses), extra, config.delta_t)
-            return group
+            return _product_group(per_qubit, config.delta_t)
         if target.kind == "single_qubit":
             res = solve_single_qubit_gate(gen, target, 0, config.group_size_bound, delta_t=config.delta_t)
             return res.group
@@ -308,64 +302,66 @@ def _auto_probe(model: SystemBathModel, config: LearningLoopConfig) -> float:
     return config.probe_time if config.probe_time is not None else _default_probe_time(model)
 
 
-def _group_to_genome(group: PulseGroup, dim: int):
-    """Axis-angle parameters of a pulse group, or None when not expressible."""
-    if dim == 2:
-        genome = []
-        for r in group.rotations[1:]:
-            aa = unitary_from_rotation(r)
-            genome.append((np.array(aa.axis), float(aa.angle)))
-        return genome
+def _group_to_genome(group: PulseGroup):
+    """Genome of a pulse group, or None when a pulse is not a local product.
+
+    One entry per pulse after the identity, each a tuple of per-qubit
+    ``(axis, angle)`` pairs, qubit 0 first.  Each factor goes through its
+    adjoint rotation, so its global phase does not reach the genome.
+    """
     basis1 = build_pauli_basis(1)
     genome = []
     for p in group.pulses[1:]:
-        factors = _factor_product(p)
+        factors = _local_factors(p, group.dim.bit_length() - 1)
         if factors is None:
             return None
-        pa, pb = factors
-        aaa = unitary_from_rotation(adjoint_of(pa, basis1))
-        aab = unitary_from_rotation(adjoint_of(pb, basis1))
-        genome.append(((np.array(aaa.axis), float(aaa.angle)), (np.array(aab.axis), float(aab.angle))))
+        axis_angles = [unitary_from_rotation(adjoint_of(f, basis1)) for f in factors]
+        genome.append(tuple((np.array(aa.axis), float(aa.angle)) for aa in axis_angles))
     return genome
 
 
-def _factor_product(u: np.ndarray):
-    """Split a 4x4 unitary into a tensor product of 2x2 factors, if possible."""
-    m = u.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
-    uu, s, vh = np.linalg.svd(m)
-    if s[1] > 1e-9:
-        return None
-    a = uu[:, 0].reshape(2, 2) * np.sqrt(s[0])
-    b = vh[0].conj().reshape(2, 2) * np.sqrt(s[0])
-    # polar-project each factor onto U(2)
-    wa, _, va = np.linalg.svd(a)
-    wb, _, vb = np.linalg.svd(b)
-    return wa @ va, wb @ vb
+def _local_factors(u: np.ndarray, num_qubits: int):
+    """Per-qubit unitary factors of ``u``, qubit 0 first, or None if it is not a local product.
+
+    Each step splits qubit 0 off by a rank-one SVD, ``vec(a) vec(rest)^T =
+    s0 uu[:, 0] vh[0]`` (``vh[0]`` unconjugated), and projects both parts onto
+    the unitaries; a single-qubit ``u`` is its own factor.
+    """
+    factors = []
+    for rest_qubits in range(num_qubits - 1, 0, -1):
+        rest = 2**rest_qubits
+        m = u.reshape(2, rest, 2, rest).transpose(0, 2, 1, 3).reshape(4, rest * rest)
+        uu, s, vh = np.linalg.svd(m)
+        if s[1] > 1e-9:
+            return None
+        factors.append(_polar(uu[:, 0].reshape(2, 2) * np.sqrt(s[0])))
+        u = _polar(vh[0].reshape(rest, rest) * np.sqrt(s[0]))
+    return factors + [u]
 
 
-def _genome_group(genome, dim: int, delta_t: float) -> PulseGroup:
-    if dim == 2:
-        return _group_from_axis_angles(genome, delta_t)
-    pulses = [np.eye(4, dtype=complex)]
-    for (axa, anga), (axb, angb) in genome:
-        pulses.append(_kron(axis_angle_unitary(axa, anga), axis_angle_unitary(axb, angb)))
-    return PulseGroup.from_pulses(pulses, delta_t)
+def _polar(a: np.ndarray) -> np.ndarray:
+    """Unitary polar factor of ``a``."""
+    w, _, v = np.linalg.svd(a)
+    return w @ v
 
 
-def _mutate_genome(genome, rng, dim: int):
+def _genome_group(genome, num_qubits: int, delta_t: float) -> PulseGroup:
+    """The local-product pulse group a genome encodes; an empty genome is the identity."""
+    per_qubit = [
+        [np.eye(2, dtype=complex)] + [axis_angle_unitary(*entry[q]) for entry in genome]
+        for q in range(num_qubits)
+    ]
+    return _product_group(per_qubit, delta_t)
+
+
+def _mutate_genome(genome, rng):
     def jiggle(axis, angle):
         axis = axis + rng.normal(scale=_MUTATION_SIGMA, size=3)
         axis = axis / np.linalg.norm(axis)
         angle = float(np.clip(angle + rng.normal(scale=_MUTATION_SIGMA), -np.pi, np.pi))
         return axis, angle
 
-    out = []
-    for entry in genome:
-        if dim == 2:
-            out.append(jiggle(*entry))
-        else:
-            out.append((jiggle(*entry[0]), jiggle(*entry[1])))
-    return out
+    return [tuple(jiggle(*factor) for factor in entry) for entry in genome]
 
 
 def _crossover(ga, gb, rng):
@@ -377,7 +373,7 @@ def _crossover(ga, gb, rng):
     return child
 
 
-def _random_genome(rng, dim: int, max_pulses: int):
+def _random_genome(rng, num_qubits: int, max_pulses: int):
     count = int(rng.integers(1, max_pulses))
 
     def one():
@@ -385,9 +381,7 @@ def _random_genome(rng, dim: int, max_pulses: int):
         axis = axis / np.linalg.norm(axis)
         return axis, float(rng.uniform(0, np.pi))
 
-    if dim == 2:
-        return [one() for _ in range(count)]
-    return [(one(), one()) for _ in range(count)]
+    return [tuple(one() for _ in range(num_qubits)) for _ in range(count)]
 
 
 def learning_loop(model: SystemBathModel, target: TargetSpec, config: LearningLoopConfig):
@@ -411,30 +405,30 @@ def learning_loop(model: SystemBathModel, target: TargetSpec, config: LearningLo
     genomes = []
     analysis_group = _analysis_candidate(model, target, config, state, None, basis)
     if analysis_group is not None:
-        g = _group_to_genome(analysis_group, dim)
+        g = _group_to_genome(analysis_group)
         if g is not None:
             genomes.append(g)
     for grp in enumerate_candidate_groups(dim, config.group_size_bound, delta_t=config.delta_t):
-        g = _group_to_genome(grp, dim)
+        g = _group_to_genome(grp)
         if g is not None:
             genomes.append(g)
         if len(genomes) >= config.population:
             break
     while len(genomes) < config.population:
-        genomes.append(_random_genome(rng, dim, config.group_size_bound))
+        genomes.append(_random_genome(rng, nq, config.group_size_bound))
     genomes = genomes[: config.population]
 
     records: list[GenerationRecord] = []
     best_genome, best_cost = None, np.inf
 
     for generation in range(config.generations):
-        groups = [_genome_group(g, dim, config.delta_t) for g in genomes]
+        groups = [_genome_group(g, nq, config.delta_t) for g in genomes]
         costs = [evaluate_cost(model, g, cost) for g in groups]
         order = np.argsort(costs, kind="stable")
         if costs[order[0]] < best_cost:
             best_cost = costs[order[0]]
             best_genome = genomes[order[0]]
-        best_group = _genome_group(best_genome, dim, config.delta_t)
+        best_group = _genome_group(best_genome, nq, config.delta_t)
         converged = best_cost <= config.tolerance
         records.append(
             GenerationRecord(
@@ -454,7 +448,7 @@ def learning_loop(model: SystemBathModel, target: TargetSpec, config: LearningLo
         next_genomes = [genomes[order[k]] for k in range(min(_ELITE, len(genomes)))]
         analysis_group = _analysis_candidate(model, target, config, state, best_group, basis)
         if analysis_group is not None:
-            g = _group_to_genome(analysis_group, dim)
+            g = _group_to_genome(analysis_group)
             if g is not None:
                 next_genomes.append(g)
         while len(next_genomes) < config.population:
@@ -464,9 +458,9 @@ def learning_loop(model: SystemBathModel, target: TargetSpec, config: LearningLo
             pb = genomes[min(picks, key=lambda i: costs[i])]
             child = _crossover(pa, pb, rng)
             if rng.random() < config.mutation_rate:
-                child = _mutate_genome(child, rng, dim)
+                child = _mutate_genome(child, rng)
             next_genomes.append(child)
         genomes = next_genomes
 
-    best_group = _genome_group(best_genome, dim, config.delta_t)
+    best_group = _genome_group(best_genome, nq, config.delta_t)
     return best_group, records

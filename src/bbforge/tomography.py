@@ -192,7 +192,7 @@ def _check_linear(channel, dim: int):
     mix = 0.37 * rho_a + 0.63 * rho_b
     direct = channel(mix)
     combined = 0.37 * channel(rho_a) + 0.63 * channel(rho_b)
-    if np.linalg.norm(direct - combined) > 1e-8:
+    if not np.linalg.norm(direct - combined) <= 1e-8:
         raise DomainError("channel failed the superposition test; tomography needs a linear map")
 
 

@@ -3,6 +3,7 @@ import pytest
 
 from bbforge.bb_synthesis import (
     ErrorReport,
+    _product_group,
     StabilizerSpace,
     TargetSpec,
     averaged_rotation,
@@ -25,6 +26,7 @@ from bbforge.errors import (
 )
 from bbforge.operator_algebra import (
     CoordinateVector,
+    _kron,
     adjoint_of,
     axis_angle_unitary,
     build_pauli_basis,
@@ -394,6 +396,19 @@ class TestHelpers:
         from bbforge.serialization import dumps_json
 
         dumps_json(payload)
+
+    def test_product_group_of_three_lists_is_nested_kron(self, rng):
+        lists = [[I2], [I2, random_su2(rng)], [I2, random_su2(rng), random_su2(rng)]]
+        group = _product_group(lists, 0.05)
+        assert group.size == 6
+        for k, pulse in enumerate(group.pulses):
+            want = _kron(_kron(lists[0][k % 1], lists[1][k % 2]), lists[2][k % 3])
+            assert np.array_equal(pulse, want)
+
+    def test_product_group_of_one_list_is_that_list(self, rng):
+        pulses = [I2, random_su2(rng), random_su2(rng)]
+        group = _product_group([pulses], 0.05)
+        assert all(np.array_equal(got, want) for got, want in zip(group.pulses, pulses, strict=True))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -239,6 +239,15 @@ class TestApplyBBCycle:
         a = apply_bb_cycle(model, group, 5, rho).matrix
         b = reduced_state(model, rho, 0.5).matrix
         assert np.linalg.norm(a - b) < 1e-13
+        assert np.array_equal(apply_bb_cycle(model, group, np.int64(5), rho).matrix, a)
+
+    @pytest.mark.parametrize(
+        "cycles", [float("nan"), 2.5, 3.0, np.float64(3.0), "3"], ids=["nan", "2.5", "float-3", "np-float-3", "str-3"]
+    )
+    def test_non_integral_cycle_count_rejected(self, cycles):
+        group = PulseGroup.from_pulses([I2], 0.1)
+        with pytest.raises(DomainError, match="integer"):
+            apply_bb_cycle(dephasing_model(), group, cycles, I2 / 2)
 
     def test_parity_kick_suppresses_dephasing(self):
         # oracle: dense exact evolution assembled inline, then compared
@@ -366,7 +375,11 @@ NON_FINITE_GUARDS = {
     "pulse-delta_t": lambda x: PulseGroup.from_pulses([I2], x),
     "propagate-time": lambda x: propagate(dephasing_model(), x),
     "bb-propagator-time": lambda x: bb_propagator(dephasing_model(), PulseGroup.from_pulses([I2], 0.1), x),
+    "reduced-state-time": lambda x: reduced_state(dephasing_model(), I2 / 2, x),
+    "kraus-time": lambda x: kraus_from_model(dephasing_model(), x),
 }
+# Guards on a time, which must also fail on an int too large for a float
+TIME_GUARDS = ("pulse-delta_t", "propagate-time", "bb-propagator-time", "reduced-state-time", "kraus-time")
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -375,3 +388,9 @@ NON_FINITE_GUARDS = {
 def test_non_finite_rejected(guard, value):
     with pytest.raises(DomainError):
         NON_FINITE_GUARDS[guard](value)
+
+
+@pytest.mark.parametrize("guard", TIME_GUARDS)
+def test_overflowing_time_rejected(guard):
+    with pytest.raises(DomainError):
+        NON_FINITE_GUARDS[guard](10**400)

@@ -262,6 +262,17 @@ class TestUnitaryFromRotation:
         assert abs(aa.axis[2]) < 1e-12
         assert aa.free_axis[0] and aa.free_axis[1] and not aa.free_axis[2]
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["inf", "-inf"])
+    @pytest.mark.parametrize("free", [True, False], ids=["partial", "full"])
+    def test_infinite_entry_rejected(self, free, sign):
+        rotation = np.eye(3)
+        if free:
+            rotation = np.full((3, 3), np.nan)
+            rotation[2, :] = [0.0, 0.0, -1.0]
+        rotation[0, 0] = sign * np.inf
+        with pytest.raises(DomainError):
+            unitary_from_rotation(rotation)
+
 
 class TestAxisAngleValidation:
     def test_angle_range(self):

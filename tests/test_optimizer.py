@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bbforge.bb_synthesis import TargetSpec, parity_kick_group
 from bbforge.errors import DomainError
@@ -13,9 +15,9 @@ from bbforge.optimizer import (
     evaluate_cost,
     learning_loop,
 )
-from bbforge.optimizer import _AnalysisState, _analysis_candidate, _measure_generator
+from bbforge.optimizer import _AnalysisState, _analysis_candidate, _genome_group, _group_to_genome, _measure_generator
 
-from conftest import I2, SX, SY, SZ
+from conftest import I2, SX, SY, SZ, phase_aligned_distance, random_su2
 
 B1 = build_pauli_basis(1)
 
@@ -41,6 +43,19 @@ def bath_noise_model(g=0.5, omega=1.0):
         bath_hamiltonian=omega / 2 * SZ,
         couplings=(Coupling(system=g / 2 * SZ, bath=SX, name="dephasing"),),
         bath_initial=np.outer(plus_y, plus_y.conj()),
+    )
+
+
+def two_qubit_bath_model():
+    """Two system qubits with local and crosstalk noise through one bath qubit."""
+    z1, z2 = np.kron(SZ, I2), np.kron(I2, SZ)
+    return SystemBathModel(
+        system_hamiltonian=0.3 * z1 + 0.2 * z2 + 0.05 * np.kron(SX, SX),
+        bath_hamiltonian=0.5 * SZ,
+        couplings=(
+            Coupling(system=0.2 * z1, bath=SX, name="z1x"),
+            Coupling(system=0.1 * np.kron(I2, SX), bath=SY, name="x2y"),
+        ),
     )
 
 
@@ -165,17 +180,27 @@ class TestLearningLoop:
         assert best.size == 1
         assert records[0].converged
 
-    def test_determinism(self):
-        model = bath_noise_model()
-        cfg = LearningLoopConfig(population=12, generations=4, tolerance=0.0, seed=7, delta_t=0.02)
+    @staticmethod
+    def assert_reproducible(model, cfg):
         best_a, rec_a = learning_loop(model, TargetSpec(kind="storage"), cfg)
         best_b, rec_b = learning_loop(model, TargetSpec(kind="storage"), cfg)
         assert len(rec_a) == len(rec_b)
         for a, b in zip(rec_a, rec_b):
             assert a.best_cost == b.best_cost
             assert a.mean_cost == b.mean_cost
+            assert np.array_equal(a.residual.error_vector.coords, b.residual.error_vector.coords)
+        assert best_a.size == best_b.size
         for pa, pb in zip(best_a.pulses, best_b.pulses):
             assert np.array_equal(np.asarray(pa), np.asarray(pb))
+        return best_a
+
+    def test_determinism(self):
+        cfg = LearningLoopConfig(population=12, generations=4, tolerance=0.0, seed=7, delta_t=0.02)
+        self.assert_reproducible(bath_noise_model(), cfg)
+
+    def test_determinism_two_qubits(self):
+        cfg = LearningLoopConfig(population=8, generations=3, tolerance=0.0, seed=7, delta_t=0.02)
+        assert self.assert_reproducible(two_qubit_bath_model(), cfg).dim == 4
 
     def test_monotone_best_cost(self):
         model = bath_noise_model()
@@ -192,6 +217,37 @@ class TestLearningLoop:
         assert records[-1].converged
         j = evaluate_cost(model, best, storage_cost(cycles=cfg.cycles, quadrature=cfg.quadrature))
         assert j <= cfg.tolerance
+
+
+class TestGenome:
+    @settings(max_examples=40, deadline=None)
+    @given(num_qubits=st.integers(1, 3), num_pulses=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
+    def test_local_product_round_trip(self, num_qubits, num_pulses, seed):
+        rng = np.random.default_rng(seed)
+        factors = [[random_su2(rng) * np.exp(1j * rng.uniform(0, 2 * np.pi)) for _ in range(num_qubits)]
+                   for _ in range(num_pulses)]
+        pulses = [np.eye(2**num_qubits, dtype=complex)]
+        for per_qubit in factors:
+            pulse = per_qubit[0]
+            for f in per_qubit[1:]:
+                pulse = np.kron(pulse, f)
+            pulses.append(pulse)
+        group = PulseGroup.from_pulses(pulses, 0.05)
+        genome = _group_to_genome(group)
+        assert len(genome) == num_pulses
+        assert all(len(entry) == num_qubits for entry in genome)
+        back = _genome_group(genome, num_qubits, 0.05)
+        assert back.size == group.size and back.delta_t == group.delta_t
+        for got, want in zip(back.pulses, group.pulses):
+            assert phase_aligned_distance(np.asarray(got), want) < 1e-10
+
+    @pytest.mark.parametrize("local", [None, SX], ids=["2q", "3q"])
+    def test_entangling_pulse_has_no_genome(self, local):
+        # at 3 qubits qubit 0 splits off and the CNOT on the rest does not
+        cnot = np.eye(4, dtype=complex)[[0, 1, 3, 2]]
+        pulse = cnot if local is None else np.kron(local, cnot)
+        group = PulseGroup.from_pulses([np.eye(pulse.shape[0]), pulse], 0.05)
+        assert _group_to_genome(group) is None
 
 
 class TestTwoPassAnalysis:

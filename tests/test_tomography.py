@@ -8,6 +8,7 @@ from bbforge.open_system_sim import Coupling, KrausSet, SystemBathModel, kraus_f
 from bbforge.operator_algebra import _flat_coords, build_pauli_basis, expand
 from bbforge.tomography import (
     ChiMatrix,
+    TomographyData,
     chi_from_lambda,
     extract_generator,
     run_qpt,
@@ -63,6 +64,12 @@ class TestRunQPT:
         b = build_pauli_basis(1)
         with pytest.raises(DomainError):
             run_qpt(lambda r: r @ r, b)
+
+    def test_non_finite_channel_rejected(self):
+        # NaN must fail the superposition test, not pass it
+        b = build_pauli_basis(2)
+        with pytest.raises(DomainError, match="superposition"):
+            run_qpt(lambda r: np.full_like(r, np.nan), b)
 
     def test_mixture_linearity(self, rng):
         # lambda of a channel mixture is the mixture of lambdas
@@ -169,7 +176,7 @@ class TestChiFromLambda:
     def test_non_finite_response_rejected(self):
         b = build_pauli_basis(2)
         with pytest.raises(InconsistencyError):
-            chi_from_lambda(run_qpt(lambda r: np.full_like(r, np.nan), b))
+            chi_from_lambda(TomographyData(lam=np.full((16, 16), np.nan), basis=b))
 
     def test_trace_preserving_residual_reported(self):
         # first-order maps are trace preserving though not completely positive
