@@ -25,11 +25,16 @@ def first_order_dephasing(g, t):
 
 
 def normalized_kraus(dim, count, rng):
-    ops = [rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)) for _ in range(count)]
-    total = sum(a.conj().T @ a for a in ops)
-    w, v = np.linalg.eigh(total)
-    inv_sqrt = v @ np.diag(1.0 / np.sqrt(w)) @ v.conj().T
-    return [a @ inv_sqrt for a in ops]
+    # the Kraus operators are the blocks of the polar (isometry) factor of
+    # the stacked random matrix, so sum K^dag K = I to round-off however
+    # badly conditioned the draw; (A^dag A)^(-1/2) amplifies round-off by
+    # the condition number and left 3-qubit draws 1e-12 off trace preserving
+    stacked = np.vstack(
+        [rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)) for _ in range(count)]
+    )
+    u, _, vh = np.linalg.svd(stacked, full_matrices=False)
+    iso = u @ vh
+    return [iso[i * dim : (i + 1) * dim] for i in range(count)]
 
 
 class TestRunQPT:
