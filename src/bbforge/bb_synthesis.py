@@ -37,6 +37,7 @@ from .operator_algebra import (
     OperatorBasis,
     _first_significant,
     _kron,
+    _polar,
     _readonly,
     adjoint_of,
     axis_angle_unitary,
@@ -206,13 +207,16 @@ def modified_pair_matrix(group: PulseGroup, xi_pair: np.ndarray) -> np.ndarray:
     basis = build_pauli_basis(2)
     xi_flat = np.zeros(16)
     xi_flat[1:] = CoordinateVector(np.asarray(xi_pair, dtype=float), basis).as_flat()
+    return _averaged_pair([r.matrix for r in group.rotations], xi_flat)
+
+
+def _averaged_pair(rotations, flat: np.ndarray) -> np.ndarray:
+    """Mean of ``R^T flat`` over the identity-extended adjoint blocks ``R``, as a 4x4 matrix."""
     acc = np.zeros(16)
-    for r in group.rotations:
-        r16 = _extend_identity(r.matrix)
-        acc += r16.T @ xi_flat
-    acc /= group.size
-    out = acc.reshape(4, 4)
-    return out
+    for r in rotations:
+        acc += _extend_identity(r).T @ flat
+    acc /= len(rotations)
+    return acc.reshape(4, 4)
 
 
 def axis_orthogonal_to(vectors, tol: float = 1e-9) -> np.ndarray | None:
@@ -647,12 +651,8 @@ def _refine_general(modes, w_pair, warm, max_group_size, delta_t):
 
             def cost(params):
                 ps = pulses_from_params(params, count)
-                acc = np.zeros(16)
-                for p in ps:
-                    r16 = _extend_identity(adjoint_of(p, basis2).matrix)
-                    acc += r16.T @ src_flat
-                acc /= len(ps)
-                return float(np.sum((acc.reshape(4, 4) - w_pair) ** 2))
+                avg = _averaged_pair([adjoint_of(p, basis2).matrix for p in ps], src_flat)
+                return float(np.sum((avg - w_pair) ** 2))
 
             x0 = np.zeros(15 * count)
             if warm[1] is not None and warm[1].size == count + 1:
@@ -777,10 +777,7 @@ def _su4_from_rotation(r15: np.ndarray) -> np.ndarray:
             f"(Choi rank defect {evals[-2]:.2e}); only a subgroup of SO(15) is represented"
         )
     a = evecs[:, -1].reshape(4, 4) * np.sqrt(max(evals[-1], 0.0))
-    u = a.conj().T
-    # polar projection onto the unitary group
-    w, _, vh = np.linalg.svd(u)
-    u = w @ vh
+    u = _polar(a.conj().T)
     resid = np.linalg.norm(adjoint_of(u, basis).matrix - r15)
     if resid > 1e-8:
         raise NonRepresentableError(f"pulse reconstruction residual {resid:.2e} exceeds tolerance")

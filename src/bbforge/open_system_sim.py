@@ -179,6 +179,7 @@ class KrausSet:
             raise DomainError("Kraus set does not satisfy the completeness relation")
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
+        """``sum_k A_k rho A_k^dag``, state by state on a ``(..., d, d)`` stack."""
         rho = np.asarray(rho, dtype=complex)
         out = np.zeros_like(rho)
         for a in self.operators:
@@ -253,8 +254,10 @@ def propagate(model: SystemBathModel, t: float) -> np.ndarray:
 
 
 def partial_trace_bath(rho_full: np.ndarray, system_dim: int, bath_dim: int) -> np.ndarray:
-    r = np.asarray(rho_full).reshape(system_dim, bath_dim, system_dim, bath_dim)
-    return np.einsum("abcb->ac", r)
+    """Trace out the bath of a ``(..., ns * nb, ns * nb)`` stack."""
+    rho_full = np.asarray(rho_full)
+    r = rho_full.reshape(*rho_full.shape[:-2], system_dim, bath_dim, system_dim, bath_dim)
+    return np.einsum("...abcb->...ac", r)
 
 
 def _lift(op: np.ndarray, bath_dim: int) -> np.ndarray:
@@ -264,15 +267,16 @@ def _lift(op: np.ndarray, bath_dim: int) -> np.ndarray:
 def _reduced_channel(model: SystemBathModel, u_full: np.ndarray):
     """Reduced dynamics ``rho -> Tr_B[U (rho (x) rho_B) U^dag]`` under a full propagator.
 
-    The returned channel accepts a :class:`DensityMatrix` or an array of the
-    system's dimension.
+    The returned channel accepts a :class:`DensityMatrix` or a
+    ``(..., ns, ns)`` stack of system states and returns the stack of
+    reduced states, each equal to the channel applied to it alone.
     """
     ns, nb = model.system_dim, model.bath_dim
     rho_b = model.bath_initial
 
     def channel(rho):
         rho = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
-        if rho.shape != (ns, ns):
+        if rho.shape[-2:] != (ns, ns):
             raise ShapeError("initial state dimension does not match the system")
         full = u_full @ _kron(rho, rho_b) @ u_full.conj().T
         return partial_trace_bath(full, ns, nb)
@@ -312,15 +316,23 @@ def bb_cycle_propagator(model: SystemBathModel, group: PulseGroup) -> np.ndarray
 
     The product is taken with ascending ``j`` acting first on the state.
     """
+    return _cycle(model, group)[1]
+
+
+def _cycle(model: SystemBathModel, group: PulseGroup) -> tuple[np.ndarray, np.ndarray]:
+    """The free segment ``U_0(dt)`` and the one-cycle propagator built from it."""
     if group.dim != model.system_dim:
         raise ShapeError("pulse dimension does not match the system")
     u0 = propagate(model, group.delta_t)
-    nb = model.bath_dim
-    cycle = np.eye(model.total_dim, dtype=complex)
-    for g in group.pulses:
-        g_full = _lift(g, nb)
-        cycle = g_full.conj().T @ u0 @ g_full @ cycle
-    return cycle
+    return u0, _pulse_segments(u0, group.pulses, model.bath_dim, np.eye(model.total_dim, dtype=complex))
+
+
+def _pulse_segments(u0: np.ndarray, pulses, bath_dim: int, u: np.ndarray) -> np.ndarray:
+    """``u`` followed by the segments ``g_j^dag U_0 g_j`` of ``pulses``, in order."""
+    for g in pulses:
+        g_full = _lift(g, bath_dim)
+        u = g_full.conj().T @ u0 @ g_full @ u
+    return u
 
 
 def bb_propagator(model: SystemBathModel, group: PulseGroup, t: float) -> np.ndarray:
@@ -339,21 +351,17 @@ def bb_propagator(model: SystemBathModel, group: PulseGroup, t: float) -> np.nda
     rem = t - n_cycles * tc
     if rem < 1e-12 * max(tc, 1.0):
         rem = 0.0
-    cycle = bb_cycle_propagator(model, group)
+    u0, cycle = _cycle(model, group)
     u = np.linalg.matrix_power(cycle, n_cycles)
     if rem == 0.0:
         return u
-    nb = model.bath_dim
-    u0 = propagate(model, group.delta_t)
     j = 0
     while rem >= group.delta_t - 1e-12 * max(tc, 1.0) and j < group.size:
-        g_full = _lift(group.pulses[j], nb)
-        u = g_full.conj().T @ u0 @ g_full @ u
         rem -= group.delta_t
         j += 1
+    u = _pulse_segments(u0, group.pulses[:j], model.bath_dim, u)
     if rem > 0 and j < group.size:
-        g_full = _lift(group.pulses[j], nb)
-        u = propagate(model, rem) @ g_full @ u
+        u = propagate(model, rem) @ _lift(group.pulses[j], model.bath_dim) @ u
     return u
 
 
@@ -390,7 +398,7 @@ def symmetrize_hamiltonian(hamiltonian: np.ndarray, group: PulseGroup, check_cen
     out /= group.size
     if check_centralizer:
         for g in group.pulses:
-            if np.linalg.norm(out @ g - g @ out) > 1e-9 * max(1.0, np.linalg.norm(h)):
+            if not np.linalg.norm(out @ g - g @ out) <= 1e-9 * max(1.0, np.linalg.norm(h)):
                 raise DomainError("symmetrized operator does not commute with the pulse set")
     return out
 

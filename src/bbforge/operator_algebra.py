@@ -70,9 +70,15 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.kron`` of two square matrices: the same products, less call overhead."""
-    n = a.shape[0] * b.shape[0]
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(n, n)
+    """``np.kron`` of square matrices, broadcast over ``a``'s leading axes: the same products."""
+    n = a.shape[-1] * b.shape[0]
+    return (a[..., :, None, :, None] * b[None, :, None, :]).reshape(*a.shape[:-2], n, n)
+
+
+def _polar(a: np.ndarray) -> np.ndarray:
+    """Unitary polar factor of ``a``."""
+    w, _, v = np.linalg.svd(a)
+    return w @ v
 
 
 @functools.cache

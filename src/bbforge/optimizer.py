@@ -10,7 +10,8 @@ and wanted generators over a fixed horizon of pulse cycles.
 
 from __future__ import annotations
 
-import math
+import operator
+import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -33,6 +34,7 @@ from .open_system_sim import PulseGroup, SystemBathModel, _reduced_channel, bb_p
 from .operator_algebra import (
     _first_significant,
     _flat_coords,
+    _polar,
     adjoint_of,
     axis_angle_unitary,
     build_pauli_basis,
@@ -56,6 +58,27 @@ _ELITE = 2
 _MUTATION_SIGMA = 0.1
 
 
+def _integer_fields(obj, **minimum) -> None:
+    """Store each named field of frozen ``obj`` as an int no less than its minimum."""
+    for name, low in minimum.items():
+        try:
+            value = operator.index(getattr(obj, name))
+        except TypeError:
+            raise DomainError(f"{name} must be an integer") from None
+        if value < low:
+            raise DomainError(f"{name} must be >= {low}")
+        object.__setattr__(obj, name, value)
+
+
+def _check_positive_time(value, name: str) -> None:
+    try:
+        ok = 0 < value <= sys.float_info.max  # also false for NaN and ints beyond the float range
+    except TypeError:
+        ok = False
+    if not ok:
+        raise DomainError(f"{name} must be positive and finite")
+
+
 @dataclass(frozen=True)
 class CostFunction:
     """Deviation-from-target integral over a horizon of pulse cycles."""
@@ -65,10 +88,7 @@ class CostFunction:
     quadrature: int = 1
 
     def __post_init__(self):
-        if self.cycles < 1:
-            raise DomainError("horizon must cover at least one cycle")
-        if self.quadrature < 1:
-            raise DomainError("quadrature must be >= 1")
+        _integer_fields(self, cycles=1, quadrature=1)
 
 
 @dataclass(frozen=True)
@@ -94,24 +114,16 @@ class LearningLoopConfig:
     detection_floor: float = 0.1
 
     def __post_init__(self):
-        if self.population < 2:
-            raise DomainError("population must be >= 2")
+        _integer_fields(self, population=2, generations=1, seed=0, group_size_bound=2, cycles=1, quadrature=1)
         if not 0.0 <= self.mutation_rate <= 1.0:
             raise DomainError("mutation_rate must be a probability")
         if not self.tolerance >= 0.0:
             raise DomainError("tolerance must be non-negative")
-        if self.generations < 1:
-            raise DomainError("need at least one generation")
-        if self.group_size_bound < 2:
-            raise DomainError("group_size_bound must be >= 2")
-        if not (math.isfinite(self.delta_t) and self.delta_t > 0):
-            raise DomainError("delta_t must be positive and finite")
-        if self.probe_time is not None and not (math.isfinite(self.probe_time) and self.probe_time > 0):
-            raise DomainError("probe_time must be positive and finite")
-        if self.cycles < 1:
-            raise DomainError("horizon must cover at least one cycle")
-        if self.quadrature < 1:
-            raise DomainError("quadrature must be >= 1")
+        if not 0.0 <= self.detection_floor <= 1.0:
+            raise DomainError("detection_floor must be a fraction")
+        _check_positive_time(self.delta_t, "delta_t")
+        if self.probe_time is not None:
+            _check_positive_time(self.probe_time, "probe_time")
 
 
 @dataclass(frozen=True)
@@ -337,12 +349,6 @@ def _local_factors(u: np.ndarray, num_qubits: int):
         factors.append(_polar(uu[:, 0].reshape(2, 2) * np.sqrt(s[0])))
         u = _polar(vh[0].reshape(rest, rest) * np.sqrt(s[0]))
     return factors + [u]
-
-
-def _polar(a: np.ndarray) -> np.ndarray:
-    """Unitary polar factor of ``a``."""
-    w, _, v = np.linalg.svd(a)
-    return w @ v
 
 
 def _genome_group(genome, num_qubits: int, delta_t: float) -> PulseGroup:

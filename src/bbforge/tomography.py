@@ -1,8 +1,9 @@
 """Simulated quantum process tomography and short-time generator extraction.
 
-The channel is probed on the matrix-unit input set (each off-diagonal unit
-realized through the four standard pure-state preparations).  The response
-matrix ``lambda`` is turned into the process matrix ``chi`` in closed form
+The channel is probed, in one call on one stack of states, on the
+matrix-unit input set (each off-diagonal unit realized through the four
+standard pure-state preparations).  The response matrix ``lambda`` is
+turned into the process matrix ``chi`` in closed form
 (Chuang & Nielsen, J. Mod. Opt. 44, 2455, 1997), written as a change of
 basis from matrix units to the fixed Pauli basis: ``chi = A^dag L A / M^2``
 (Wood, Biamonte & Cory, arXiv:1111.6950).  The Hamiltonian-like part of
@@ -78,9 +79,9 @@ class ChiMatrix:
             raise DomainError("chi matrix must be Hermitian within tolerance")
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
-        """Channel action reconstructed from the process matrix."""
+        """Channel action reconstructed from the process matrix, on a ``(..., d, d)`` stack."""
         k = self.basis.elements
-        return np.einsum("ab,aij,jk,bkl->il", self.entries, k, np.asarray(rho, dtype=complex), k)
+        return np.einsum("ab,aij,...jk,bkl->...il", self.entries, k, np.asarray(rho, dtype=complex), k)
 
     def to_dict(self) -> dict:
         return {
@@ -138,73 +139,46 @@ class EffectiveGenerator:
 
 
 @functools.cache
-def _matrix_unit_inputs(dim: int):
-    """Channel inputs for every matrix unit, via physical preparations.
+def _probe_inputs(dim: int):
+    """One read-only stack of channel inputs, and the tables that recombine its responses.
 
-    Returns the pure states to feed the channel and, per matrix unit
-    ``|m><n|``, the complex combination over those states that
-    reconstructs the channel response by linearity.  One instance per
-    dimension is built and shared, so the states are read-only and the
-    containers are tuples.
+    The stack holds ``|m><m|`` for every ``m``, then ``|+><+|`` and
+    ``|+i><+i|`` of every pair ``m < n``, then the superposition-test states
+    ``|0><0|``, ``I / dim`` and their 0.37 : 0.63 mixture.  Row ``m * dim + n``
+    of the ``(dim^2, 4)`` tables ``index`` and ``coeff`` holds the stack
+    indices and coefficients whose responses sum to the response to
+    ``|m><n|``; a diagonal row is padded with coefficient 0.
     """
-    states = []
-    index = {}
+    c = 1.0 / np.sqrt(2.0)
+    eye = np.eye(dim, dtype=complex)
+    kets = list(eye)
+    index = np.empty((dim * dim, 4), dtype=int)
+    coeff = np.zeros((dim * dim, 4), dtype=complex)
     for m in range(dim):
-        e = np.zeros(dim, dtype=complex)
-        e[m] = 1.0
-        index[("d", m)] = len(states)
-        states.append(np.outer(e, e.conj()))
-    for m in range(dim):
+        index[m * dim + m], coeff[m * dim + m, 0] = m, 1.0
         for n in range(m + 1, dim):
-            plus = np.zeros(dim, dtype=complex)
-            plus[m] = plus[n] = 1.0 / np.sqrt(2.0)
-            plus_i = np.zeros(dim, dtype=complex)
-            plus_i[m] = 1.0 / np.sqrt(2.0)
-            plus_i[n] = 1.0j / np.sqrt(2.0)
-            index[("p", m, n)] = len(states)
-            states.append(np.outer(plus, plus.conj()))
-            index[("q", m, n)] = len(states)
-            states.append(np.outer(plus_i, plus_i.conj()))
-
-    combos = []
-    for m in range(dim):
-        for n in range(dim):
-            if m == n:
-                parts = ((index[("d", m)], 1.0),)
-            else:
-                a, b = min(m, n), max(m, n)
-                sign = 1.0j if m < n else -1.0j
-                corr = (1.0 + 1.0j) / 2.0 if m < n else (1.0 - 1.0j) / 2.0
-                parts = (
-                    (index[("p", a, b)], 1.0),
-                    (index[("q", a, b)], sign),
-                    (index[("d", m)], -corr),
-                    (index[("d", n)], -corr),
-                )
-            combos.append(((m, n), parts))
-    return tuple(_readonly(s) for s in states), tuple(combos)
-
-
-def _check_linear(channel, dim: int):
-    rho_a = np.zeros((dim, dim), dtype=complex)
-    rho_a[0, 0] = 1.0
-    rho_b = np.eye(dim, dtype=complex) / dim
-    mix = 0.37 * rho_a + 0.63 * rho_b
-    direct = channel(mix)
-    combined = 0.37 * channel(rho_a) + 0.63 * channel(rho_b)
-    if not np.linalg.norm(direct - combined) <= 1e-8:
-        raise DomainError("channel failed the superposition test; tomography needs a linear map")
+            p = len(kets)
+            kets += [(eye[m] + eye[n]) * c, (eye[m] + 1j * eye[n]) * c]
+            index[m * dim + n] = p, p + 1, m, n
+            coeff[m * dim + n] = 1.0, 1.0j, -0.5 - 0.5j, -0.5 - 0.5j
+            index[n * dim + m] = p, p + 1, n, m
+            coeff[n * dim + m] = 1.0, -1.0j, -0.5 + 0.5j, -0.5 + 0.5j
+    states = [np.outer(k, k.conj()) for k in kets]
+    states += [states[0], eye / dim, 0.37 * states[0] + 0.63 * (eye / dim)]
+    return _readonly(np.array(states)), _readonly(index), _readonly(coeff)
 
 
 def run_qpt(channel, basis: OperatorBasis, *, time_tag: float | None = None) -> TomographyData:
-    """Probe a channel on a spanning input set.
+    """Probe a channel on a spanning input set, in one call.
 
     Parameters
     ----------
     channel : callable
-        Linear map acting on ``dim x dim`` density matrices.  It is only
-        ever called on genuine states; matrix-unit responses are assembled
-        from the four standard preparations per index pair.
+        Linear map from a ``(..., dim, dim)`` stack of density matrices to
+        the stack of their images.  It is called once, on one shared
+        read-only stack of genuine states: the standard preparations, from
+        which matrix-unit responses are assembled by linearity, and three
+        states for a superposition test (``DomainError`` if it fails).
     basis : OperatorBasis
         Fixed Hermitian basis that the downstream chi matrix refers to.
     time_tag : float, optional
@@ -212,19 +186,18 @@ def run_qpt(channel, basis: OperatorBasis, *, time_tag: float | None = None) -> 
         chi matrix so generator extraction can report rates.
     """
     d = basis.dim
-    _check_linear(channel, d)
-    states, combos = _matrix_unit_inputs(d)
-    responses = [np.asarray(channel(s), dtype=complex) for s in states]
-    for r in responses:
-        if r.shape != (d, d):
-            raise ShapeError("channel output dimension does not match its input")
+    states, index, coeff = _probe_inputs(d)
+    responses = np.asarray(channel(states), dtype=complex)
+    if responses.shape != states.shape:
+        raise ShapeError("channel output dimension does not match its input")
+    r_a, r_b, direct = responses[-3:]
+    if not np.linalg.norm(direct - (0.37 * r_a + 0.63 * r_b)) <= 1e-8:
+        raise DomainError("channel failed the superposition test; tomography needs a linear map")
+    # expansion over matrix units is just the entries themselves
+    flat = responses.reshape(len(states), d * d)
     lam = np.zeros((d * d, d * d), dtype=complex)
-    for (m, n), parts in combos:
-        out = np.zeros((d, d), dtype=complex)
-        for idx, coeff in parts:
-            out += coeff * responses[idx]
-        # expansion over matrix units is just the entries themselves
-        lam[m * d + n, :] = out.reshape(-1)
+    for part in range(4):
+        lam += coeff[:, part, None] * flat[index[:, part]]
     return TomographyData(lam=lam, basis=basis, time_tag=time_tag)
 
 

@@ -362,6 +362,16 @@ BAD_CONFIG_VALUES = [
     ("optimize", ("loop", "quadrature"), 0),
     ("optimize", ("loop", "probe_time"), 0),
     ("optimize", ("loop", "probe_time"), -1),
+    ("optimize", ("loop", "population"), 2.5),
+    ("optimize", ("loop", "generations"), 1.5),
+    ("optimize", ("loop", "cycles"), 1.5),
+    ("optimize", ("loop", "group_size_bound"), 2.5),
+    ("optimize", ("loop", "quadrature"), 1.5),
+    ("optimize", ("loop", "seed"), "x"),
+    ("optimize", ("loop", "seed"), -1),
+    ("optimize", ("loop", "delta_t"), 10**400),
+    ("optimize", ("loop", "detection_floor"), "x"),
+    ("optimize", ("loop", "detection_floor"), 1.5),
     ("simulate", ("initial_state",), [[1, 2]]),
     ("simulate", ("initial_state",), [[[1, 0]]]),
     ("verify", ("verify", "group"), {"delta_t": 0.05}),

@@ -21,6 +21,7 @@ from bbforge.open_system_sim import (
     model_to_dict,
     propagate,
     reduced_state,
+    _reduced_channel,
     symmetrize_hamiltonian,
 )
 from bbforge.operator_algebra import axis_angle_unitary
@@ -119,6 +120,22 @@ class TestSpectralPropagator:
         assert np.linalg.norm((v * w) @ v.conj().T - model.total_hamiltonian) < 1e-12
 
 
+class TestChannelContract:
+    """A channel maps a ``(..., d, d)`` stack of states to the stack of images, bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(model=random_models(), t=st.floats(0.0, 5.0), count=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    def test_stacked_calls_equal_per_state_calls(self, model, t, count, seed):
+        rng = np.random.default_rng(seed)
+        model = dataclasses.replace(model, bath_initial=random_density(model.bath_dim, rng))
+        stack = np.array([random_density(model.system_dim, rng) for _ in range(count)])
+        for channel in (_reduced_channel(model, propagate(model, t)), kraus_from_model(model, t).apply):
+            got = channel(stack)
+            assert np.array_equal(got, np.array([channel(rho) for rho in stack]))
+            # more than one leading axis
+            assert np.array_equal(channel(np.array([stack, stack]))[1], got)
+
+
 class TestReducedState:
     def test_no_coupling_identity(self):
         model = SystemBathModel(system_hamiltonian=np.zeros((2, 2)), bath_hamiltonian=0.7 * SZ)
@@ -142,6 +159,8 @@ class TestReducedState:
     def test_shape_error(self):
         with pytest.raises(ShapeError):
             reduced_state(dephasing_model(), np.eye(4) / 4, 0.1)
+        with pytest.raises(ShapeError):
+            _reduced_channel(dephasing_model(), np.eye(4))(np.zeros((3, 4, 4)))
 
 
 class TestKraus:
@@ -331,6 +350,14 @@ class TestSymmetrize:
     def test_centralizer_check(self):
         group = PulseGroup.from_pulses([I2, SX, SY, SZ], 0.1)
         symmetrize_hamiltonian(SZ + 0.3 * SX, group, check_centralizer=True)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_average_fails_centralizer_check(self):
+        # the average overflows to inf + nan*j; a NaN commutator norm must not pass
+        group = PulseGroup.from_pulses([I2, axis_angle_unitary([1, 0, 1], np.pi / 2)], 0.1)
+        h = np.array([[1e308, 1e308], [1e308, -1e308]])
+        with pytest.raises(DomainError, match="commute"):
+            symmetrize_hamiltonian(h, group, check_centralizer=True)
 
 
 class TestSerialization:

@@ -307,6 +307,13 @@ class TestKron:
             got, want = _kron(x, y), np.kron(x, y)
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
+        # leading axes of the first factor broadcast, with the same products
+        stack = np.array([[a, 2 * a, np.eye(dims[0])], [a.conj(), a.T, -a]])
+        got = _kron(stack, b)
+        assert got.shape == (2, 3, dims[0] * dims[1], dims[0] * dims[1])
+        for i in range(2):
+            for j in range(3):
+                assert np.array_equal(got[i, j], np.kron(stack[i, j], b))
 
 
 # Validators whose tolerance comparison must fail on NaN and Inf

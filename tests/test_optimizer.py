@@ -311,6 +311,18 @@ class TestConfigValidation:
             ("cycles", 0),
             ("quadrature", 0),
             ("tolerance", float("nan")),
+            pytest.param("delta_t", 10**400, id="delta_t-10**400"),
+            ("delta_t", "x"),
+            pytest.param("probe_time", 10**400, id="probe_time-10**400"),
+            ("population", 2.5),
+            ("generations", 1.5),
+            ("cycles", 1.5),
+            ("group_size_bound", 2.5),
+            ("quadrature", 1.5),
+            ("seed", "x"),
+            ("seed", -1),
+            ("detection_floor", -0.1),
+            ("detection_floor", float("nan")),
         ],
     )
     def test_owned_field_bounds(self, field, value):
@@ -318,7 +330,11 @@ class TestConfigValidation:
             LearningLoopConfig(**{field: value})
 
     def test_cost_function_bounds(self):
-        with pytest.raises(DomainError):
-            CostFunction(target=TargetSpec(kind="storage"), cycles=0)
-        with pytest.raises(DomainError):
-            CostFunction(target=TargetSpec(kind="storage"), cycles=1, quadrature=0)
+        for cycles, quadrature in ((0, 1), (1, 0), (1.5, 1), (1, 1.5), ("2", 1)):
+            with pytest.raises(DomainError):
+                CostFunction(target=TargetSpec(kind="storage"), cycles=cycles, quadrature=quadrature)
+
+    def test_integer_fields_stored_as_int(self):
+        cfg = LearningLoopConfig(population=np.int64(4), seed=np.uint32(7))
+        assert type(cfg.population) is int and type(cfg.seed) is int
+        assert cfg == LearningLoopConfig(population=4, seed=7)

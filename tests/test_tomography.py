@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bbforge.errors import DegenerateTimeError, DomainError, InconsistencyError
+from bbforge.errors import DegenerateTimeError, DomainError, InconsistencyError, ShapeError
 from bbforge.open_system_sim import Coupling, KrausSet, SystemBathModel, kraus_from_model
 from bbforge.operator_algebra import _flat_coords, build_pauli_basis, expand
 from bbforge.tomography import (
@@ -117,6 +117,36 @@ class TestRunQPT:
             run_qpt(overwriting, b)
         assert np.array_equal(run_qpt(unitary, b).lam, want)
 
+    @pytest.mark.parametrize("num_qubits", [1, 2, 3])
+    def test_channel_called_once_on_read_only_stack(self, rng, num_qubits):
+        b = build_pauli_basis(num_qubits)
+        u = random_unitary(b.dim, rng)
+        calls = []
+
+        def channel(r):
+            calls.append(r)
+            return u @ r @ u.conj().T
+
+        data = run_qpt(channel, b)
+        assert len(calls) == 1
+        (stack,) = calls
+        # d^2 preparations and three superposition-test states
+        assert stack.shape == (b.dim**2 + 3, b.dim, b.dim)
+        assert not stack.flags.writeable
+        for m in range(b.dim):
+            for n in range(b.dim):
+                unit = np.zeros((b.dim, b.dim), dtype=complex)
+                unit[m, n] = 1.0
+                want = (u @ unit @ u.conj().T).reshape(-1)
+                assert np.linalg.norm(data.lam[b.dim * m + n] - want) < 1e-12
+
+    def test_response_of_wrong_shape_rejected(self):
+        b = build_pauli_basis(1)
+        with pytest.raises(ShapeError):
+            run_qpt(lambda r: r[..., :1, :1], b)
+        with pytest.raises(ShapeError):
+            run_qpt(lambda r: r[0], b)
+
 
 class TestChiFromLambda:
     def test_identity_channel(self):
@@ -164,6 +194,21 @@ class TestChiFromLambda:
         chi = chi_from_lambda(run_qpt(KrausSet(ops, source_time=0.0).apply, b))
         assert np.abs(chi.entries - want).max() < 1e-12
         assert chi.residual < 1e-12
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        num_qubits=st.integers(min_value=1, max_value=3),
+        count=st.integers(min_value=1, max_value=6),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_apply_on_stack_matches_per_state_calls(self, num_qubits, count, seed):
+        rng = np.random.default_rng(seed)
+        b = build_pauli_basis(num_qubits)
+        chi = chi_from_lambda(run_qpt(KrausSet(normalized_kraus(b.dim, 2, rng), source_time=0.0).apply, b))
+        stack = np.array([random_density(b.dim, rng) for _ in range(count)])
+        got = chi.apply(stack)
+        assert got.shape == stack.shape
+        assert np.abs(got - np.array([chi.apply(rho) for rho in stack])).max() < 1e-12
 
     @pytest.mark.parametrize(
         "channel",
