@@ -50,7 +50,6 @@ from .operator_algebra import (
     AxisAngle,
     CoordinateVector,
     OperatorBasis,
-    PauliString,
     adjoint_of,
     axis_angle_rotation,
     axis_angle_unitary,

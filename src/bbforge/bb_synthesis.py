@@ -22,7 +22,7 @@ from math import lcm
 
 import numpy as np
 
-from .defaults import TOL
+from .defaults import LINEAR_SOLVE, ZERO_VECTOR
 from .errors import (
     DomainError,
     InfeasibleError,
@@ -219,7 +219,7 @@ def _averaged_pair(rotations, flat: np.ndarray) -> np.ndarray:
     return acc.reshape(4, 4)
 
 
-def axis_orthogonal_to(vectors, tol: float = 1e-9) -> np.ndarray | None:
+def axis_orthogonal_to(vectors) -> np.ndarray | None:
     """Canonical unit vector orthogonal to every given direction.
 
     Prefers the least-index coordinate axis when one is exactly orthogonal;
@@ -231,13 +231,13 @@ def axis_orthogonal_to(vectors, tol: float = 1e-9) -> np.ndarray | None:
     for v in vectors:
         v = np.asarray(v, dtype=float)
         n = np.linalg.norm(v)
-        if n > TOL.zero_vector:
+        if n > ZERO_VECTOR:
             dirs.append(v / n)
     if not dirs:
         return np.array([1.0, 0.0, 0.0])
     stack = np.array(dirs)
     for m in range(3):
-        if np.abs(stack[:, m]).max() <= tol:
+        if np.abs(stack[:, m]).max() <= 1e-9:
             return np.eye(3)[m]
     _, s, vh = np.linalg.svd(stack)
     s_full = np.zeros(3)
@@ -301,7 +301,7 @@ def solve_storage(generator, qubit: int = 0, max_group_size: int = 8, *, delta_t
         raise DomainError("max_group_size must be >= 2")
     xi = np.asarray(generator.xi[qubit] if hasattr(generator, "xi") else generator, dtype=float)
     basis1 = build_pauli_basis(1)
-    if np.linalg.norm(xi) <= TOL.zero_vector:
+    if np.linalg.norm(xi) <= ZERO_VECTOR:
         group = _trivial_group(2, delta_t)
         return SynthesisResult(
             group=group,
@@ -313,7 +313,7 @@ def solve_storage(generator, qubit: int = 0, max_group_size: int = 8, *, delta_t
     group = parity_kick_group(axis, delta_t)
     achieved = modified_vector(group, xi)
     report = _report(achieved, np.zeros(3), basis1)
-    if report.scalar_distance > TOL.linear_solve:
+    if report.scalar_distance > LINEAR_SOLVE:
         raise InfeasibleError("parity kick failed to annihilate the generator", best_residual=report.scalar_distance)
     return SynthesisResult(
         group=group,
@@ -334,7 +334,7 @@ def solve_storage(generator, qubit: int = 0, max_group_size: int = 8, *, delta_t
 def _fan_vectors(u: np.ndarray, count: int, radius: float, plane_hint: np.ndarray) -> list[np.ndarray]:
     """``count`` vectors of norm ``radius`` summing to ``u`` (feasible by assumption)."""
     norm_u = np.linalg.norm(u)
-    if norm_u <= TOL.zero_vector:
+    if norm_u <= ZERO_VECTOR:
         # balanced fan in the plane spanned by the hint and its canonical normal
         a = plane_hint / np.linalg.norm(plane_hint)
         b = axis_orthogonal_to([a])
@@ -394,7 +394,7 @@ def solve_single_qubit_gate(generator, target: TargetSpec, qubit: int = 0, max_g
     basis1 = build_pauli_basis(1)
     norm_xi, norm_w = np.linalg.norm(xi), np.linalg.norm(w)
     scale = max(norm_xi, norm_w, 1.0)
-    if np.linalg.norm(xi - w) <= TOL.zero_vector * scale:
+    if np.linalg.norm(xi - w) <= ZERO_VECTOR * scale:
         group = _trivial_group(2, delta_t)
         return SynthesisResult(
             group=group,
@@ -402,9 +402,9 @@ def solve_single_qubit_gate(generator, target: TargetSpec, qubit: int = 0, max_g
             free_parameters="measured generator already equals the target",
             qubit=qubit,
         )
-    if norm_w <= TOL.zero_vector:
+    if norm_w <= ZERO_VECTOR:
         return solve_storage(generator, qubit, max_group_size, delta_t=delta_t)
-    if norm_w > norm_xi + TOL.zero_vector:
+    if norm_w > norm_xi + ZERO_VECTOR:
         raise InfeasibleMagnitudeError(
             "averaged rotations are contractions; target length "
             f"{norm_w:.3g} exceeds measured length {norm_xi:.3g} "
@@ -413,14 +413,14 @@ def solve_single_qubit_gate(generator, target: TargetSpec, qubit: int = 0, max_g
 
     axis_angles = None
     note = ""
-    if abs(w @ xi - norm_w**2) <= TOL.linear_solve * scale**2:
+    if abs(w @ xi - norm_w**2) <= LINEAR_SOLVE * scale**2:
         # w is the projection of xi onto its own direction: one parity kick
         axis_angles = [(w / norm_w, np.pi / 2)]
         note = "target is a projection of the measured vector; parity kick about the target axis"
     else:
         for m in range(3, max_group_size + 1):
             u = m * w - xi
-            if np.linalg.norm(u) <= (m - 1) * norm_xi + TOL.zero_vector:
+            if np.linalg.norm(u) <= (m - 1) * norm_xi + ZERO_VECTOR:
                 fans = _fan_vectors(u, m - 1, norm_xi, plane_hint=xi)
                 axis_angles = []
                 for v in fans:
@@ -443,7 +443,7 @@ def solve_single_qubit_gate(generator, target: TargetSpec, qubit: int = 0, max_g
     group = _group_from_axis_angles(axis_angles, delta_t)
     achieved = modified_vector(group, xi)
     report = _report(achieved, w, basis1)
-    if report.scalar_distance > TOL.linear_solve * max(1.0, scale):
+    if report.scalar_distance > LINEAR_SOLVE * max(1.0, scale):
         raise InfeasibleError("constructed pulse set missed the target", best_residual=report.scalar_distance)
     return SynthesisResult(group=group, residual=report, free_parameters=note, qubit=qubit)
 
@@ -468,14 +468,14 @@ def _single_qubit_pulse_lists(xi_vec: np.ndarray, w_vec: np.ndarray, max_group_s
     """Candidate pulse lists for one qubit's margin of the pair problem."""
     lists: list[list[np.ndarray]] = [[np.eye(2, dtype=complex)]]
     try:
-        if np.linalg.norm(w_vec) <= TOL.zero_vector:
+        if np.linalg.norm(w_vec) <= ZERO_VECTOR:
             res = solve_storage(xi_vec, 0, max_group_size)
         else:
             res = solve_single_qubit_gate(xi_vec, TargetSpec(kind="single_qubit", wanted=w_vec), 0, max_group_size)
         lists.append([np.array(p) for p in res.group.pulses])
     except InfeasibleError:
         pass
-    if np.linalg.norm(xi_vec) > TOL.zero_vector:
+    if np.linalg.norm(xi_vec) > ZERO_VECTOR:
         # parity kicks about each coordinate axis orthogonal enough to matter
         lists.extend(_kick_pulses(e) for e in np.eye(3))
     return lists
@@ -530,9 +530,9 @@ def solve_two_qubit(generator, target: TargetSpec, pair: tuple[int, int] = (0, 1
     basis2 = build_pauli_basis(2)
 
     modes = []
-    if np.linalg.norm(w_pair) <= np.linalg.norm(xi_pair) + TOL.zero_vector:
+    if np.linalg.norm(w_pair) <= np.linalg.norm(xi_pair) + ZERO_VECTOR:
         modes.append(("direct", xi_pair))
-    if np.linalg.norm(w_pair) > TOL.zero_vector:
+    if np.linalg.norm(w_pair) > ZERO_VECTOR:
         modes.append(("running", xi_pair + w_pair))
 
     candidates = _two_qubit_candidates(xi_pair, w_pair, max_group_size, delta_t)
@@ -543,7 +543,7 @@ def solve_two_qubit(generator, target: TargetSpec, pair: tuple[int, int] = (0, 1
             resid = np.linalg.norm(achieved - w_pair)
             if resid < best[0]:
                 best = (resid, group, mode)
-            if resid <= TOL.linear_solve:
+            if resid <= LINEAR_SOLVE:
                 report = _report(achieved, w_pair, basis2)
                 return SynthesisResult(
                     group=group,
@@ -556,7 +556,7 @@ def solve_two_qubit(generator, target: TargetSpec, pair: tuple[int, int] = (0, 1
         refined = _refine_general(modes, w_pair, best, max_group_size, delta_t)
         if refined is not None:
             resid, group, mode = refined
-            if resid <= TOL.linear_solve:
+            if resid <= LINEAR_SOLVE:
                 achieved = modified_pair_matrix(group, dict(modes)[mode])
                 return SynthesisResult(
                     group=group,
@@ -664,7 +664,7 @@ def _refine_general(modes, w_pair, warm, max_group_size, delta_t):
             group = PulseGroup.from_pulses(pulses_from_params(res.x, count), delta_t)
             if best is None or resid < best[0]:
                 best = (resid, group, mode)
-            if resid <= TOL.linear_solve:
+            if resid <= LINEAR_SOLVE:
                 return best
     return best
 
@@ -771,7 +771,7 @@ def _su4_from_rotation(r15: np.ndarray) -> np.ndarray:
     choi = s.reshape(4, 4, 4, 4).transpose(0, 2, 1, 3).reshape(16, 16)
     choi = (choi + choi.conj().T) / 2.0
     evals, evecs = np.linalg.eigh(choi)
-    if evals[-2] > 1e-6:
+    if not evals[-2] <= 1e-6:
         raise NonRepresentableError(
             "rotation is not in the adjoint image of SU(4) "
             f"(Choi rank defect {evals[-2]:.2e}); only a subgroup of SO(15) is represented"
@@ -779,7 +779,7 @@ def _su4_from_rotation(r15: np.ndarray) -> np.ndarray:
     a = evecs[:, -1].reshape(4, 4) * np.sqrt(max(evals[-1], 0.0))
     u = _polar(a.conj().T)
     resid = np.linalg.norm(adjoint_of(u, basis).matrix - r15)
-    if resid > 1e-8:
+    if not resid <= 1e-8:
         raise NonRepresentableError(f"pulse reconstruction residual {resid:.2e} exceeds tolerance")
     # deterministic phase: largest-magnitude entry made real positive
     idx = np.unravel_index(np.argmax(np.abs(u)), u.shape)

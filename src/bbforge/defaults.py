@@ -1,21 +1,9 @@
-"""Globally configurable numerical tolerances.
+"""Numerical tolerances shared by the package's validation code."""
 
-The module-level ``TOL`` instance is consulted by validation code throughout
-the package; mutate its attributes to loosen or tighten checks globally.
-"""
-
-from dataclasses import dataclass
-
-
-@dataclass
-class Tolerances:
-    hermiticity: float = 1e-10
-    orthogonality: float = 1e-10
-    unitarity: float = 1e-10
-    trace_orthogonality: float = 1e-12
-    bath_eigenvalue_cutoff: float = 1e-14
-    linear_solve: float = 1e-9
-    zero_vector: float = 1e-12
-
-
-TOL = Tolerances()
+HERMITICITY = 1e-10
+ORTHOGONALITY = 1e-10
+UNITARITY = 1e-10
+TRACE_ORTHOGONALITY = 1e-12
+BATH_EIGENVALUE_CUTOFF = 1e-14
+LINEAR_SOLVE = 1e-9
+ZERO_VECTOR = 1e-12

@@ -15,11 +15,11 @@ from __future__ import annotations
 import functools
 import operator
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .defaults import TOL
+from .defaults import BATH_EIGENVALUE_CUTOFF, HERMITICITY, UNITARITY
 from .errors import DomainError, ShapeError
 from .operator_algebra import AdjointRotation, _kron, _readonly, adjoint_of, build_pauli_basis
 
@@ -46,14 +46,14 @@ def _check_hermitian(m: np.ndarray, name: str) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ShapeError(f"{name} must be a square matrix")
-    if not np.linalg.norm(m - m.conj().T) <= TOL.hermiticity:
+    if not np.linalg.norm(m - m.conj().T) <= HERMITICITY:
         raise DomainError(f"{name} is not Hermitian within tolerance")
     return m
 
 
 def _check_density(m: np.ndarray, name: str) -> np.ndarray:
     m = _check_hermitian(m, name)
-    if not abs(np.trace(m).real - 1.0) <= TOL.hermiticity:
+    if not abs(np.trace(m).real - 1.0) <= HERMITICITY:
         raise DomainError(f"{name} must have unit trace")
     if np.linalg.eigvalsh(m).min() < -1e-10:
         raise DomainError(f"{name} must be positive semidefinite")
@@ -95,19 +95,12 @@ class Coupling:
 
 @dataclass(frozen=True)
 class SystemBathModel:
-    """System + bath Hamiltonian data for exact simulation.
-
-    ``coupling_order`` records whether the interaction is linear (1) or
-    bilinear (2) in the system's single-qubit operators; it only affects
-    which generator components downstream analysis expects to be populated.
-    """
+    """System + bath Hamiltonian data for exact simulation."""
 
     system_hamiltonian: np.ndarray
     bath_hamiltonian: np.ndarray
     couplings: tuple[Coupling, ...] = ()
     bath_initial: np.ndarray | None = None
-    coupling_order: int = 1
-    _total: np.ndarray = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         hs = _check_hermitian(self.system_hamiltonian, "system_hamiltonian")
@@ -115,8 +108,6 @@ class SystemBathModel:
         object.__setattr__(self, "system_hamiltonian", _readonly(hs))
         object.__setattr__(self, "bath_hamiltonian", _readonly(hb))
         object.__setattr__(self, "couplings", tuple(self.couplings))
-        if self.coupling_order not in (1, 2):
-            raise DomainError("coupling_order must be 1 or 2")
         rho_b = self.bath_initial
         if rho_b is None:
             rho_b = np.zeros_like(hb)
@@ -131,10 +122,6 @@ class SystemBathModel:
                 raise ShapeError(f"coupling {c.name!r} system operator has wrong dimension")
             if c.bath.shape != (nb, nb):
                 raise ShapeError(f"coupling {c.name!r} bath operator has wrong dimension")
-        total = _kron(hs, np.eye(nb)) + _kron(np.eye(ns), hb)
-        for c in self.couplings:
-            total = total + _kron(c.system, c.bath)
-        object.__setattr__(self, "_total", _readonly(total))
 
     @property
     def system_dim(self) -> int:
@@ -148,9 +135,13 @@ class SystemBathModel:
     def total_dim(self) -> int:
         return self.system_dim * self.bath_dim
 
-    @property
+    @functools.cached_property
     def total_hamiltonian(self) -> np.ndarray:
-        return self._total
+        ns, nb = self.system_dim, self.bath_dim
+        total = _kron(self.system_hamiltonian, np.eye(nb)) + _kron(np.eye(ns), self.bath_hamiltonian)
+        for c in self.couplings:
+            total = total + _kron(c.system, c.bath)
+        return _readonly(total)
 
     @property
     def num_qubits(self) -> int:
@@ -159,7 +150,7 @@ class SystemBathModel:
     @functools.cached_property
     def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
         """Eigenvalues and eigenvectors of the total Hamiltonian, computed once."""
-        w, v = np.linalg.eigh(self._total)
+        w, v = np.linalg.eigh(self.total_hamiltonian)
         return _readonly(w), _readonly(v)
 
 
@@ -168,14 +159,13 @@ class KrausSet:
     """Operator-sum representation sampled from a model at one time."""
 
     operators: tuple[np.ndarray, ...]
-    source_time: float
 
     def __post_init__(self):
         ops = tuple(_readonly(np.asarray(a, dtype=complex)) for a in self.operators)
         object.__setattr__(self, "operators", ops)
         d = ops[0].shape[0]
         total = sum(a.conj().T @ a for a in ops)
-        if not np.linalg.norm(total - np.eye(d)) <= TOL.hermiticity:
+        if not np.linalg.norm(total - np.eye(d)) <= HERMITICITY:
             raise DomainError("Kraus set does not satisfy the completeness relation")
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
@@ -213,7 +203,7 @@ class PulseGroup:
         for p in pulses:
             if p.shape != (d, d):
                 raise ShapeError("all pulses must share one dimension")
-            if not np.linalg.norm(p.conj().T @ p - np.eye(d)) <= TOL.unitarity:
+            if not np.linalg.norm(p.conj().T @ p - np.eye(d)) <= UNITARITY:
                 raise DomainError("pulses must be unitary within tolerance")
 
     @classmethod
@@ -292,7 +282,7 @@ def reduced_state(model: SystemBathModel, rho_system_0, t: float) -> DensityMatr
 def kraus_from_model(model: SystemBathModel, t: float) -> KrausSet:
     """Kraus operators ``A_mn = sqrt(p_n) <m|U(t)|n>`` over bath eigenpairs.
 
-    Bath eigenvalues below the configured cutoff are dropped; the resulting
+    Bath eigenvalues below ``BATH_EIGENVALUE_CUTOFF`` are dropped; the resulting
     set reproduces :func:`reduced_state` on any input state.
     """
     u = propagate(model, t)
@@ -302,13 +292,13 @@ def kraus_from_model(model: SystemBathModel, t: float) -> KrausSet:
     ops = []
     for nu in range(nb):
         p = evals[nu].real
-        if p < TOL.bath_eigenvalue_cutoff:
+        if p < BATH_EIGENVALUE_CUTOFF:
             continue
         # <mu| U |nu> with |mu>, |nu> bath eigenvectors
         blocks = np.einsum("ambn,n->amb", u_tensor, evecs[:, nu])
         for mu in range(nb):
             ops.append(np.sqrt(p) * np.einsum("amb,m->ab", blocks, evecs[:, mu].conj()))
-    return KrausSet(operators=tuple(ops), source_time=t)
+    return KrausSet(operators=tuple(ops))
 
 
 def bb_cycle_propagator(model: SystemBathModel, group: PulseGroup) -> np.ndarray:
@@ -430,7 +420,6 @@ def model_to_dict(model: SystemBathModel) -> dict:
             for i, c in enumerate(model.couplings)
         ],
         "bath_initial": _matrix_to_pairs(model.bath_initial),
-        "coupling_order": model.coupling_order,
     }
 
 
@@ -448,5 +437,4 @@ def model_from_dict(data: dict) -> SystemBathModel:
         bath_hamiltonian=_pairs_to_matrix(data["bath_hamiltonian"]),
         couplings=couplings,
         bath_initial=_pairs_to_matrix(data["bath_initial"]) if "bath_initial" in data else None,
-        coupling_order=int(data.get("coupling_order", 1)),
     )

@@ -25,15 +25,14 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .defaults import TOL
+from .defaults import HERMITICITY, ORTHOGONALITY, TRACE_ORTHOGONALITY, UNITARITY
 from .errors import CapacityError, DomainError, InfeasibleError, ShapeError
 
 __all__ = [
-    "PauliString",
     "OperatorBasis",
     "CoordinateVector",
     "AdjointRotation",
@@ -58,9 +57,11 @@ _PAULI = np.array(
 )
 _LABELS = "IXYZ"
 
-# Maximum qubit count for dense basis construction; 4**8 matrices of
-# dimension 256 are already at the edge of desk-scale memory.
-MAX_BASIS_QUBITS = 8
+# Maximum qubit count for dense basis construction.  The element stack holds
+# 16**n complex entries (16.8 MB at 5 qubits) and the trace-orthogonality
+# check costs 64**n multiply-adds (about 1e9, seconds, at 5 qubits); each
+# further qubit multiplies them by 16 and 64.
+MAX_BASIS_QUBITS = 5
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -109,64 +110,36 @@ def _flat_coords(basis: OperatorBasis, vectors=(), pairs=None) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class PauliString:
-    """A tensor product of single-qubit Pauli operators.
-
-    ``indices`` holds one label per qubit, ``0=I, 1=x, 2=y, 3=z``; the
-    weight is the number of non-identity factors.
-    """
-
-    indices: tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.indices or any(a not in (0, 1, 2, 3) for a in self.indices):
-            raise DomainError(f"invalid Pauli index vector {self.indices!r}")
-
-    @property
-    def num_qubits(self) -> int:
-        return len(self.indices)
-
-    @property
-    def weight(self) -> int:
-        return sum(1 for a in self.indices if a != 0)
-
-    @property
-    def label(self) -> str:
-        return "".join(_LABELS[a] for a in self.indices)
-
-    def matrix(self) -> np.ndarray:
-        out = _PAULI[self.indices[0]]
-        for a in self.indices[1:]:
-            out = np.kron(out, _PAULI[a])
-        return out
-
-
-@dataclass(frozen=True)
 class OperatorBasis:
     """An ordered, trace-orthogonal Hermitian operator basis.
 
     The identity sits at index 0 and every other element is traceless;
-    ``Tr(K_a K_b) = normalization * delta_ab``.
+    ``Tr(K_a K_b) = normalization * delta_ab``, where ``normalization = dim``
+    because ``K_0`` is the identity.
     """
 
     elements: np.ndarray
-    normalization: float
-    dim: int
     labels: tuple[str, ...] = ()
-    strings: tuple[PauliString, ...] = field(default=(), repr=False)
 
     def __post_init__(self):
         elements = _readonly(np.asarray(self.elements, dtype=complex))
         object.__setattr__(self, "elements", elements)
         size, d1, d2 = elements.shape
-        if d1 != d2 or d1 != self.dim:
-            raise ShapeError("basis elements must be square matrices of the stated dim")
-        if not np.allclose(elements[0], np.eye(self.dim), atol=TOL.trace_orthogonality):
+        if d1 != d2:
+            raise ShapeError("basis elements must be square matrices")
+        if not np.allclose(elements[0], np.eye(d1), atol=TRACE_ORTHOGONALITY):
             raise DomainError("basis element 0 must be the identity")
         gram = np.einsum("aij,bji->ab", elements, elements)
-        target = self.normalization * np.eye(size)
-        if not np.allclose(gram, target, atol=TOL.trace_orthogonality * self.normalization):
-            raise DomainError("basis is not trace-orthogonal with the stated normalization")
+        if not np.allclose(gram, d1 * np.eye(size), atol=TRACE_ORTHOGONALITY * d1):
+            raise DomainError("basis is not trace-orthogonal with normalization dim")
+
+    @property
+    def dim(self) -> int:
+        return self.elements.shape[1]
+
+    @property
+    def normalization(self) -> float:
+        return float(self.dim)
 
     @property
     def size(self) -> int:
@@ -206,18 +179,11 @@ def build_pauli_basis(num_qubits: int) -> OperatorBasis:
         raise CapacityError(
             f"num_qubits={num_qubits} exceeds the dense basis guard ({MAX_BASIS_QUBITS})"
         )
-    strings = tuple(
-        PauliString(idx) for idx in itertools.product(range(4), repeat=num_qubits)
-    )
-    elements = np.stack([s.matrix() for s in strings])
-    labels = tuple(s.label for s in strings)
-    return OperatorBasis(
-        elements=elements,
-        normalization=float(2**num_qubits),
-        dim=2**num_qubits,
-        labels=labels,
-        strings=strings,
-    )
+    elements, labels = list(_PAULI), list(_LABELS)
+    for _ in range(num_qubits - 1):
+        elements = [np.kron(e, p) for e in elements for p in _PAULI]
+        labels = [s + c for s in labels for c in _LABELS]
+    return OperatorBasis(elements=np.stack(elements), labels=tuple(labels))
 
 
 @dataclass(frozen=True)
@@ -263,9 +229,9 @@ class AdjointRotation:
         n = m.shape[0]
         if m.shape != (n, n) or n != self.source_dim**2 - 1:
             raise ShapeError("adjoint rotation must be (n^2-1) x (n^2-1)")
-        if not np.linalg.norm(m.T @ m - np.eye(n)) <= TOL.orthogonality:
+        if not np.linalg.norm(m.T @ m - np.eye(n)) <= ORTHOGONALITY:
             raise DomainError("adjoint rotation is not orthogonal")
-        if not abs(np.linalg.det(m) - 1.0) <= TOL.orthogonality:
+        if not abs(np.linalg.det(m) - 1.0) <= ORTHOGONALITY:
             raise DomainError("adjoint rotation must have determinant +1")
 
 
@@ -314,7 +280,7 @@ def expand(operator: np.ndarray, basis: OperatorBasis) -> CoordinateVector:
     a = np.asarray(operator, dtype=complex)
     if a.shape != (basis.dim, basis.dim):
         raise ShapeError(f"operator shape {a.shape} does not match basis dim {basis.dim}")
-    if not np.linalg.norm(a - a.conj().T) <= TOL.hermiticity:
+    if not np.linalg.norm(a - a.conj().T) <= HERMITICITY:
         raise DomainError("operator is not Hermitian within tolerance")
     coords = np.einsum("kij,ji->k", basis.generators, a) / basis.normalization
     return CoordinateVector(coords=coords.real, basis=basis)
@@ -342,7 +308,7 @@ def adjoint_of(unitary: np.ndarray, basis: OperatorBasis) -> AdjointRotation:
     u = np.asarray(unitary, dtype=complex)
     if u.shape != (basis.dim, basis.dim):
         raise ShapeError(f"unitary shape {u.shape} does not match basis dim {basis.dim}")
-    if not np.linalg.norm(u.conj().T @ u - np.eye(basis.dim)) <= TOL.unitarity:
+    if not np.linalg.norm(u.conj().T @ u - np.eye(basis.dim)) <= UNITARITY:
         raise DomainError("input is not unitary within tolerance")
     rotated = np.einsum("ab,kbc,cd->kad", u.conj().T, basis.generators, u)
     r = np.einsum("kad,jda->kj", rotated, basis.generators) / basis.normalization
@@ -516,7 +482,8 @@ def unitary_from_rotation(rotation, *, tol: float = 1e-9) -> AxisAngle:
     DomainError
         If an entry is infinite.
     InfeasibleError
-        If no pulse satisfies the constraints within ``tol``.
+        If an entry lies outside [-1, 1] or no pulse satisfies the
+        constraints within ``tol``.
     """
     if isinstance(rotation, AdjointRotation):
         if rotation.source_dim != 2:
@@ -529,13 +496,19 @@ def unitary_from_rotation(rotation, *, tol: float = 1e-9) -> AxisAngle:
     if np.isinf(target).any():
         raise DomainError("rotation entries must be finite or NaN (free)")
     mask = ~np.isnan(target)
+    excess = np.abs(target[mask]).max(initial=0.0) - 1.0
+    if excess > tol:
+        raise InfeasibleError(
+            f"rotation entries lie in [-1, 1]; one exceeds it by {excess:.2e}",
+            best_residual=excess,
+        )
     if not mask.any():
         return AxisAngle(axis=np.array([1.0, 0.0, 0.0]), angle=0.0, free_axis=(True, True, True))
     if mask.all():
         return _axis_angle_from_full(target, tol)
 
     q, rnorm, solutions, (rows, cols, _) = _solve_constrained_quaternion(target, mask, tol)
-    if rnorm > tol:
+    if not rnorm <= tol:
         raise InfeasibleError(
             f"no axis-angle pulse satisfies the constraints (residual {rnorm:.2e})",
             best_residual=rnorm,
@@ -574,18 +547,20 @@ def _axis_angle_from_full(target: np.ndarray, tol: float) -> AxisAngle:
         ) / (4.0 * w)
         q = np.concatenate([[w], v])
     else:
-        # angle pi rotation of the coordinates: R = -I + 2 v v^T
+        # angle pi rotation of the coordinates: R = -I + 2 v v^T, so the
+        # largest v_k^2 = (R_kk + 1) / 2 is at least 1/3; the floor keeps a
+        # non-rotation such as -I off a zero divide, for the residual to reject
         diag = np.clip((np.diag(target) + 1.0) / 2.0, 0.0, None)
         k = int(np.argmax(diag))
         v = np.zeros(3)
-        v[k] = np.sqrt(diag[k])
+        v[k] = np.sqrt(max(diag[k], 0.25))
         for j in range(3):
             if j != k:
                 v[j] = (target[k, j] + target[j, k]) / (4.0 * v[k])
         q = np.concatenate([[0.0], v])
     q = q / np.linalg.norm(q)
     rnorm = np.linalg.norm(_rotation_from_quaternion(q) - target)
-    if rnorm > tol:
+    if not rnorm <= tol:
         raise InfeasibleError(
             f"matrix is not an SU(2) adjoint rotation (residual {rnorm:.2e})",
             best_residual=rnorm,

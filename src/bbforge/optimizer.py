@@ -13,7 +13,7 @@ from __future__ import annotations
 import operator
 import sys
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,13 +70,18 @@ def _integer_fields(obj, **minimum) -> None:
         object.__setattr__(obj, name, value)
 
 
-def _check_positive_time(value, name: str) -> None:
+def _check_field(obj, name: str, ok, requirement: str) -> None:
+    """Raise ``DomainError`` unless ``ok`` holds for the named field; a value of the wrong type fails too."""
     try:
-        ok = 0 < value <= sys.float_info.max  # also false for NaN and ints beyond the float range
+        passed = ok(getattr(obj, name))
     except TypeError:
-        ok = False
-    if not ok:
-        raise DomainError(f"{name} must be positive and finite")
+        passed = False
+    if not passed:
+        raise DomainError(f"{name} must be {requirement}")
+
+
+def _positive_time(value) -> bool:
+    return 0 < value <= sys.float_info.max  # also false for NaN and ints beyond the float range
 
 
 @dataclass(frozen=True)
@@ -115,15 +120,12 @@ class LearningLoopConfig:
 
     def __post_init__(self):
         _integer_fields(self, population=2, generations=1, seed=0, group_size_bound=2, cycles=1, quadrature=1)
-        if not 0.0 <= self.mutation_rate <= 1.0:
-            raise DomainError("mutation_rate must be a probability")
-        if not self.tolerance >= 0.0:
-            raise DomainError("tolerance must be non-negative")
-        if not 0.0 <= self.detection_floor <= 1.0:
-            raise DomainError("detection_floor must be a fraction")
-        _check_positive_time(self.delta_t, "delta_t")
+        _check_field(self, "mutation_rate", lambda v: 0.0 <= v <= 1.0, "a probability")
+        _check_field(self, "tolerance", lambda v: v >= 0.0, "non-negative")
+        _check_field(self, "detection_floor", lambda v: 0.0 <= v <= 1.0, "a fraction")
+        _check_field(self, "delta_t", _positive_time, "positive and finite")
         if self.probe_time is not None:
-            _check_positive_time(self.probe_time, "probe_time")
+            _check_field(self, "probe_time", _positive_time, "positive and finite")
 
 
 @dataclass(frozen=True)
@@ -267,23 +269,20 @@ def _mask_detected(vec: np.ndarray, floor: float) -> np.ndarray:
     return out
 
 
-@dataclass
-class _AnalysisState:
-    history: dict = field(default_factory=dict)  # qubit -> list of detected vectors
+def _analysis_candidate(gen, target, config, history: dict):
+    """One analyze pass: re-solve on the generator measured under the current pulses, propose a group.
 
-
-def _analysis_candidate(model, target, config, state: _AnalysisState, current_best, basis):
-    """One analyze pass: measure under the current pulses, re-solve, propose."""
-    gen = _measure_generator(model, current_best, _auto_probe(model, config), basis)
-    nq = gen.num_qubits
+    ``history`` maps a qubit to the error vectors detected on it by every
+    pass so far; this pass appends to it.
+    """
     try:
         if target.kind == "storage":
             per_qubit = []
-            for i in range(nq):
+            for i in range(gen.num_qubits):
                 detected = _mask_detected(gen.xi[i], config.detection_floor)
                 if np.linalg.norm(detected) > 1e-9:
-                    state.history.setdefault(i, []).append(detected)
-                hist = state.history.get(i, [])
+                    history.setdefault(i, []).append(detected)
+                hist = history.get(i, [])
                 if not hist:
                     per_qubit.append([np.eye(2, dtype=complex)])
                     continue
@@ -308,10 +307,6 @@ def _analysis_candidate(model, target, config, state: _AnalysisState, current_be
 def _default_probe_time(model: SystemBathModel) -> float:
     """Probe time short against the model's fastest rate: ``0.01 / max(||H||_2, 1)``."""
     return 0.01 / max(np.linalg.norm(model.total_hamiltonian, 2), 1.0)
-
-
-def _auto_probe(model: SystemBathModel, config: LearningLoopConfig) -> float:
-    return config.probe_time if config.probe_time is not None else _default_probe_time(model)
 
 
 def _group_to_genome(group: PulseGroup):
@@ -406,10 +401,11 @@ def learning_loop(model: SystemBathModel, target: TargetSpec, config: LearningLo
     rng = np.random.default_rng(config.seed)
     cost = CostFunction(target=target, cycles=config.cycles, quadrature=config.quadrature)
     w_flat = _target_flat(target, basis)
+    probe = config.probe_time if config.probe_time is not None else _default_probe_time(model)
 
-    state = _AnalysisState()
+    history: dict = {}
     genomes = []
-    analysis_group = _analysis_candidate(model, target, config, state, None, basis)
+    analysis_group = _analysis_candidate(_measure_generator(model, None, probe, basis), target, config, history)
     if analysis_group is not None:
         g = _group_to_genome(analysis_group)
         if g is not None:
@@ -425,7 +421,7 @@ def learning_loop(model: SystemBathModel, target: TargetSpec, config: LearningLo
     genomes = genomes[: config.population]
 
     records: list[GenerationRecord] = []
-    best_genome, best_cost = None, np.inf
+    best_group, best_cost = None, np.inf
 
     for generation in range(config.generations):
         groups = [_genome_group(g, nq, config.delta_t) for g in genomes]
@@ -433,8 +429,8 @@ def learning_loop(model: SystemBathModel, target: TargetSpec, config: LearningLo
         order = np.argsort(costs, kind="stable")
         if costs[order[0]] < best_cost:
             best_cost = costs[order[0]]
-            best_genome = genomes[order[0]]
-        best_group = _genome_group(best_genome, nq, config.delta_t)
+            best_group = groups[order[0]]
+        gen = _measure_generator(model, best_group, probe, basis)
         converged = best_cost <= config.tolerance
         records.append(
             GenerationRecord(
@@ -442,9 +438,7 @@ def learning_loop(model: SystemBathModel, target: TargetSpec, config: LearningLo
                 best_cost=float(best_cost),
                 best_group=best_group,
                 mean_cost=float(np.mean(costs)),
-                residual=_generator_report(
-                    _measure_generator(model, best_group, _auto_probe(model, config), basis), w_flat, basis
-                ),
+                residual=_generator_report(gen, w_flat, basis),
                 converged=converged,
             )
         )
@@ -452,7 +446,7 @@ def learning_loop(model: SystemBathModel, target: TargetSpec, config: LearningLo
             break
 
         next_genomes = [genomes[order[k]] for k in range(min(_ELITE, len(genomes)))]
-        analysis_group = _analysis_candidate(model, target, config, state, best_group, basis)
+        analysis_group = _analysis_candidate(gen, target, config, history)
         if analysis_group is not None:
             g = _group_to_genome(analysis_group)
             if g is not None:
@@ -468,5 +462,4 @@ def learning_loop(model: SystemBathModel, target: TargetSpec, config: LearningLo
             next_genomes.append(child)
         genomes = next_genomes
 
-    best_group = _genome_group(best_genome, nq, config.delta_t)
     return best_group, records

@@ -19,10 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .defaults import TOL
+from .defaults import HERMITICITY
 from .errors import DegenerateTimeError, DomainError, InconsistencyError, ShapeError
 from .open_system_sim import _matrix_to_pairs, _pairs_to_matrix
-from .operator_algebra import CoordinateVector, OperatorBasis, _pauli_offsets, _readonly, build_pauli_basis
+from .operator_algebra import OperatorBasis, _pauli_offsets, _readonly, build_pauli_basis
 
 __all__ = [
     "TomographyData",
@@ -75,7 +75,7 @@ class ChiMatrix:
         nb = self.basis.size
         if e.shape != (nb, nb):
             raise ShapeError("chi matrix shape does not match the basis")
-        if not np.linalg.norm(e - e.conj().T) <= TOL.hermiticity:
+        if not np.linalg.norm(e - e.conj().T) <= HERMITICITY:
             raise DomainError("chi matrix must be Hermitian within tolerance")
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
@@ -120,7 +120,6 @@ class EffectiveGenerator:
 
     xi: tuple[np.ndarray, ...]
     xi_pair: dict
-    time_scale: float
     basis: OperatorBasis
 
     def __post_init__(self):
@@ -133,9 +132,6 @@ class EffectiveGenerator:
 
     def pair_matrix(self, i: int, j: int) -> np.ndarray:
         return self.xi_pair[(i, j)]
-
-    def qubit_vector(self, i: int) -> CoordinateVector:
-        return CoordinateVector(coords=self.xi[i], basis=build_pauli_basis(1))
 
 
 @functools.cache
@@ -278,5 +274,5 @@ def extract_generator(chi: ChiMatrix) -> EffectiveGenerator:
             "first-order extraction may be inaccurate",
             stacklevel=2,
         )
-    return EffectiveGenerator(xi=tuple(xi_by_qubit), xi_pair=xi_pair, time_scale=t, basis=chi.basis)
+    return EffectiveGenerator(xi=tuple(xi_by_qubit), xi_pair=xi_pair, basis=chi.basis)
 

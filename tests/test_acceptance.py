@@ -184,7 +184,7 @@ def test_criterion_5_tomography_roundtrip():
                 total = sum(a.conj().T @ a for a in ops)
                 w, v = np.linalg.eigh(total)
                 inv_sqrt = v @ np.diag(1.0 / np.sqrt(w)) @ v.conj().T
-                channel = KrausSet([a @ inv_sqrt for a in ops], source_time=0.0).apply
+                channel = KrausSet([a @ inv_sqrt for a in ops]).apply
                 chi = chi_from_lambda(run_qpt(channel, basis))
                 for _ in range(20):
                     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))

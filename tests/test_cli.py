@@ -123,6 +123,15 @@ class TestTomography:
         main(["--config", cfg, "--out", str(tmp_path / "b"), "tomography"])
         assert (tmp_path / "a" / "chi.json").read_bytes() == (tmp_path / "b" / "chi.json").read_bytes()
 
+    def test_legacy_coupling_order_key_ignored(self, tmp_path):
+        # model files written before the key was dropped still carry it
+        plain = dephasing_config()
+        legacy = dephasing_config()
+        legacy["model"]["coupling_order"] = 1
+        assert main(["--config", write_config(tmp_path, plain, "plain.json"), "--out", str(tmp_path / "a"), "tomography"]) == 0
+        assert main(["--config", write_config(tmp_path, legacy, "legacy.json"), "--out", str(tmp_path / "b"), "tomography"]) == 0
+        assert (tmp_path / "a" / "chi.json").read_bytes() == (tmp_path / "b" / "chi.json").read_bytes()
+
     def test_inconsistency_maps_to_exit_3(self, tmp_path, monkeypatch):
         # a complete fixed basis always inverts, so force the error path
         from bbforge.errors import InconsistencyError

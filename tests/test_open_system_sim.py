@@ -369,7 +369,6 @@ class TestSerialization:
             "bath_hamiltonian",
             "couplings",
             "bath_initial",
-            "coupling_order",
         }
         clone = model_from_dict(data)
         assert np.linalg.norm(clone.total_hamiltonian - model.total_hamiltonian) < 1e-15
@@ -396,7 +395,7 @@ class TestDensityMatrix:
 NON_FINITE_GUARDS = {
     "hamiltonian": lambda x: SystemBathModel(system_hamiltonian=with_corner(np.zeros((2, 2)), x), bath_hamiltonian=np.zeros((1, 1))),
     "density-trace": lambda x: DensityMatrix(with_corner(np.eye(2) / 2, x)),
-    "kraus-completeness": lambda x: KrausSet((with_corner(I2, x),), source_time=0.0),
+    "kraus-completeness": lambda x: KrausSet((with_corner(I2, x),)),
     "pulse-identity": lambda x: PulseGroup.from_pulses([with_corner(I2, x)], 0.1),
     "pulse-unitarity": lambda x: PulseGroup.from_pulses([I2, with_corner(I2, x)], 0.1),
     "pulse-delta_t": lambda x: PulseGroup.from_pulses([I2], x),

@@ -57,8 +57,10 @@ class TestPauliBasis:
         assert b.labels[15] == "ZZ"
 
     def test_capacity_guard(self):
-        with pytest.raises(CapacityError):
-            build_pauli_basis(9)
+        # 6 qubits would be a 268 MB element stack and a 6.9e10 multiply-add check
+        for num_qubits in (6, 9):
+            with pytest.raises(CapacityError):
+                build_pauli_basis(num_qubits)
         with pytest.raises(DomainError):
             build_pauli_basis(0)
 
@@ -81,7 +83,7 @@ class TestPauliBasis:
 
     def test_string_weights(self):
         b = build_pauli_basis(2)
-        weights = [s.weight for s in b.strings]
+        weights = [sum(c != "I" for c in label) for label in b.labels]
         assert weights[0] == 0
         assert weights[1] == 1
         assert weights[5] == 2
@@ -261,6 +263,16 @@ class TestUnitaryFromRotation:
         assert abs(aa.angle - np.pi / 2) < 1e-9
         assert abs(aa.axis[2]) < 1e-12
         assert aa.free_axis[0] and aa.free_axis[1] and not aa.free_axis[2]
+
+    def test_entry_beyond_unit_range_rejected(self):
+        # the trace overflows to inf; the rotation must not come back as the identity
+        with pytest.raises(InfeasibleError):
+            unitary_from_rotation(np.full((3, 3), 1e308))
+
+    def test_minus_identity_rejected(self):
+        # -I is orthogonal with det -1: not a rotation, and no axis to divide by
+        with pytest.raises(InfeasibleError):
+            unitary_from_rotation(-np.eye(3))
 
     @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["inf", "-inf"])
     @pytest.mark.parametrize("free", [True, False], ids=["partial", "full"])

@@ -15,7 +15,13 @@ from bbforge.optimizer import (
     evaluate_cost,
     learning_loop,
 )
-from bbforge.optimizer import _AnalysisState, _analysis_candidate, _genome_group, _group_to_genome, _measure_generator
+from bbforge.optimizer import (
+    _analysis_candidate,
+    _default_probe_time,
+    _genome_group,
+    _group_to_genome,
+    _measure_generator,
+)
 
 from conftest import I2, SX, SY, SZ, phase_aligned_distance, random_su2
 
@@ -258,15 +264,16 @@ class TestTwoPassAnalysis:
         model = two_error_model()
         cfg = LearningLoopConfig(population=8, generations=5, tolerance=1e-3, seed=42,
                                  delta_t=0.01, detection_floor=0.1)
-        state = _AnalysisState()
+        history = {}
         target = TargetSpec(kind="storage")
-        cand1 = _analysis_candidate(model, target, cfg, state, None, B1)
+        probe = _default_probe_time(model)
+        cand1 = _analysis_candidate(_measure_generator(model, None, probe, B1), target, cfg, history)
         aa1 = unitary_from_rotation(adjoint_of(cand1.pulses[1], B1))
         assert np.allclose(aa1.axis, [1, 0, 0], atol=1e-9)
-        cand2 = _analysis_candidate(model, target, cfg, state, cand1, B1)
+        cand2 = _analysis_candidate(_measure_generator(model, cand1, probe, B1), target, cfg, history)
         aa2 = unitary_from_rotation(adjoint_of(cand2.pulses[1], B1))
         assert np.allclose(aa2.axis, [0, 1, 0], atol=1e-9)
-        assert len(state.history[0]) == 2
+        assert len(history[0]) == 2
 
     def test_full_loop_ends_on_y_axis(self):
         model = two_error_model()
@@ -323,6 +330,9 @@ class TestConfigValidation:
             ("seed", -1),
             ("detection_floor", -0.1),
             ("detection_floor", float("nan")),
+            ("mutation_rate", "x"),
+            ("tolerance", "x"),
+            ("detection_floor", "x"),
         ],
     )
     def test_owned_field_bounds(self, field, value):

@@ -166,7 +166,7 @@ class TestChiFromLambda:
     def test_random_kraus_roundtrip(self, rng):
         for dim, nq in ((2, 1), (4, 2)):
             b = build_pauli_basis(nq)
-            channel = KrausSet(normalized_kraus(dim, 3, rng), source_time=0.0).apply
+            channel = KrausSet(normalized_kraus(dim, 3, rng)).apply
             chi = chi_from_lambda(run_qpt(channel, b))
             for _ in range(20):
                 rho = random_density(dim, rng)
@@ -191,7 +191,7 @@ class TestChiFromLambda:
         ops = normalized_kraus(b.dim, count, np.random.default_rng(seed))
         c = np.array([[np.trace(k @ a) for k in b.elements] for a in ops]) / b.normalization
         want = c.T @ c.conj()
-        chi = chi_from_lambda(run_qpt(KrausSet(ops, source_time=0.0).apply, b))
+        chi = chi_from_lambda(run_qpt(KrausSet(ops).apply, b))
         assert np.abs(chi.entries - want).max() < 1e-12
         assert chi.residual < 1e-12
 
@@ -204,7 +204,7 @@ class TestChiFromLambda:
     def test_apply_on_stack_matches_per_state_calls(self, num_qubits, count, seed):
         rng = np.random.default_rng(seed)
         b = build_pauli_basis(num_qubits)
-        chi = chi_from_lambda(run_qpt(KrausSet(normalized_kraus(b.dim, 2, rng), source_time=0.0).apply, b))
+        chi = chi_from_lambda(run_qpt(KrausSet(normalized_kraus(b.dim, 2, rng)).apply, b))
         stack = np.array([random_density(b.dim, rng) for _ in range(count)])
         got = chi.apply(stack)
         assert got.shape == stack.shape
@@ -312,7 +312,7 @@ class TestExtractGenerator:
     @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_generator_reality(self, rng):
         b = build_pauli_basis(1)
-        channel = KrausSet(normalized_kraus(2, 2, rng), source_time=0.0).apply
+        channel = KrausSet(normalized_kraus(2, 2, rng)).apply
         chi = chi_from_lambda(run_qpt(channel, b, time_tag=0.01))
         gen = extract_generator(chi)
         assert gen.xi[0].dtype == np.dtype(float)
@@ -331,7 +331,7 @@ def test_flat_generator_is_first_chi_column(num_qubits, count, seed):
     b = build_pauli_basis(num_qubits)
     t = 0.01
     ops = normalized_kraus(b.dim, count, np.random.default_rng(seed))
-    chi = chi_from_lambda(run_qpt(KrausSet(ops, source_time=t).apply, b, time_tag=t))
+    chi = chi_from_lambda(run_qpt(KrausSet(ops).apply, b, time_tag=t))
     gen = extract_generator(chi)
     assert np.array_equal(_flat_coords(b, gen.xi, gen.xi_pair), chi.entries[1:, 0].imag / t)
 
