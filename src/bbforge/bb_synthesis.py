@@ -105,6 +105,8 @@ class TargetSpec:
         w = self.wanted
         if w is not None:
             w = np.asarray(w, dtype=float)
+            if not np.isfinite(w).all():
+                raise DomainError("target coordinates must be finite")
             if self.kind == "single_qubit" and w.shape != (3,):
                 raise ShapeError("single-qubit target needs a 3-vector")
             if self.kind == "two_qubit":
@@ -133,9 +135,9 @@ class ErrorReport:
     stabilizer_distance: float | None = None
 
     def __post_init__(self):
-        if self.scalar_distance < -1e-15:
+        if not self.scalar_distance >= -1e-15:  # also false for NaN
             raise DomainError("distances are non-negative")
-        if self.stabilizer_distance is not None and self.stabilizer_distance > self.scalar_distance + 1e-9:
+        if self.stabilizer_distance is not None and not self.stabilizer_distance <= self.scalar_distance + 1e-9:
             raise DomainError("stabilizer distance cannot exceed the plain distance")
 
 
@@ -207,15 +209,10 @@ def modified_pair_matrix(group: PulseGroup, xi_pair: np.ndarray) -> np.ndarray:
     basis = build_pauli_basis(2)
     xi_flat = np.zeros(16)
     xi_flat[1:] = CoordinateVector(np.asarray(xi_pair, dtype=float), basis).as_flat()
-    return _averaged_pair([r.matrix for r in group.rotations], xi_flat)
-
-
-def _averaged_pair(rotations, flat: np.ndarray) -> np.ndarray:
-    """Mean of ``R^T flat`` over the identity-extended adjoint blocks ``R``, as a 4x4 matrix."""
     acc = np.zeros(16)
-    for r in rotations:
-        acc += _extend_identity(r).T @ flat
-    acc /= len(rotations)
+    for r in group.rotations:
+        acc += _extend_identity(r.matrix).T @ xi_flat
+    acc /= group.size
     return acc.reshape(4, 4)
 
 
@@ -515,14 +512,14 @@ def solve_two_qubit(generator, target: TargetSpec, pair: tuple[int, int] = (0, 1
     w_pair``: pulses must commute with the wanted interaction while
     annihilating the measured noise.
 
-    ``ansatz='local_products'`` searches tensor products of single-qubit
-    pulse sets; ``'general'`` additionally refines over free two-qubit
-    unitaries by numerical least squares.
+    Candidates are local products of single-qubit pulse sets and decoupling
+    groups; ``ansatz`` accepts only ``'local_products'``, which names that
+    search.
     """
     if target.kind != "two_qubit":
         raise DomainError("target kind must be two_qubit")
-    if ansatz not in ("local_products", "general"):
-        raise DomainError("ansatz must be local_products or general")
+    if ansatz != "local_products":
+        raise DomainError("ansatz must be local_products")
     xi_pair = np.asarray(generator.pair_matrix(*pair) if hasattr(generator, "pair_matrix") else generator, dtype=float)
     if xi_pair.shape != (4, 4):
         raise ShapeError("pair coefficient matrix must be 4x4")
@@ -536,13 +533,12 @@ def solve_two_qubit(generator, target: TargetSpec, pair: tuple[int, int] = (0, 1
         modes.append(("running", xi_pair + w_pair))
 
     candidates = _two_qubit_candidates(xi_pair, w_pair, max_group_size, delta_t)
-    best = (np.inf, None, None)
+    best = np.inf
     for mode, source in modes:
         for group in candidates:
             achieved = modified_pair_matrix(group, source)
             resid = np.linalg.norm(achieved - w_pair)
-            if resid < best[0]:
-                best = (resid, group, mode)
+            best = min(best, resid)
             if resid <= LINEAR_SOLVE:
                 report = _report(achieved, w_pair, basis2)
                 return SynthesisResult(
@@ -552,24 +548,10 @@ def solve_two_qubit(generator, target: TargetSpec, pair: tuple[int, int] = (0, 1
                     pair=tuple(pair),
                     mode=mode,
                 )
-    if ansatz == "general":
-        refined = _refine_general(modes, w_pair, best, max_group_size, delta_t)
-        if refined is not None:
-            resid, group, mode = refined
-            if resid <= LINEAR_SOLVE:
-                achieved = modified_pair_matrix(group, dict(modes)[mode])
-                return SynthesisResult(
-                    group=group,
-                    residual=_report(achieved, w_pair, basis2),
-                    free_parameters=_two_qubit_note(mode) + "; refined numerically",
-                    pair=tuple(pair),
-                    mode=mode,
-                )
-            best = min(best, refined, key=lambda t: t[0])
     raise InfeasibleError(
         f"no two-qubit pulse set within size {max_group_size} reached the target "
-        f"(best residual {best[0]:.3g})",
-        best_residual=best[0],
+        f"(best residual {best:.3g})",
+        best_residual=best,
     )
 
 
@@ -625,53 +607,6 @@ def _tailored_kick_products(xi_pair, delta_t, max_group_size) -> list[PulseGroup
             full = [_kron(a, b) for a in k1 for b in k2]
             out.append(PulseGroup.from_pulses(full, delta_t))
     return out
-
-
-def _refine_general(modes, w_pair, warm, max_group_size, delta_t):
-    """Least-squares refinement over free SU(4) pulses, warm started."""
-    from scipy.optimize import minimize
-
-    basis2 = build_pauli_basis(2)
-    gens = basis2.generators
-
-    def pulses_from_params(params, count):
-        ps = [np.eye(4, dtype=complex)]
-        for k in range(count):
-            h = np.tensordot(params[15 * k : 15 * (k + 1)], gens, axes=1)
-            from scipy.linalg import expm
-
-            ps.append(expm(1j * h))
-        return ps
-
-    best = None
-    for mode, source in modes:
-        src_flat = np.zeros(16)
-        src_flat[1:] = CoordinateVector(source, basis2).as_flat()
-        for count in range(1, min(3, max_group_size - 1) + 1):
-
-            def cost(params):
-                ps = pulses_from_params(params, count)
-                avg = _averaged_pair([adjoint_of(p, basis2).matrix for p in ps], src_flat)
-                return float(np.sum((avg - w_pair) ** 2))
-
-            x0 = np.zeros(15 * count)
-            if warm[1] is not None and warm[1].size == count + 1:
-                for k, p in enumerate(warm[1].pulses[1:]):
-                    h = -1j * _matrix_log_unitary(p)
-                    x0[15 * k : 15 * (k + 1)] = np.einsum("kij,ji->k", gens, h).real / basis2.normalization
-            res = minimize(cost, x0, method="L-BFGS-B", options={"maxiter": 400})
-            resid = np.sqrt(res.fun)
-            group = PulseGroup.from_pulses(pulses_from_params(res.x, count), delta_t)
-            if best is None or resid < best[0]:
-                best = (resid, group, mode)
-            if resid <= LINEAR_SOLVE:
-                return best
-    return best
-
-
-def _matrix_log_unitary(u: np.ndarray) -> np.ndarray:
-    evals, evecs = np.linalg.eig(u)
-    return evecs @ np.diag(np.log(evals)) @ np.linalg.inv(evecs)
 
 
 # ---------------------------------------------------------------------------

@@ -228,7 +228,8 @@ def cmd_synthesize(args) -> int:
     synth = cfg.section("synthesis")
     max_size = _config_number(synth.get("max_group_size", 8), "synthesis.max_group_size", int, minimum=2)
     delta_t = _config_number(synth.get("delta_t", 0.1), "synthesis.delta_t")
-    ansatz = synth.get("ansatz", "local_products")
+    if synth.get("ansatz", "local_products") != "local_products":
+        raise ConfigError(f"synthesis.ansatz must be 'local_products', got {synth['ansatz']!r}")
     chi, basis = _probe_chi(cfg)
     gen = extract_generator(chi)
     if target.kind in ("storage", "single_qubit"):
@@ -246,7 +247,7 @@ def cmd_synthesize(args) -> int:
         i, j = (_config_number(q, "synthesis.pair", int) for q in pair)
         if not i < j < gen.num_qubits:
             raise ConfigError(f"synthesis.pair needs qubits i < j < {gen.num_qubits}, got {pair!r}")
-        result = solve_two_qubit(gen, target, (i, j), ansatz, max_group_size=max_size, delta_t=delta_t)
+        result = solve_two_qubit(gen, target, (i, j), max_group_size=max_size, delta_t=delta_t)
     else:
         raise ConfigError(f"synthesize does not handle target kind {target.kind!r}")
     payload = result.to_dict()

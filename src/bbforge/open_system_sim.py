@@ -423,7 +423,22 @@ def model_to_dict(model: SystemBathModel) -> dict:
     }
 
 
+# ``coupling_order`` is a dropped setting that older model files still carry.
+_MODEL_KEYS = frozenset({"system_hamiltonian", "bath_hamiltonian", "couplings", "bath_initial", "coupling_order"})
+_COUPLING_KEYS = frozenset({"system", "bath", "name"})
+
+
+def _check_keys(data: dict, allowed: frozenset, what: str) -> None:
+    unknown = [k for k in data if k not in allowed]
+    if unknown:
+        raise DomainError(f"unknown {what} key(s) {unknown}")
+
+
 def model_from_dict(data: dict) -> SystemBathModel:
+    """Inverse of ``model_to_dict``; a key outside the schema raises ``DomainError``."""
+    _check_keys(data, _MODEL_KEYS, "model")
+    for c in data.get("couplings", []):
+        _check_keys(c, _COUPLING_KEYS, "coupling")
     couplings = tuple(
         Coupling(
             system=_pairs_to_matrix(c["system"]),

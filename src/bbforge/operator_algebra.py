@@ -375,23 +375,18 @@ def _rotation_jacobian(q: np.ndarray) -> np.ndarray:
     return jac
 
 
-_QUATERNION_STARTS = None
-
-
+@functools.cache
 def _quaternion_starts() -> np.ndarray:
-    global _QUATERNION_STARTS
-    if _QUATERNION_STARTS is None:
-        starts = [np.eye(4)[i] for i in range(4)]
-        for signs in itertools.product((1.0, -1.0), repeat=3):
-            starts.append(np.array([1.0, *signs]) / 2.0)
-        for i in range(4):
-            for j in range(i + 1, 4):
-                for s in (1.0, -1.0):
-                    q = np.zeros(4)
-                    q[i], q[j] = 1.0, s
-                    starts.append(q / np.sqrt(2.0))
-        _QUATERNION_STARTS = np.array(starts)
-    return _QUATERNION_STARTS
+    starts = [np.eye(4)[i] for i in range(4)]
+    for signs in itertools.product((1.0, -1.0), repeat=3):
+        starts.append(np.array([1.0, *signs]) / 2.0)
+    for i in range(4):
+        for j in range(i + 1, 4):
+            for s in (1.0, -1.0):
+                q = np.zeros(4)
+                q[i], q[j] = 1.0, s
+                starts.append(q / np.sqrt(2.0))
+    return _readonly(np.array(starts))
 
 
 def _solve_constrained_quaternion(target: np.ndarray, mask: np.ndarray, tol: float):

@@ -205,13 +205,10 @@ class TestSolveTwoQubit:
         res = solve_two_qubit(xi_pair, TargetSpec(kind="two_qubit", wanted=np.zeros((4, 4))))
         assert np.linalg.norm(modified_pair_matrix(res.group, xi_pair)) < 1e-9
 
-    def test_general_ansatz_accepts_local_solution(self):
-        xi_pair = np.zeros((4, 4))
-        xi_pair[3, 0] = 0.4
-        res = solve_two_qubit(
-            xi_pair, TargetSpec(kind="two_qubit", wanted=np.zeros((4, 4))), ansatz="general"
-        )
-        assert np.linalg.norm(modified_pair_matrix(res.group, xi_pair)) < 1e-9
+    def test_only_local_products_ansatz(self):
+        target = TargetSpec(kind="two_qubit", wanted=np.zeros((4, 4)))
+        with pytest.raises(DomainError, match="local_products"):
+            solve_two_qubit(np.zeros((4, 4)), target, ansatz="general")
 
     def test_three_by_three_target_embeds(self):
         res = solve_two_qubit(
@@ -251,6 +248,12 @@ class TestErrorReport:
         )
         flat = CoordinateVector(m, B2).as_flat()
         assert abs(rep.scalar_distance - 2.0 * np.linalg.norm(flat)) < 1e-12
+
+    @pytest.mark.parametrize("field", ["scalar_distance", "stabilizer_distance"])
+    def test_nan_distance_rejected(self, field):
+        fields = {"scalar_distance": 1.0, "stabilizer_distance": 0.5, field: float("nan")}
+        with pytest.raises(DomainError):
+            ErrorReport(error_vector=CoordinateVector(np.zeros(3), B1), **fields)
 
 
 class TestCheckEncoded:
@@ -416,3 +419,12 @@ class TestHelpers:
 def test_non_finite_stabilizer_rejected(value):
     with pytest.raises(DomainError):
         StabilizerSpace(generators=(with_corner(np.kron(SZ, SZ), value),))
+
+
+@NON_FINITE
+@pytest.mark.parametrize("kind,shape", [("single_qubit", (3,)), ("two_qubit", (4, 4))])
+def test_non_finite_target_rejected(kind, shape, value):
+    wanted = np.zeros(shape)
+    wanted.flat[0] = value
+    with pytest.raises(DomainError, match="finite"):
+        TargetSpec(kind=kind, wanted=wanted)

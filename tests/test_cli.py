@@ -392,6 +392,8 @@ BAD_CONFIG_VALUES = [
     ("synthesize", ("target",), [1]),
     ("verify", ("verify",), "group.json"),
     ("optimize", ("loop",), [1]),
+    ("synthesize", ("synthesis", "ansatz"), "general"),
+    ("tomography", ("model", "bath_intial"), [[[1, 0]]]),
 ]
 
 

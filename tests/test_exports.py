@@ -1,5 +1,8 @@
+import ast
 import importlib
 import pkgutil
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,3 +15,23 @@ MODULES = sorted(m.name for m in pkgutil.iter_modules(bbforge.__path__))
 def test_every_exported_name_resolves(name):
     module = importlib.import_module(f"bbforge.{name}")
     assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
+
+
+# bbforge runs on numpy alone; scipy and hypothesis are test-only dependencies.
+RUNTIME_PACKAGES = sys.stdlib_module_names | {"numpy", "bbforge"}
+SOURCES = sorted(Path(bbforge.__file__).parent.rglob("*.py"))
+
+
+def _imported_packages(tree: ast.AST):
+    """Top-level package of every absolute import, including those inside functions."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.split(".")[0]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_imports_only_numpy_and_stdlib(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert sorted(set(_imported_packages(tree)) - RUNTIME_PACKAGES) == []

@@ -380,6 +380,16 @@ class TestSerialization:
         with pytest.raises(DomainError):
             model_from_dict(data)
 
+    def test_unknown_keys_rejected(self):
+        data = model_to_dict(dephasing_model())
+        data["bath_intial"] = data.pop("bath_initial")
+        with pytest.raises(DomainError, match="bath_intial"):
+            model_from_dict(data)
+        data = model_to_dict(dephasing_model())
+        data["couplings"][0]["sytem"] = data["couplings"][0].pop("system")
+        with pytest.raises(DomainError, match="sytem"):
+            model_from_dict(data)
+
 
 class TestDensityMatrix:
     def test_rejects_unnormalized(self):
