@@ -16,13 +16,14 @@ equal-length vectors with the required resultant.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import reduce
 from math import lcm
 
 import numpy as np
 
-from .defaults import LINEAR_SOLVE, ZERO_VECTOR
+from .defaults import CHOI_RANK, DISTANCE_FLOOR, LINEAR_SOLVE, MATRIX_RESIDUAL, NEGLIGIBLE, PULSE_RECOVERY, ROUNDOFF
 from .errors import (
     DomainError,
     InfeasibleError,
@@ -35,10 +36,12 @@ from .operator_algebra import (
     AdjointRotation,
     CoordinateVector,
     OperatorBasis,
+    _check_hermitian,
     _first_significant,
     _kron,
     _polar,
     _readonly,
+    _unit_axis,
     adjoint_of,
     axis_angle_unitary,
     build_pauli_basis,
@@ -71,14 +74,11 @@ class StabilizerSpace:
     generators: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        gens = tuple(_readonly(np.asarray(g, dtype=complex)) for g in self.generators)
+        gens = tuple(_readonly(_check_hermitian(g, "stabilizer generator")) for g in self.generators)
         object.__setattr__(self, "generators", gens)
-        for g in gens:
-            if not np.linalg.norm(g - g.conj().T) <= 1e-10:
-                raise DomainError("stabilizer generators must be Hermitian")
         if gens:
             gram = np.array([[np.trace(a @ b).real for b in gens] for a in gens])
-            if np.linalg.matrix_rank(gram, tol=1e-10) < len(gens):
+            if np.linalg.matrix_rank(gram, tol=MATRIX_RESIDUAL) < len(gens):
                 raise DomainError("stabilizer generators must be linearly independent")
 
     @property
@@ -135,9 +135,9 @@ class ErrorReport:
     stabilizer_distance: float | None = None
 
     def __post_init__(self):
-        if not self.scalar_distance >= -1e-15:  # also false for NaN
-            raise DomainError("distances are non-negative")
-        if self.stabilizer_distance is not None and not self.stabilizer_distance <= self.scalar_distance + 1e-9:
+        if not -DISTANCE_FLOOR <= self.scalar_distance <= sys.float_info.max:  # also false for NaN
+            raise DomainError("distances are non-negative and finite")
+        if self.stabilizer_distance is not None and not self.stabilizer_distance <= self.scalar_distance + LINEAR_SOLVE:
             raise DomainError("stabilizer distance cannot exceed the plain distance")
 
 
@@ -228,23 +228,23 @@ def axis_orthogonal_to(vectors) -> np.ndarray | None:
     for v in vectors:
         v = np.asarray(v, dtype=float)
         n = np.linalg.norm(v)
-        if n > ZERO_VECTOR:
+        if n > ROUNDOFF:
             dirs.append(v / n)
     if not dirs:
         return np.array([1.0, 0.0, 0.0])
     stack = np.array(dirs)
     for m in range(3):
-        if np.abs(stack[:, m]).max() <= 1e-9:
+        if np.abs(stack[:, m]).max() <= NEGLIGIBLE:
             return np.eye(3)[m]
     _, s, vh = np.linalg.svd(stack)
     s_full = np.zeros(3)
     s_full[: len(s)] = s
-    null = vh[s_full < 1e-9]
+    null = vh[s_full < NEGLIGIBLE]
     if null.shape[0] == 0:
         return None
     for e in np.eye(3):
         proj = null.T @ (null @ e)
-        if np.linalg.norm(proj) > 1e-9:
+        if np.linalg.norm(proj) > NEGLIGIBLE:
             proj = proj / np.linalg.norm(proj)
             if _first_significant(proj) < 0:
                 proj = -proj
@@ -266,9 +266,7 @@ def _kick_pulses(axis) -> list[np.ndarray]:
 
 def parity_kick_group(axis, delta_t: float = 0.1) -> PulseGroup:
     """The minimal decoupling pair ``{I, exp(i n.sigma pi/2)}``."""
-    axis = np.asarray(axis, dtype=float)
-    axis = axis / np.linalg.norm(axis)
-    return _group_from_axis_angles([(axis, np.pi / 2)], delta_t)
+    return _group_from_axis_angles([(_unit_axis(axis, np.pi / 2), np.pi / 2)], delta_t)
 
 
 def _trivial_group(dim: int, delta_t: float) -> PulseGroup:
@@ -298,7 +296,7 @@ def solve_storage(generator, qubit: int = 0, max_group_size: int = 8, *, delta_t
         raise DomainError("max_group_size must be >= 2")
     xi = np.asarray(generator.xi[qubit] if hasattr(generator, "xi") else generator, dtype=float)
     basis1 = build_pauli_basis(1)
-    if np.linalg.norm(xi) <= ZERO_VECTOR:
+    if np.linalg.norm(xi) <= ROUNDOFF:
         group = _trivial_group(2, delta_t)
         return SynthesisResult(
             group=group,
@@ -331,7 +329,7 @@ def solve_storage(generator, qubit: int = 0, max_group_size: int = 8, *, delta_t
 def _fan_vectors(u: np.ndarray, count: int, radius: float, plane_hint: np.ndarray) -> list[np.ndarray]:
     """``count`` vectors of norm ``radius`` summing to ``u`` (feasible by assumption)."""
     norm_u = np.linalg.norm(u)
-    if norm_u <= ZERO_VECTOR:
+    if norm_u <= ROUNDOFF:
         # balanced fan in the plane spanned by the hint and its canonical normal
         a = plane_hint / np.linalg.norm(plane_hint)
         b = axis_orthogonal_to([a])
@@ -339,7 +337,7 @@ def _fan_vectors(u: np.ndarray, count: int, radius: float, plane_hint: np.ndarra
         return [radius * (np.cos(t) * a + np.sin(t) * b) for t in angles]
     u_hat = u / norm_u
     t_hat = plane_hint - (plane_hint @ u_hat) * u_hat
-    if np.linalg.norm(t_hat) <= 1e-9:
+    if np.linalg.norm(t_hat) <= NEGLIGIBLE:
         t_hat = axis_orthogonal_to([u_hat])
     else:
         t_hat = t_hat / np.linalg.norm(t_hat)
@@ -368,7 +366,7 @@ def _rotation_taking(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, floa
     cross = np.cross(a, b)
     dot = float(np.clip(a @ b, -1.0, 1.0))
     norm_cross = np.linalg.norm(cross)
-    if norm_cross <= 1e-12:
+    if norm_cross <= ROUNDOFF:
         if dot > 0:
             return np.array([1.0, 0.0, 0.0]), 0.0
         return axis_orthogonal_to([a]), np.pi
@@ -391,7 +389,7 @@ def solve_single_qubit_gate(generator, target: TargetSpec, qubit: int = 0, max_g
     basis1 = build_pauli_basis(1)
     norm_xi, norm_w = np.linalg.norm(xi), np.linalg.norm(w)
     scale = max(norm_xi, norm_w, 1.0)
-    if np.linalg.norm(xi - w) <= ZERO_VECTOR * scale:
+    if np.linalg.norm(xi - w) <= ROUNDOFF * scale:
         group = _trivial_group(2, delta_t)
         return SynthesisResult(
             group=group,
@@ -399,13 +397,13 @@ def solve_single_qubit_gate(generator, target: TargetSpec, qubit: int = 0, max_g
             free_parameters="measured generator already equals the target",
             qubit=qubit,
         )
-    if norm_w <= ZERO_VECTOR:
+    if norm_w <= ROUNDOFF:
         return solve_storage(generator, qubit, max_group_size, delta_t=delta_t)
-    if norm_w > norm_xi + ZERO_VECTOR:
+    if norm_w > norm_xi + ROUNDOFF:
+        gain = f" (would need amplification by {norm_w / norm_xi:.3g})" if norm_xi > 0 else ""
         raise InfeasibleMagnitudeError(
             "averaged rotations are contractions; target length "
-            f"{norm_w:.3g} exceeds measured length {norm_xi:.3g} "
-            f"(would need amplification by {norm_w / max(norm_xi, 1e-300):.3g})"
+            f"{norm_w:.3g} exceeds measured length {norm_xi:.3g}{gain}"
         )
 
     axis_angles = None
@@ -417,7 +415,7 @@ def solve_single_qubit_gate(generator, target: TargetSpec, qubit: int = 0, max_g
     else:
         for m in range(3, max_group_size + 1):
             u = m * w - xi
-            if np.linalg.norm(u) <= (m - 1) * norm_xi + ZERO_VECTOR:
+            if np.linalg.norm(u) <= (m - 1) * norm_xi + ROUNDOFF:
                 fans = _fan_vectors(u, m - 1, norm_xi, plane_hint=xi)
                 axis_angles = []
                 for v in fans:
@@ -465,14 +463,14 @@ def _single_qubit_pulse_lists(xi_vec: np.ndarray, w_vec: np.ndarray, max_group_s
     """Candidate pulse lists for one qubit's margin of the pair problem."""
     lists: list[list[np.ndarray]] = [[np.eye(2, dtype=complex)]]
     try:
-        if np.linalg.norm(w_vec) <= ZERO_VECTOR:
+        if np.linalg.norm(w_vec) <= ROUNDOFF:
             res = solve_storage(xi_vec, 0, max_group_size)
         else:
             res = solve_single_qubit_gate(xi_vec, TargetSpec(kind="single_qubit", wanted=w_vec), 0, max_group_size)
         lists.append([np.array(p) for p in res.group.pulses])
     except InfeasibleError:
         pass
-    if np.linalg.norm(xi_vec) > ZERO_VECTOR:
+    if np.linalg.norm(xi_vec) > ROUNDOFF:
         # parity kicks about each coordinate axis orthogonal enough to matter
         lists.extend(_kick_pulses(e) for e in np.eye(3))
     return lists
@@ -527,9 +525,9 @@ def solve_two_qubit(generator, target: TargetSpec, pair: tuple[int, int] = (0, 1
     basis2 = build_pauli_basis(2)
 
     modes = []
-    if np.linalg.norm(w_pair) <= np.linalg.norm(xi_pair) + ZERO_VECTOR:
+    if np.linalg.norm(w_pair) <= np.linalg.norm(xi_pair) + ROUNDOFF:
         modes.append(("direct", xi_pair))
-    if np.linalg.norm(w_pair) > ZERO_VECTOR:
+    if np.linalg.norm(w_pair) > ROUNDOFF:
         modes.append(("running", xi_pair + w_pair))
 
     candidates = _two_qubit_candidates(xi_pair, w_pair, max_group_size, delta_t)
@@ -683,11 +681,11 @@ def group_to_pulses(rotations, dim: int) -> list[np.ndarray]:
         n = dim * dim - 1
         if r.shape != (n, n):
             raise ShapeError(f"rotation must be {n}x{n} for dim {dim}")
-        if not (np.linalg.norm(r.T @ r - np.eye(n)) <= 1e-8 and np.linalg.det(r) > 0):
+        if not (np.linalg.norm(r.T @ r - np.eye(n)) <= PULSE_RECOVERY and np.linalg.det(r) > 0):
             raise DomainError("rotations must be orthogonal with determinant +1")
         if dim == 2:
             try:
-                out.append(unitary_from_rotation(r, tol=1e-8).unitary())
+                out.append(unitary_from_rotation(r, tol=PULSE_RECOVERY).unitary())
             except InfeasibleError as exc:
                 raise NonRepresentableError(
                     f"rotation is not an SU(2) adjoint image (residual {exc.best_residual:.2e})"
@@ -706,7 +704,7 @@ def _su4_from_rotation(r15: np.ndarray) -> np.ndarray:
     choi = s.reshape(4, 4, 4, 4).transpose(0, 2, 1, 3).reshape(16, 16)
     choi = (choi + choi.conj().T) / 2.0
     evals, evecs = np.linalg.eigh(choi)
-    if not evals[-2] <= 1e-6:
+    if not evals[-2] <= CHOI_RANK:
         raise NonRepresentableError(
             "rotation is not in the adjoint image of SU(4) "
             f"(Choi rank defect {evals[-2]:.2e}); only a subgroup of SO(15) is represented"
@@ -714,7 +712,7 @@ def _su4_from_rotation(r15: np.ndarray) -> np.ndarray:
     a = evecs[:, -1].reshape(4, 4) * np.sqrt(max(evals[-1], 0.0))
     u = _polar(a.conj().T)
     resid = np.linalg.norm(adjoint_of(u, basis).matrix - r15)
-    if not resid <= 1e-8:
+    if not resid <= PULSE_RECOVERY:
         raise NonRepresentableError(f"pulse reconstruction residual {resid:.2e} exceeds tolerance")
     # deterministic phase: largest-magnitude entry made real positive
     idx = np.unravel_index(np.argmax(np.abs(u)), u.shape)

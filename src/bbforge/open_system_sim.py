@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .defaults import BATH_EIGENVALUE_CUTOFF, HERMITICITY, UNITARITY
+from .defaults import BATH_EIGENVALUE_CUTOFF, LINEAR_SOLVE, MATRIX_RESIDUAL, ROUNDOFF
 from .errors import DomainError, ShapeError
-from .operator_algebra import AdjointRotation, _kron, _readonly, adjoint_of, build_pauli_basis
+from .operator_algebra import AdjointRotation, _check_hermitian, _check_unitary, _kron, _readonly, adjoint_of, build_pauli_basis
 
 __all__ = [
     "Coupling",
@@ -42,20 +42,11 @@ __all__ = [
 ]
 
 
-def _check_hermitian(m: np.ndarray, name: str) -> np.ndarray:
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ShapeError(f"{name} must be a square matrix")
-    if not np.linalg.norm(m - m.conj().T) <= HERMITICITY:
-        raise DomainError(f"{name} is not Hermitian within tolerance")
-    return m
-
-
 def _check_density(m: np.ndarray, name: str) -> np.ndarray:
     m = _check_hermitian(m, name)
-    if not abs(np.trace(m).real - 1.0) <= HERMITICITY:
+    if not abs(np.trace(m).real - 1.0) <= MATRIX_RESIDUAL:
         raise DomainError(f"{name} must have unit trace")
-    if np.linalg.eigvalsh(m).min() < -1e-10:
+    if np.linalg.eigvalsh(m).min() < -MATRIX_RESIDUAL:
         raise DomainError(f"{name} must be positive semidefinite")
     return m
 
@@ -165,7 +156,7 @@ class KrausSet:
         object.__setattr__(self, "operators", ops)
         d = ops[0].shape[0]
         total = sum(a.conj().T @ a for a in ops)
-        if not np.linalg.norm(total - np.eye(d)) <= HERMITICITY:
+        if not np.linalg.norm(total - np.eye(d)) <= MATRIX_RESIDUAL:
             raise DomainError("Kraus set does not satisfy the completeness relation")
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
@@ -198,13 +189,12 @@ class PulseGroup:
         d = pulses[0].shape[0]
         if d < 2 or d & (d - 1):
             raise ShapeError("pulse dimension must be a power of two")
-        if not np.linalg.norm(pulses[0] - np.eye(d)) <= 1e-12:
+        if not np.linalg.norm(pulses[0] - np.eye(d)) <= ROUNDOFF:
             raise DomainError("pulse 0 must be the identity")
         for p in pulses:
             if p.shape != (d, d):
                 raise ShapeError("all pulses must share one dimension")
-            if not np.linalg.norm(p.conj().T @ p - np.eye(d)) <= UNITARITY:
-                raise DomainError("pulses must be unitary within tolerance")
+            _check_unitary(p, "pulses must be unitary within tolerance")
 
     @classmethod
     def from_pulses(cls, pulses, delta_t: float) -> "PulseGroup":
@@ -337,16 +327,16 @@ def bb_propagator(model: SystemBathModel, group: PulseGroup, t: float) -> np.nda
     tc = group.cycle_time
     if tc <= 0:
         raise DomainError("group needs delta_t > 0 for time evolution")
-    n_cycles = int(np.floor(t / tc + 1e-12))
+    n_cycles = int(np.floor(t / tc + ROUNDOFF))
     rem = t - n_cycles * tc
-    if rem < 1e-12 * max(tc, 1.0):
+    if rem < ROUNDOFF * max(tc, 1.0):
         rem = 0.0
     u0, cycle = _cycle(model, group)
     u = np.linalg.matrix_power(cycle, n_cycles)
     if rem == 0.0:
         return u
     j = 0
-    while rem >= group.delta_t - 1e-12 * max(tc, 1.0) and j < group.size:
+    while rem >= group.delta_t - ROUNDOFF * max(tc, 1.0) and j < group.size:
         rem -= group.delta_t
         j += 1
     u = _pulse_segments(u0, group.pulses[:j], model.bath_dim, u)
@@ -388,7 +378,7 @@ def symmetrize_hamiltonian(hamiltonian: np.ndarray, group: PulseGroup, check_cen
     out /= group.size
     if check_centralizer:
         for g in group.pulses:
-            if not np.linalg.norm(out @ g - g @ out) <= 1e-9 * max(1.0, np.linalg.norm(h)):
+            if not np.linalg.norm(out @ g - g @ out) <= LINEAR_SOLVE * max(1.0, np.linalg.norm(h)):
                 raise DomainError("symmetrized operator does not commute with the pulse set")
     return out
 

@@ -25,11 +25,12 @@ from __future__ import annotations
 
 import functools
 import itertools
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .defaults import HERMITICITY, ORTHOGONALITY, TRACE_ORTHOGONALITY, UNITARITY
+from .defaults import DISTINCT, GAUSS_NEWTON_STEP, LINEAR_SOLVE, MATRIX_RESIDUAL, NEGLIGIBLE, NULL_SPACE, ROUNDOFF
 from .errors import CapacityError, DomainError, InfeasibleError, ShapeError
 
 __all__ = [
@@ -58,9 +59,9 @@ _PAULI = np.array(
 _LABELS = "IXYZ"
 
 # Maximum qubit count for dense basis construction.  The element stack holds
-# 16**n complex entries (16.8 MB at 5 qubits) and the trace-orthogonality
-# check costs 64**n multiply-adds (about 1e9, seconds, at 5 qubits); each
-# further qubit multiplies them by 16 and 64.
+# 16**n complex entries (16.8 MB at 5 qubits); the trace-orthogonality check
+# is one 4**n x 4**n matrix product, 64**n multiply-adds (about 0.2 s on one
+# BLAS thread at 5 qubits).  Each further qubit multiplies them by 16 and 64.
 MAX_BASIS_QUBITS = 5
 
 
@@ -80,6 +81,22 @@ def _polar(a: np.ndarray) -> np.ndarray:
     """Unitary polar factor of ``a``."""
     w, _, v = np.linalg.svd(a)
     return w @ v
+
+
+def _check_hermitian(m, name: str) -> np.ndarray:
+    """``m`` as a complex square matrix; ``DomainError`` unless it is Hermitian within tolerance."""
+    m = np.asarray(m, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ShapeError(f"{name} must be a square matrix")
+    if not np.linalg.norm(m - m.conj().T) <= MATRIX_RESIDUAL:
+        raise DomainError(f"{name} is not Hermitian within tolerance")
+    return m
+
+
+def _check_unitary(u: np.ndarray, message: str) -> None:
+    """``DomainError(message)`` unless ``u^dag u`` is the identity within tolerance."""
+    if not np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0])) <= MATRIX_RESIDUAL:
+        raise DomainError(message)
 
 
 @functools.cache
@@ -127,10 +144,10 @@ class OperatorBasis:
         size, d1, d2 = elements.shape
         if d1 != d2:
             raise ShapeError("basis elements must be square matrices")
-        if not np.allclose(elements[0], np.eye(d1), atol=TRACE_ORTHOGONALITY):
+        if not np.allclose(elements[0], np.eye(d1), atol=ROUNDOFF):
             raise DomainError("basis element 0 must be the identity")
-        gram = np.einsum("aij,bji->ab", elements, elements)
-        if not np.allclose(gram, d1 * np.eye(size), atol=TRACE_ORTHOGONALITY * d1):
+        gram = elements.reshape(size, d1 * d1) @ elements.transpose(0, 2, 1).reshape(size, d1 * d1).T
+        if not np.allclose(gram, d1 * np.eye(size), atol=ROUNDOFF * d1):
             raise DomainError("basis is not trace-orthogonal with normalization dim")
 
     @property
@@ -229,9 +246,8 @@ class AdjointRotation:
         n = m.shape[0]
         if m.shape != (n, n) or n != self.source_dim**2 - 1:
             raise ShapeError("adjoint rotation must be (n^2-1) x (n^2-1)")
-        if not np.linalg.norm(m.T @ m - np.eye(n)) <= ORTHOGONALITY:
-            raise DomainError("adjoint rotation is not orthogonal")
-        if not abs(np.linalg.det(m) - 1.0) <= ORTHOGONALITY:
+        _check_unitary(m, "adjoint rotation is not orthogonal")
+        if not abs(np.linalg.det(m) - 1.0) <= MATRIX_RESIDUAL:
             raise DomainError("adjoint rotation must have determinant +1")
 
 
@@ -252,7 +268,7 @@ class AxisAngle:
         object.__setattr__(self, "axis", axis)
         if axis.shape != (3,):
             raise ShapeError("axis must be a 3-vector")
-        if not abs(np.linalg.norm(axis) - 1.0) <= 1e-9:
+        if not abs(np.linalg.norm(axis) - 1.0) <= NEGLIGIBLE:
             raise DomainError("axis must be a unit vector")
         if not (-np.pi < self.angle <= np.pi):
             raise DomainError("angle must lie in (-pi, pi]")
@@ -280,8 +296,7 @@ def expand(operator: np.ndarray, basis: OperatorBasis) -> CoordinateVector:
     a = np.asarray(operator, dtype=complex)
     if a.shape != (basis.dim, basis.dim):
         raise ShapeError(f"operator shape {a.shape} does not match basis dim {basis.dim}")
-    if not np.linalg.norm(a - a.conj().T) <= HERMITICITY:
-        raise DomainError("operator is not Hermitian within tolerance")
+    _check_hermitian(a, "operator")
     coords = np.einsum("kij,ji->k", basis.generators, a) / basis.normalization
     return CoordinateVector(coords=coords.real, basis=basis)
 
@@ -308,17 +323,24 @@ def adjoint_of(unitary: np.ndarray, basis: OperatorBasis) -> AdjointRotation:
     u = np.asarray(unitary, dtype=complex)
     if u.shape != (basis.dim, basis.dim):
         raise ShapeError(f"unitary shape {u.shape} does not match basis dim {basis.dim}")
-    if not np.linalg.norm(u.conj().T @ u - np.eye(basis.dim)) <= UNITARITY:
-        raise DomainError("input is not unitary within tolerance")
+    _check_unitary(u, "input is not unitary within tolerance")
     rotated = np.einsum("ab,kbc,cd->kad", u.conj().T, basis.generators, u)
     r = np.einsum("kad,jda->kj", rotated, basis.generators) / basis.normalization
     return AdjointRotation(matrix=r.real, source_dim=basis.dim)
 
 
-def axis_angle_unitary(axis, angle: float) -> np.ndarray:
-    """``exp(i*angle* n.sigma)`` for a unit axis ``n``."""
+def _unit_axis(axis, angle: float) -> np.ndarray:
+    """``axis`` normalized; ``DomainError`` for a zero or non-finite axis or a non-finite angle."""
     n = np.asarray(axis, dtype=float)
-    n = n / np.linalg.norm(n)
+    norm = np.linalg.norm(n)
+    if not (0 < norm <= sys.float_info.max and abs(angle) <= sys.float_info.max):  # also false for NaN
+        raise DomainError("pulse axis must be finite and non-zero, and its angle finite")
+    return n / norm
+
+
+def axis_angle_unitary(axis, angle: float) -> np.ndarray:
+    """``exp(i*angle* n.sigma)`` for the direction ``n`` of a non-zero ``axis``."""
+    n = _unit_axis(axis, angle)
     n_sigma = n[0] * _PAULI[1] + n[1] * _PAULI[2] + n[2] * _PAULI[3]
     return np.cos(angle) * np.eye(2) + 1j * np.sin(angle) * n_sigma
 
@@ -336,8 +358,7 @@ def _eps_matrix(v: np.ndarray) -> np.ndarray:
 
 def axis_angle_rotation(axis, angle: float) -> np.ndarray:
     """Closed-form adjoint rotation of ``exp(i*angle* n.sigma)``."""
-    n = np.asarray(axis, dtype=float)
-    n = n / np.linalg.norm(n)
+    n = _unit_axis(axis, angle)
     c2, s2 = np.cos(2 * angle), np.sin(2 * angle)
     return c2 * np.eye(3) + (1 - c2) * np.outer(n, n) + s2 * _eps_matrix(n)
 
@@ -414,14 +435,14 @@ def _solve_constrained_quaternion(target: np.ndarray, mask: np.ndarray, tol: flo
             step, *_ = np.linalg.lstsq(aug, rhs, rcond=None)
             q = q + step
             q = q / np.linalg.norm(q)
-            if np.linalg.norm(step) < 1e-14:
+            if np.linalg.norm(step) < GAUSS_NEWTON_STEP:
                 break
         rnorm = np.linalg.norm(residual(q))
         if rnorm < best_r:
             best_q, best_r = q, rnorm
         if rnorm <= tol:
             q = _canonical_quaternion(q)
-            if all(np.linalg.norm(q - s) > 1e-6 for s in solutions):
+            if all(np.linalg.norm(q - s) > DISTINCT for s in solutions):
                 solutions.append(q)
     return best_q, best_r, solutions, (rows, cols, wanted)
 
@@ -433,19 +454,19 @@ def _free_directions(q: np.ndarray, rows, cols) -> np.ndarray:
     _, s, vh = np.linalg.svd(aug)
     s_full = np.zeros(4)
     s_full[: len(s)] = s
-    null = vh[s_full < 1e-7 * max(1.0, s_full.max())]
+    null = vh[s_full < NULL_SPACE * max(1.0, s_full.max())]
     return null
 
 
 def _canonical_quaternion(q: np.ndarray) -> np.ndarray:
-    if q[0] < 0 or (abs(q[0]) < 1e-12 and _first_significant(q[1:]) < 0):
+    if q[0] < 0 or (abs(q[0]) < ROUNDOFF and _first_significant(q[1:]) < 0):
         return -q
     return q
 
 
 def _first_significant(v: np.ndarray) -> float:
     for x in v:
-        if abs(x) > 1e-9:
+        if abs(x) > NEGLIGIBLE:
             return x
     return 0.0
 
@@ -454,14 +475,14 @@ def _axis_angle_from_quaternion(q: np.ndarray, free_axis) -> AxisAngle:
     q = _canonical_quaternion(q)
     w, v = q[0], q[1:]
     vnorm = np.linalg.norm(v)
-    if vnorm < 1e-9:
+    if vnorm < NEGLIGIBLE:
         return AxisAngle(axis=np.array([1.0, 0.0, 0.0]), angle=0.0, free_axis=(True, True, True))
     axis = v / vnorm
     angle = float(np.arctan2(vnorm, w))
     return AxisAngle(axis=axis, angle=angle, free_axis=tuple(bool(f) for f in free_axis))
 
 
-def unitary_from_rotation(rotation, *, tol: float = 1e-9) -> AxisAngle:
+def unitary_from_rotation(rotation, *, tol: float = LINEAR_SOLVE) -> AxisAngle:
     """Invert the SO(3) adjoint map back to an axis-angle pulse.
 
     The input is either a fully specified :class:`AdjointRotation` (source
@@ -515,14 +536,14 @@ def unitary_from_rotation(rotation, *, tol: float = 1e-9) -> AxisAngle:
     free_axis = np.zeros(3, dtype=bool)
     for sol in solutions:
         for direction in _free_directions(sol, rows, cols):
-            free_axis |= np.abs(direction[1:]) > 1e-6
+            free_axis |= np.abs(direction[1:]) > DISTINCT
     for sa in solutions:
         for sb in solutions:
-            free_axis |= np.abs(sa[1:] - sb[1:]) > 1e-6
-    if any(np.linalg.norm(sol[1:]) < 1e-9 for sol in solutions):
+            free_axis |= np.abs(sa[1:] - sb[1:]) > DISTINCT
+    if any(np.linalg.norm(sol[1:]) < NEGLIGIBLE for sol in solutions):
         free_axis[:] = True
 
-    if free_axis.any() and np.linalg.norm(q[1:]) >= 1e-9:
+    if free_axis.any() and np.linalg.norm(q[1:]) >= NEGLIGIBLE:
         q = _snap_to_canonical_axis(q, free_axis, target, mask, tol)
     return _axis_angle_from_quaternion(_canonical_quaternion(q), free_axis)
 
@@ -531,7 +552,7 @@ def _axis_angle_from_full(target: np.ndarray, tol: float) -> AxisAngle:
     """Closed-form quaternion extraction from a fully specified rotation."""
     tr = np.trace(target)
     w_sq = (tr + 1.0) / 4.0
-    if w_sq > 1e-12:
+    if w_sq > ROUNDOFF:
         w = np.sqrt(max(w_sq, 0.0))
         v = np.array(
             [
@@ -560,7 +581,7 @@ def _axis_angle_from_full(target: np.ndarray, tol: float) -> AxisAngle:
             f"matrix is not an SU(2) adjoint rotation (residual {rnorm:.2e})",
             best_residual=rnorm,
         )
-    free = (True, True, True) if np.linalg.norm(q[1:]) < 1e-9 else (False, False, False)
+    free = (True, True, True) if np.linalg.norm(q[1:]) < NEGLIGIBLE else (False, False, False)
     return _axis_angle_from_quaternion(_canonical_quaternion(q), free)
 
 

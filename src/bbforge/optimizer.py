@@ -29,6 +29,7 @@ from .bb_synthesis import (
     solve_single_qubit_gate,
     solve_two_qubit,
 )
+from .defaults import EXACT_HIT, NEGLIGIBLE
 from .errors import DomainError, InfeasibleError, ShapeError
 from .open_system_sim import PulseGroup, SystemBathModel, _reduced_channel, bb_propagator, kraus_from_model
 from .operator_algebra import (
@@ -171,8 +172,8 @@ def evaluate_cost(model: SystemBathModel, group: PulseGroup, cost: CostFunction)
     At each quadrature node the pulsed channel up to that time is probed by
     full process tomography, the short-time generator is extracted in rate
     units, and the integrand is the trace-norm distance to the wanted
-    generator.  Node values below 1e-10 are treated as exact hits so that a
-    perfect pulse set reports a cost of exactly zero.
+    generator.  Node values below ``defaults.EXACT_HIT`` are treated as exact
+    hits so that a perfect pulse set reports a cost of exactly zero.
     """
     if group.dim != model.system_dim:
         raise ShapeError("pulse dimension does not match the model")
@@ -188,7 +189,7 @@ def evaluate_cost(model: SystemBathModel, group: PulseGroup, cost: CostFunction)
             gen = _probe_generator(_reduced_channel(model, bb_propagator(model, group, t)), basis, t)
             d = _generator_report(gen, w_flat, basis).scalar_distance
             times.append(t)
-            values.append(0.0 if d < 1e-10 else d)
+            values.append(0.0 if d < EXACT_HIT else d)
     values[0] = values[1]
     trapezoid = getattr(np, "trapezoid", None) or np.trapz
     return float(trapezoid(values, times))
@@ -280,7 +281,7 @@ def _analysis_candidate(gen, target, config, history: dict):
             per_qubit = []
             for i in range(gen.num_qubits):
                 detected = _mask_detected(gen.xi[i], config.detection_floor)
-                if np.linalg.norm(detected) > 1e-9:
+                if np.linalg.norm(detected) > NEGLIGIBLE:
                     history.setdefault(i, []).append(detected)
                 hist = history.get(i, [])
                 if not hist:
@@ -339,7 +340,7 @@ def _local_factors(u: np.ndarray, num_qubits: int):
         rest = 2**rest_qubits
         m = u.reshape(2, rest, 2, rest).transpose(0, 2, 1, 3).reshape(4, rest * rest)
         uu, s, vh = np.linalg.svd(m)
-        if s[1] > 1e-9:
+        if s[1] > NEGLIGIBLE:
             return None
         factors.append(_polar(uu[:, 0].reshape(2, 2) * np.sqrt(s[0])))
         u = _polar(vh[0].reshape(rest, rest) * np.sqrt(s[0]))

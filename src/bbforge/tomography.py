@@ -19,10 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .defaults import HERMITICITY
+from .defaults import LINEARITY, TRACE_PRESERVATION
 from .errors import DegenerateTimeError, DomainError, InconsistencyError, ShapeError
 from .open_system_sim import _matrix_to_pairs, _pairs_to_matrix
-from .operator_algebra import OperatorBasis, _pauli_offsets, _readonly, build_pauli_basis
+from .operator_algebra import OperatorBasis, _check_hermitian, _pauli_offsets, _readonly, build_pauli_basis
 
 __all__ = [
     "TomographyData",
@@ -75,8 +75,7 @@ class ChiMatrix:
         nb = self.basis.size
         if e.shape != (nb, nb):
             raise ShapeError("chi matrix shape does not match the basis")
-        if not np.linalg.norm(e - e.conj().T) <= HERMITICITY:
-            raise DomainError("chi matrix must be Hermitian within tolerance")
+        _check_hermitian(e, "chi matrix")
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         """Channel action reconstructed from the process matrix, on a ``(..., d, d)`` stack."""
@@ -187,7 +186,7 @@ def run_qpt(channel, basis: OperatorBasis, *, time_tag: float | None = None) -> 
     if responses.shape != states.shape:
         raise ShapeError("channel output dimension does not match its input")
     r_a, r_b, direct = responses[-3:]
-    if not np.linalg.norm(direct - (0.37 * r_a + 0.63 * r_b)) <= 1e-8:
+    if not np.linalg.norm(direct - (0.37 * r_a + 0.63 * r_b)) <= LINEARITY:
         raise DomainError("channel failed the superposition test; tomography needs a linear map")
     # expansion over matrix units is just the entries themselves
     flat = responses.reshape(len(states), d * d)
@@ -211,8 +210,8 @@ def chi_from_lambda(data: TomographyData) -> ChiMatrix:
     ------
     InconsistencyError
         If the trace-preservation residual ``||sum_ab chi_ab K_b K_a - I||_F``
-        exceeds 1e-6 or is not finite, i.e. the probed map is not a
-        trace-preserving channel.
+        exceeds ``defaults.TRACE_PRESERVATION`` or is not finite, i.e. the
+        probed map is not a trace-preserving channel.
     """
     basis = data.basis
     d = basis.dim
@@ -223,7 +222,7 @@ def chi_from_lambda(data: TomographyData) -> ChiMatrix:
     # sum_ab chi_ab K_b K_a, summed over a first
     tp = (k @ np.tensordot(chi, k, axes=(0, 0))).sum(axis=0)
     residual = float(np.linalg.norm(tp - np.eye(d)))
-    if not residual <= 1e-6:
+    if not residual <= TRACE_PRESERVATION:
         raise InconsistencyError(
             f"trace-preservation residual {residual:.2e}; channel is not trace preserving"
         )

@@ -249,6 +249,11 @@ class TestErrorReport:
         flat = CoordinateVector(m, B2).as_flat()
         assert abs(rep.scalar_distance - 2.0 * np.linalg.norm(flat)) < 1e-12
 
+    @pytest.mark.parametrize("stabilizer_distance", [None, float("inf")])
+    def test_infinite_distance_rejected(self, stabilizer_distance):
+        with pytest.raises(DomainError):
+            ErrorReport(CoordinateVector(np.zeros(3), B1), float("inf"), stabilizer_distance)
+
     @pytest.mark.parametrize("field", ["scalar_distance", "stabilizer_distance"])
     def test_nan_distance_rejected(self, field):
         fields = {"scalar_distance": 1.0, "stabilizer_distance": 0.5, field: float("nan")}
@@ -386,6 +391,11 @@ class TestHelpers:
         group = parity_kick_group(n)
         avg = averaged_rotation(group)
         assert np.linalg.norm(avg - np.outer(n, n)) < 1e-12
+
+    @pytest.mark.parametrize("axis", [[0.0, 0.0, 0.0], [np.nan, 0.0, 0.0], [np.inf, 0.0, 0.0]], ids=["zero", "nan", "inf"])
+    def test_parity_kick_rejects_degenerate_axis_without_warning(self, axis):
+        with pytest.raises(DomainError, match="axis"):
+            parity_kick_group(axis)
 
     def test_error_report_requires_matching_shapes(self):
         with pytest.raises(Exception):

@@ -35,3 +35,34 @@ def _imported_packages(tree: ast.AST):
 def test_imports_only_numpy_and_stdlib(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     assert sorted(set(_imported_packages(tree)) - RUNTIME_PACKAGES) == []
+
+
+def _small_float_literals(tree: ast.AST):
+    """Line and value of every float literal with ``0 < |x| < 1e-5``.
+
+    The default of an annotated field in a class body is a user setting,
+    not a check, and is exempt by that position.
+    """
+    field_defaults = {
+        id(node)
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for stmt in cls.body
+        if isinstance(stmt, ast.AnnAssign) and stmt.value is not None
+        for node in ast.walk(stmt.value)
+    }
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, float) and 0 < abs(node.value) < 1e-5:
+            if id(node) not in field_defaults:
+                yield node.lineno, node.value
+
+
+def test_tolerances_live_in_defaults():
+    # every tolerance is a named constant in bbforge.defaults
+    hits = [
+        f"{path.name}:{line} {value!r}"
+        for path in SOURCES
+        if path.name != "defaults.py"
+        for line, value in _small_float_literals(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert hits == []

@@ -12,6 +12,7 @@ from bbforge.operator_algebra import (
     _pauli_offsets,
     AxisAngle,
     CoordinateVector,
+    OperatorBasis,
     adjoint_of,
     axis_angle_rotation,
     axis_angle_unitary,
@@ -48,6 +49,15 @@ class TestPauliBasis:
                 tr = np.trace(b.elements[i] @ b.elements[j])
                 want = 8.0 if i == j else 0.0
                 assert abs(tr - want) < 1e-12
+
+    def test_rejects_element_zero_not_identity(self):
+        with pytest.raises(DomainError, match="identity"):
+            OperatorBasis(elements=np.array([SZ, SX, SY, I2]))
+
+    @pytest.mark.parametrize("elements", [[I2, SX, SX, SZ], [I2, 2 * SX, SY, SZ]], ids=["repeated", "scaled"])
+    def test_rejects_stack_that_is_not_trace_orthogonal(self, elements):
+        with pytest.raises(DomainError, match="trace-orthogonal"):
+            OperatorBasis(elements=np.array(elements))
 
     def test_ordering_is_lexicographic(self):
         b = build_pauli_basis(2)
@@ -334,6 +344,10 @@ NON_FINITE_GUARDS = {
     "AdjointRotation": lambda x: AdjointRotation(matrix=with_corner(np.eye(3), x).real, source_dim=2),
     "expand": lambda x: expand(with_corner(np.zeros((2, 2)), x), build_pauli_basis(1)),
     "AxisAngle": lambda x: AxisAngle(axis=np.array([x, 0.0, 0.0]), angle=0.1),
+    "axis_angle_unitary-axis": lambda x: axis_angle_unitary([x, 0.0, 0.0], 0.3),
+    "axis_angle_unitary-angle": lambda x: axis_angle_unitary([1.0, 0.0, 0.0], x),
+    "axis_angle_rotation-axis": lambda x: axis_angle_rotation([x, 0.0, 0.0], 0.3),
+    "axis_angle_rotation-angle": lambda x: axis_angle_rotation([1.0, 0.0, 0.0], x),
 }
 
 
@@ -343,6 +357,12 @@ NON_FINITE_GUARDS = {
 def test_non_finite_rejected(guard, value):
     with pytest.raises(DomainError):
         NON_FINITE_GUARDS[guard](value)
+
+
+@pytest.mark.parametrize("build", [axis_angle_unitary, axis_angle_rotation])
+def test_zero_axis_rejected_without_warning(build):
+    with pytest.raises(DomainError, match="axis"):
+        build([0.0, 0.0, 0.0], 0.3)
 
 
 class TestPauliOffsets:
