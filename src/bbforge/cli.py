@@ -376,6 +376,9 @@ def main(argv=None) -> int:
     except BBForgeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except np.linalg.LinAlgError as exc:
+        print(f"numerical error: {exc}", file=sys.stderr)
+        return 1
 
 
 def entry_point() -> None:

@@ -324,14 +324,23 @@ def bb_propagator(model: SystemBathModel, group: PulseGroup, t: float) -> np.nda
     conjugate has not.
     """
     _check_time(t)
-    tc = group.cycle_time
-    if tc <= 0:
+    if group.cycle_time <= 0:
         raise DomainError("group needs delta_t > 0 for time evolution")
+    return _propagator_from_cycle(model, group, t, *_cycle(model, group))
+
+
+def _propagator_from_cycle(
+    model: SystemBathModel, group: PulseGroup, t: float, u0: np.ndarray, cycle: np.ndarray
+) -> np.ndarray:
+    """:func:`bb_propagator` from the free segment and cycle ``_cycle`` returns, for a checked ``t``.
+
+    A caller that needs several times under one group builds the cycle once.
+    """
+    tc = group.cycle_time
     n_cycles = int(np.floor(t / tc + ROUNDOFF))
     rem = t - n_cycles * tc
     if rem < ROUNDOFF * max(tc, 1.0):
         rem = 0.0
-    u0, cycle = _cycle(model, group)
     u = np.linalg.matrix_power(cycle, n_cycles)
     if rem == 0.0:
         return u

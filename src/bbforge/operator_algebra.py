@@ -330,8 +330,14 @@ def adjoint_of(unitary: np.ndarray, basis: OperatorBasis) -> AdjointRotation:
 
 
 def _unit_axis(axis, angle: float) -> np.ndarray:
-    """``axis`` normalized; ``DomainError`` for a zero or non-finite axis or a non-finite angle."""
+    """``axis`` normalized.
+
+    ``ShapeError`` unless ``axis`` is a 3-vector; ``DomainError`` for a zero
+    or non-finite axis or a non-finite angle.
+    """
     n = np.asarray(axis, dtype=float)
+    if n.shape != (3,):
+        raise ShapeError(f"pulse axis must be a 3-vector, got shape {n.shape}")
     norm = np.linalg.norm(n)
     if not (0 < norm <= sys.float_info.max and abs(angle) <= sys.float_info.max):  # also false for NaN
         raise DomainError("pulse axis must be finite and non-zero, and its angle finite")

@@ -31,7 +31,16 @@ from .bb_synthesis import (
 )
 from .defaults import EXACT_HIT, NEGLIGIBLE
 from .errors import DomainError, InfeasibleError, ShapeError
-from .open_system_sim import PulseGroup, SystemBathModel, _reduced_channel, bb_propagator, kraus_from_model
+from .open_system_sim import (
+    PulseGroup,
+    SystemBathModel,
+    _check_time,
+    _cycle,
+    _propagator_from_cycle,
+    _reduced_channel,
+    bb_propagator,
+    kraus_from_model,
+)
 from .operator_algebra import (
     _first_significant,
     _flat_coords,
@@ -181,12 +190,15 @@ def evaluate_cost(model: SystemBathModel, group: PulseGroup, cost: CostFunction)
     tc = group.cycle_time
     if tc <= 0:
         raise DomainError("cost evaluation needs delta_t > 0")
+    _check_time(cost.cycles * tc)  # the latest node, checked as bb_propagator would check it
     w_flat = _target_flat(cost.target, basis)
+    u0, cycle = _cycle(model, group)
     times, values = [0.0], [None]
     for m in range(1, cost.cycles + 1):
         for sub in range(1, cost.quadrature + 1):
             t = (m - 1 + sub / cost.quadrature) * tc
-            gen = _probe_generator(_reduced_channel(model, bb_propagator(model, group, t)), basis, t)
+            u = _propagator_from_cycle(model, group, t, u0, cycle)
+            gen = _probe_generator(_reduced_channel(model, u), basis, t)
             d = _generator_report(gen, w_flat, basis).scalar_distance
             times.append(t)
             values.append(0.0 if d < EXACT_HIT else d)
@@ -386,6 +398,11 @@ def _random_genome(rng, num_qubits: int, max_pulses: int):
     return [tuple(one() for _ in range(num_qubits)) for _ in range(count)]
 
 
+def _genome_key(genome) -> bytes:
+    """The exact bits of a genome's axes and angles, so ``-0.0`` and ``0.0`` differ."""
+    return b"".join(axis.tobytes() + np.float64(angle).tobytes() for entry in genome for axis, angle in entry)
+
+
 def learning_loop(model: SystemBathModel, target: TargetSpec, config: LearningLoopConfig):
     """Run the iterative analyze-and-search loop.
 
@@ -393,6 +410,11 @@ def learning_loop(model: SystemBathModel, target: TargetSpec, config: LearningLo
     cost is within tolerance; otherwise it runs out the generation budget
     and the final record carries ``converged=False``.  Identical inputs and
     seed reproduce the record sequence exactly.
+
+    Each distinct genome is built and scored once per call: elites and
+    unchanged crossover children reuse the cost found when their exact
+    bits were first seen in this loop.  ``GenerationRecord.mean_cost`` is
+    still the mean over the full population, repeats included.
     """
     nq = model.num_qubits
     dim = model.system_dim
@@ -423,10 +445,17 @@ def learning_loop(model: SystemBathModel, target: TargetSpec, config: LearningLo
 
     records: list[GenerationRecord] = []
     best_group, best_cost = None, np.inf
+    scored: dict[bytes, tuple[float, PulseGroup]] = {}  # genome bits -> (cost, group), for this call only
+
+    def score(genome) -> tuple[float, PulseGroup]:
+        key = _genome_key(genome)
+        if key not in scored:
+            group = _genome_group(genome, nq, config.delta_t)
+            scored[key] = (evaluate_cost(model, group, cost), group)
+        return scored[key]
 
     for generation in range(config.generations):
-        groups = [_genome_group(g, nq, config.delta_t) for g in genomes]
-        costs = [evaluate_cost(model, g, cost) for g in groups]
+        costs, groups = zip(*(score(g) for g in genomes))
         order = np.argsort(costs, kind="stable")
         if costs[order[0]] < best_cost:
             best_cost = costs[order[0]]

@@ -144,6 +144,19 @@ class TestTomography:
         code = main(["--config", write_config(tmp_path, dephasing_config()), "--out", str(tmp_path / "o"), "tomography"])
         assert code == 3
 
+    def test_linalg_error_maps_to_exit_1(self, tmp_path, monkeypatch, capsys):
+        import bbforge.cli as cli_mod
+
+        def boom(args):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(cli_mod, "cmd_tomography", boom)
+        code = main(["--config", write_config(tmp_path, dephasing_config()), "--out", str(tmp_path / "o"), "tomography"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == "numerical error: SVD did not converge\n"
+        assert "Traceback" not in err
+
 
 class TestSynthesize:
     def test_dephasing_parity_kick_summary(self, tmp_path, capsys):

@@ -365,6 +365,13 @@ def test_zero_axis_rejected_without_warning(build):
         build([0.0, 0.0, 0.0], 0.3)
 
 
+@pytest.mark.parametrize("axis", [[1.0, 0.0], [1.0, 0.0, 0.0, 0.0], [[1.0, 0.0, 0.0]]], ids=["2-vector", "4-vector", "1x3"])
+@pytest.mark.parametrize("build", [axis_angle_unitary, axis_angle_rotation])
+def test_axis_must_be_a_3_vector(build, axis):
+    with pytest.raises(ShapeError, match="3-vector"):
+        build(axis, 0.3)
+
+
 class TestPauliOffsets:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_weight_one_and_two_indices_match_labels(self, n):

@@ -1,8 +1,11 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bbforge.optimizer as optimizer_mod
 from bbforge.bb_synthesis import TargetSpec, parity_kick_group
 from bbforge.errors import DomainError
 from bbforge.open_system_sim import Coupling, PulseGroup, SystemBathModel
@@ -19,6 +22,7 @@ from bbforge.optimizer import (
     _analysis_candidate,
     _default_probe_time,
     _genome_group,
+    _genome_key,
     _group_to_genome,
     _measure_generator,
 )
@@ -109,6 +113,12 @@ class TestEvaluateCost:
         cost = CostFunction(target=target, cycles=2)
         group = PulseGroup.from_pulses([I2], 0.01)
         assert evaluate_cost(model, group, cost) < 2e-4
+
+    def test_overflowing_horizon_rejected(self):
+        # each delta_t is finite, but the cycle and the horizon overflow to inf
+        group = PulseGroup.from_pulses([I2, SX], sys.float_info.max)
+        with pytest.raises(DomainError, match="finite"):
+            evaluate_cost(pure_dephasing_model(), group, storage_cost())
 
 
 class TestCandidateCatalogue:
@@ -223,6 +233,74 @@ class TestLearningLoop:
         assert records[-1].converged
         j = evaluate_cost(model, best, storage_cost(cycles=cfg.cycles, quadrature=cfg.quadrature))
         assert j <= cfg.tolerance
+
+
+class TestScoringOnce:
+    """``learning_loop`` builds and scores each distinct genome once per call."""
+
+    @pytest.mark.parametrize("model, population, generations", [
+        (bath_noise_model(), 12, 8),
+        (two_qubit_bath_model(), 8, 3),
+    ], ids=["1q", "2q"])
+    def test_one_cost_evaluation_per_distinct_genome(self, monkeypatch, model, population, generations):
+        keys, scored = [], []
+
+        def key(genome):
+            keys.append(_genome_key(genome))
+            return keys[-1]
+
+        def counted(model, group, cost):
+            scored.append(b"".join(p.tobytes() for p in group.pulses))
+            return evaluate_cost(model, group, cost)
+
+        monkeypatch.setattr(optimizer_mod, "_genome_key", key)
+        monkeypatch.setattr(optimizer_mod, "evaluate_cost", counted)
+        cfg = LearningLoopConfig(population=population, generations=generations, tolerance=0.0, seed=7, delta_t=0.02)
+        _, records = learning_loop(model, TargetSpec(kind="storage"), cfg)
+        assert len(keys) == population * len(records)
+        assert len(scored) == len(set(keys)) < len(keys)
+        assert len(set(scored)) == len(scored)
+
+    def test_memo_is_per_call(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return evaluate_cost(*args)
+
+        monkeypatch.setattr(optimizer_mod, "evaluate_cost", counted)
+        cfg = LearningLoopConfig(population=6, generations=2, tolerance=0.0, seed=1, delta_t=0.02)
+        learning_loop(bath_noise_model(), TargetSpec(kind="storage"), cfg)
+        first = len(calls)
+        learning_loop(bath_noise_model(), TargetSpec(kind="storage"), cfg)
+        assert len(calls) == 2 * first
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        num_qubits=st.integers(1, 2),
+        num_pulses=st.integers(1, 3),
+        where=st.tuples(st.integers(0, 2), st.integers(0, 1), st.integers(0, 2)),
+        value=st.floats(allow_nan=False),
+    )
+    def test_genome_key_separates_single_changes(self, seed, num_qubits, num_pulses, where, value):
+        rng = np.random.default_rng(seed)
+        genome = [tuple((rng.normal(size=3), float(rng.uniform(-np.pi, np.pi))) for _ in range(num_qubits))
+                  for _ in range(num_pulses)]
+        pulse, qubit, component = where[0] % num_pulses, where[1] % num_qubits, where[2]
+
+        def with_factor(axis, angle):
+            entries = [list(entry) for entry in genome]
+            entries[pulse][qubit] = (axis, angle)
+            return [tuple(entry) for entry in entries]
+
+        axis, angle = genome[pulse][qubit]
+        assert _genome_key(with_factor(axis.copy(), angle)) == _genome_key(genome)
+        moved = axis.copy()
+        moved[component] = value
+        if np.float64(value).tobytes() != np.float64(axis[component]).tobytes():
+            assert _genome_key(with_factor(moved, angle)) != _genome_key(genome)
+        assert _genome_key(with_factor(axis, 0.0)) != _genome_key(with_factor(axis, -0.0))
 
 
 class TestGenome:
