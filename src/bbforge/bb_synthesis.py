@@ -269,10 +269,6 @@ def parity_kick_group(axis, delta_t: float = 0.1) -> PulseGroup:
     return _group_from_axis_angles([(_unit_axis(axis, np.pi / 2), np.pi / 2)], delta_t)
 
 
-def _trivial_group(dim: int, delta_t: float) -> PulseGroup:
-    return PulseGroup.from_pulses([np.eye(dim, dtype=complex)], delta_t)
-
-
 def _report(achieved: np.ndarray, wanted: np.ndarray, basis: OperatorBasis) -> ErrorReport:
     return error_report(
         CoordinateVector(coords=np.asarray(achieved, dtype=float), basis=basis),
@@ -297,7 +293,7 @@ def solve_storage(generator, qubit: int = 0, max_group_size: int = 8, *, delta_t
     xi = np.asarray(generator.xi[qubit] if hasattr(generator, "xi") else generator, dtype=float)
     basis1 = build_pauli_basis(1)
     if np.linalg.norm(xi) <= ROUNDOFF:
-        group = _trivial_group(2, delta_t)
+        group = _group_from_axis_angles([], delta_t)
         return SynthesisResult(
             group=group,
             residual=_report(xi, np.zeros(3), basis1),
@@ -390,7 +386,7 @@ def solve_single_qubit_gate(generator, target: TargetSpec, qubit: int = 0, max_g
     norm_xi, norm_w = np.linalg.norm(xi), np.linalg.norm(w)
     scale = max(norm_xi, norm_w, 1.0)
     if np.linalg.norm(xi - w) <= ROUNDOFF * scale:
-        group = _trivial_group(2, delta_t)
+        group = _group_from_axis_angles([], delta_t)
         return SynthesisResult(
             group=group,
             residual=_report(xi, w, basis1),
@@ -448,14 +444,18 @@ def solve_single_qubit_gate(generator, target: TargetSpec, qubit: int = 0, max_g
 # ---------------------------------------------------------------------------
 
 
-def _product_group(per_qubit: list[list[np.ndarray]], delta_t: float) -> PulseGroup:
+def _product_size(per_qubit) -> int:
+    """Pulse count of the local product of per-qubit pulse lists: the lcm of their lengths."""
+    return lcm(*map(len, per_qubit))
+
+
+def _product_group(per_qubit, delta_t: float) -> PulseGroup:
     """Local product of per-qubit pulse lists, qubit 0 first.
 
     Each list is repeated cyclically to the lcm of their lengths, which keeps
     its average; pulse ``k`` is ``per_qubit[0][k] (x) per_qubit[1][k] (x) ...``.
     """
-    size = lcm(*map(len, per_qubit))
-    pulses = [reduce(_kron, (qubit[k % len(qubit)] for qubit in per_qubit)) for k in range(size)]
+    pulses = [reduce(_kron, (qubit[k % len(qubit)] for qubit in per_qubit)) for k in range(_product_size(per_qubit))]
     return PulseGroup.from_pulses(pulses, delta_t)
 
 
@@ -476,27 +476,16 @@ def _single_qubit_pulse_lists(xi_vec: np.ndarray, w_vec: np.ndarray, max_group_s
     return lists
 
 
-def _dim4_catalogue(max_size: int, delta_t: float) -> list[PulseGroup]:
-    """Deterministic catalogue of two-qubit product pulse sets."""
+def _dim4_catalogue() -> list[tuple[list, list]]:
+    """Deterministic catalogue of two-qubit product pulse sets, as per-qubit pulse-list pairs."""
     eye = [np.eye(2, dtype=complex)]
     kicks = [_kick_pulses(e) for e in np.eye(3)]
-    groups = []
-    for m in range(3):
-        groups.append(_product_group([kicks[m], kicks[m]], delta_t))
-    for m in range(3):
-        groups.append(_product_group([kicks[m], eye], delta_t))
-        groups.append(_product_group([eye, kicks[m]], delta_t))
-    for a in range(3):
-        for b in range(3):
-            if a != b:
-                groups.append(_product_group([kicks[a], kicks[b]], delta_t))
-    if max_size >= 4:
-        paulis = [np.eye(2, dtype=complex), axis_angle_unitary([1, 0, 0], np.pi / 2),
-                  axis_angle_unitary([0, 1, 0], np.pi / 2), axis_angle_unitary([0, 0, 1], np.pi / 2)]
-        groups.append(_product_group([paulis, paulis], delta_t))
-        groups.append(_product_group([paulis, eye], delta_t))
-        groups.append(_product_group([eye, paulis], delta_t))
-    return groups
+    paulis = eye + [k[1] for k in kicks]
+    pairs = [(k, k) for k in kicks]
+    for k in kicks:
+        pairs += [(k, eye), (eye, k)]
+    pairs += [(kicks[a], kicks[b]) for a in range(3) for b in range(3) if a != b]
+    return pairs + [(paulis, paulis), (paulis, eye), (eye, paulis)]
 
 
 def solve_two_qubit(generator, target: TargetSpec, pair: tuple[int, int] = (0, 1), ansatz: str = "local_products", *, max_group_size: int = 8, delta_t: float = 0.1) -> SynthesisResult:
@@ -510,14 +499,20 @@ def solve_two_qubit(generator, target: TargetSpec, pair: tuple[int, int] = (0, 1
     w_pair``: pulses must commute with the wanted interaction while
     annihilating the measured noise.
 
-    Candidates are local products of single-qubit pulse sets and decoupling
-    groups; ``ansatz`` accepts only ``'local_products'``, which names that
-    search.
+    Candidates are local products, each a pair of per-qubit pulse lists,
+    tried with the fewest product pulses first; among equal sizes the order
+    is the trivial pair, the products of the margin solutions, the tailored
+    kicks, then the catalogue.  The direct mode tries them all before the
+    running mode.  A candidate's pulse group is built only when the search
+    reaches it, and at most once per solve.  ``ansatz`` accepts only
+    ``'local_products'``, which names that search.
     """
     if target.kind != "two_qubit":
         raise DomainError("target kind must be two_qubit")
     if ansatz != "local_products":
         raise DomainError("ansatz must be local_products")
+    if max_group_size < 2:
+        raise DomainError("max_group_size must be >= 2")
     xi_pair = np.asarray(generator.pair_matrix(*pair) if hasattr(generator, "pair_matrix") else generator, dtype=float)
     if xi_pair.shape != (4, 4):
         raise ShapeError("pair coefficient matrix must be 4x4")
@@ -530,18 +525,20 @@ def solve_two_qubit(generator, target: TargetSpec, pair: tuple[int, int] = (0, 1
     if np.linalg.norm(w_pair) > ROUNDOFF:
         modes.append(("running", xi_pair + w_pair))
 
-    candidates = _two_qubit_candidates(xi_pair, w_pair, max_group_size, delta_t)
+    candidates = _two_qubit_candidates(xi_pair, w_pair, max_group_size)
+    groups: list[PulseGroup | None] = [None] * len(candidates)
     best = np.inf
     for mode, source in modes:
-        for group in candidates:
-            achieved = modified_pair_matrix(group, source)
+        for k, candidate in enumerate(candidates):
+            if groups[k] is None:
+                groups[k] = _product_group(candidate, delta_t)
+            achieved = modified_pair_matrix(groups[k], source)
             resid = np.linalg.norm(achieved - w_pair)
             best = min(best, resid)
             if resid <= LINEAR_SOLVE:
-                report = _report(achieved, w_pair, basis2)
                 return SynthesisResult(
-                    group=group,
-                    residual=report,
+                    group=groups[k],
+                    residual=_report(achieved, w_pair, basis2),
                     free_parameters=_two_qubit_note(mode),
                     pair=tuple(pair),
                     mode=mode,
@@ -562,48 +559,43 @@ def _two_qubit_note(mode: str) -> str:
     )
 
 
-def _two_qubit_candidates(xi_pair, w_pair, max_group_size, delta_t) -> list[PulseGroup]:
-    a_vec, b_vec = xi_pair[1:, 0], xi_pair[0, 1:]
-    wa, wb = w_pair[1:, 0], w_pair[0, 1:]
-    groups: list[PulseGroup] = [_trivial_group(4, delta_t)]
-    lists_a = _single_qubit_pulse_lists(a_vec, wa, max_group_size)
-    lists_b = _single_qubit_pulse_lists(b_vec, wb, max_group_size)
-    for pa in lists_a:
-        for pb in lists_b:
-            if lcm(len(pa), len(pb)) <= max_group_size:
-                groups.append(_product_group([pa, pb], delta_t))
-    groups.extend(_tailored_kick_products(xi_pair, delta_t, max_group_size))
-    groups.extend(g for g in _dim4_catalogue(max_group_size, delta_t) if g.size <= max_group_size)
-    groups.sort(key=lambda g: g.size)
-    return groups
+def _two_qubit_candidates(xi_pair, w_pair, max_group_size) -> list[tuple[list, list]]:
+    """Per-qubit pulse-list pairs within the size bound, fewest product pulses first.
+
+    The margin products come first, headed by the trivial pair
+    ``([I], [I])`` since each margin's lists start with ``[I]``, then the
+    tailored kicks, then the catalogue; the sort is stable, so that order
+    holds among pairs of one size.
+    """
+    lists_a = _single_qubit_pulse_lists(xi_pair[1:, 0], w_pair[1:, 0], max_group_size)
+    lists_b = _single_qubit_pulse_lists(xi_pair[0, 1:], w_pair[0, 1:], max_group_size)
+    pairs = [(pa, pb) for pa in lists_a for pb in lists_b]
+    pairs += _tailored_kick_products(xi_pair) + _dim4_catalogue()
+    return sorted((p for p in pairs if _product_size(p) <= max_group_size), key=_product_size)
 
 
-def _tailored_kick_products(xi_pair, delta_t, max_group_size) -> list[PulseGroup]:
+def _tailored_kick_products(xi_pair) -> list[tuple[list, list]]:
     """Kicks about axes orthogonal to everything a qubit must shed.
 
     Qubit 1 sees its margin plus the columns of the bilinear block, qubit 2
     its margin plus the rows; a parity kick about an axis orthogonal to the
     whole set flips every unwanted component at once.  One-sided kicks leave
-    the partner margin alone, the four-element full product annihilates
-    margins and block together.
+    the partner margin alone; the four-element full product
+    ``([I, I, K1, K1], [I, K2, I, K2])`` annihilates margins and block together.
     """
     eye = [np.eye(2, dtype=complex)]
     v1 = [xi_pair[1:, 0]] + [xi_pair[1:, b] for b in range(1, 4)]
     v2 = [xi_pair[0, 1:]] + [xi_pair[a, 1:] for a in range(1, 4)]
     n1, n2 = axis_orthogonal_to(v1), axis_orthogonal_to(v2)
     out = []
-    k1 = k2 = None
     if n1 is not None:
         k1 = _kick_pulses(n1)
-        out.append(_product_group([k1, eye], delta_t))
+        out.append((k1, eye))
     if n2 is not None:
         k2 = _kick_pulses(n2)
-        out.append(_product_group([eye, k2], delta_t))
-    if k1 is not None and k2 is not None:
-        out.append(_product_group([k1, k2], delta_t))
-        if max_group_size >= 4:
-            full = [_kron(a, b) for a in k1 for b in k2]
-            out.append(PulseGroup.from_pulses(full, delta_t))
+        out.append((eye, k2))
+    if n1 is not None and n2 is not None:
+        out += [(k1, k2), ([k1[0], k1[0], k1[1], k1[1]], k2 * 2)]
     return out
 
 

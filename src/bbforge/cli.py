@@ -232,15 +232,19 @@ def cmd_synthesize(args) -> int:
         raise ConfigError(f"synthesis.ansatz must be 'local_products', got {synth['ansatz']!r}")
     chi, basis = _probe_chi(cfg)
     gen = extract_generator(chi)
-    if target.kind in ("storage", "single_qubit"):
+    if target.kind != "two_qubit":
         qubit = _config_number(synth.get("qubit", 0), "synthesis.qubit", int)
         if qubit >= gen.num_qubits:
             raise ConfigError(f"synthesis.qubit {qubit} is outside the {gen.num_qubits}-qubit system")
-    if target.kind == "storage":
+        stabilizer = target.stabilizer.generators if target.stabilizer else ()
+        if not (target.wanted is None or target.wanted.shape == (3,)) or any(g.shape != (2, 2) for g in stabilizer):
+            raise ConfigError(f"a {target.kind} target is solved on one qubit: 'wanted' is a 3-vector, stabilizers are 2x2")
+    if target.kind in ("storage", "encoded"):
+        # an annihilated generator lies in every stabilizer span
         result = solve_storage(gen, qubit, max_size, delta_t=delta_t)
     elif target.kind == "single_qubit":
         result = solve_single_qubit_gate(gen, target, qubit, max_size, delta_t=delta_t)
-    elif target.kind == "two_qubit":
+    else:
         pair = synth.get("pair", [0, 1])
         if not (isinstance(pair, list) and len(pair) == 2):
             raise ConfigError(f"synthesis.pair must be a list of two qubit indices, got {pair!r}")
@@ -248,12 +252,11 @@ def cmd_synthesize(args) -> int:
         if not i < j < gen.num_qubits:
             raise ConfigError(f"synthesis.pair needs qubits i < j < {gen.num_qubits}, got {pair!r}")
         result = solve_two_qubit(gen, target, (i, j), max_group_size=max_size, delta_t=delta_t)
-    else:
-        raise ConfigError(f"synthesize does not handle target kind {target.kind!r}")
     payload = result.to_dict()
     if target.stabilizer is not None and target.kind != "two_qubit":
-        achieved = CoordinateVector(np.asarray(result.residual.error_vector.coords) + target.wanted_vector(), result.residual.error_vector.basis)
-        enc = check_encoded(achieved, target)
+        error = result.residual.error_vector
+        solved_for = target.wanted_vector() if target.kind == "single_qubit" else 0.0
+        enc = check_encoded(CoordinateVector(np.asarray(error.coords) + solved_for, error.basis), target)
         payload["stabilizer_distance"] = enc.stabilizer_distance
     out = _out_dir(args)
     dump_json(payload, out / "synthesis.json")
@@ -267,16 +270,19 @@ def cmd_synthesize(args) -> int:
     return 0
 
 
-def _group_from_payload(data: dict, delta_t: float | None) -> PulseGroup:
+def _group_from_payload(data: dict, delta_t: float | None, dim: int) -> PulseGroup:
     try:
         pulses = [_pairs_to_matrix(p) for p in data["pulses"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"verify group needs a 'pulses' list of matrices: {exc!r}") from exc
     dt = _config_number(delta_t if delta_t is not None else data.get("delta_t", 0.1), "verify.delta_t")
     try:
-        return PulseGroup.from_pulses(pulses, dt)
+        group = PulseGroup.from_pulses(pulses, dt)
     except BBForgeError as exc:
         raise ConfigError(f"invalid verify group: {exc}") from exc
+    if group.dim != dim:
+        raise ConfigError(f"verify group pulses are {group.dim}x{group.dim}, the system is {dim}x{dim}")
+    return group
 
 
 def cmd_verify(args) -> int:
@@ -289,9 +295,9 @@ def cmd_verify(args) -> int:
     else:
         raise ConfigError("verify needs 'group_path' or an inline 'group'")
     delta_t = ver.get("delta_t")
-    group = _group_from_payload(group_data, delta_t)
+    group = _group_from_payload(group_data, delta_t, cfg.model.system_dim)
     total_time = _config_number(ver.get("total_time", 1.0), "verify.total_time")
-    cycles = max(1, int(round(total_time / group.cycle_time)))
+    cycles = max(1, int(round(_config_number(total_time / group.cycle_time, "verify.total_time / cycle time"))))
     rho0 = cfg.initial_state()
     pulsed = apply_bb_cycle(cfg.model, group, cycles, rho0)
     horizon = cycles * group.cycle_time

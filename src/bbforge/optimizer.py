@@ -24,6 +24,7 @@ from .bb_synthesis import (
     _group_from_axis_angles,
     _kick_pulses,
     _product_group,
+    _product_size,
     _report,
     axis_orthogonal_to,
     solve_single_qubit_gate,
@@ -257,7 +258,7 @@ def enumerate_candidate_groups(dim: int, max_size: int, *, delta_t: float = 0.0)
     if dim == 2:
         return [_group_from_axis_angles(g, delta_t) for g in _dim2_genomes(max_size)]
     if dim == 4:
-        return _dim4_catalogue(max_size, delta_t)
+        return [_product_group(p, delta_t) for p in _dim4_catalogue() if _product_size(p) <= max_size]
     raise ShapeError("catalogue supports dim 2 and 4")
 
 

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from bbforge import bb_synthesis
 from bbforge.bb_synthesis import (
     ErrorReport,
     _product_group,
+    _two_qubit_candidates,
     StabilizerSpace,
     TargetSpec,
     averaged_rotation,
@@ -215,6 +217,55 @@ class TestSolveTwoQubit:
             np.zeros((4, 4)), TargetSpec(kind="two_qubit", wanted=np.zeros((3, 3)))
         )
         assert res.group.size == 1
+
+
+class TestCandidateBuilds:
+    """``solve_two_qubit`` builds a candidate's group when it tries it, and once per solve."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        built, tried = [], []
+        build, modify = bb_synthesis._product_group, bb_synthesis.modified_pair_matrix
+
+        def counting_build(per_qubit, delta_t):
+            built.append(build(per_qubit, delta_t))
+            return built[-1]
+
+        def counting_modify(group, xi_pair):
+            tried.append(group)
+            return modify(group, xi_pair)
+
+        monkeypatch.setattr(bb_synthesis, "_product_group", counting_build)
+        monkeypatch.setattr(bb_synthesis, "modified_pair_matrix", counting_modify)
+        return built, tried
+
+    def test_first_hit_builds_only_the_candidates_tried(self, counted):
+        built, tried = counted
+        xi_pair = np.zeros((4, 4))
+        xi_pair[3, 0], xi_pair[0, 3] = 0.3, 0.2
+        wanted = TargetSpec(kind="two_qubit", wanted=np.eye(3)).wanted_vector()
+        res = solve_two_qubit(xi_pair, TargetSpec(kind="two_qubit", wanted=wanted), max_group_size=4)
+        assert res.group is tried[-1]
+        assert 0 < len(built) == len({id(g) for g in tried})
+        assert len(built) < len(_two_qubit_candidates(xi_pair, wanted, 4))
+
+    def test_both_modes_build_each_candidate_once(self, counted):
+        built, tried = counted
+        xi_pair = np.random.default_rng(0).normal(size=(4, 4))
+        wanted = TargetSpec(kind="two_qubit", wanted=np.eye(3)).wanted_vector()
+        with pytest.raises(InfeasibleError):
+            solve_two_qubit(xi_pair, TargetSpec(kind="two_qubit", wanted=wanted), max_group_size=4)
+        count = len(_two_qubit_candidates(xi_pair, wanted, 4))
+        assert len(tried) == 2 * count
+        assert len(built) == len({id(g) for g in tried}) == count
+
+    def test_size_bound_below_two_rejected(self):
+        xi_pair = np.zeros((4, 4))
+        xi_pair[3, 0], xi_pair[0, 3] = 0.3, 0.2
+        wanted = np.zeros((4, 4))
+        wanted[3, 0], wanted[0, 3] = 0.1, 0.1
+        with pytest.raises(DomainError, match="max_group_size"):
+            solve_two_qubit(xi_pair, TargetSpec(kind="two_qubit", wanted=wanted), max_group_size=1)
 
 
 class TestErrorReport:

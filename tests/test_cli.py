@@ -189,6 +189,27 @@ class TestSynthesize:
         payload = json.loads((tmp_path / "out" / "synthesis.json").read_text())
         assert payload["group_size"] == 1
 
+    @pytest.mark.parametrize(
+        "target",
+        [
+            {"kind": "single_qubit", "wanted": [0.0, 0.0, 0.25]},
+            {"kind": "single_qubit", "wanted": [0.0, 0.0, 0.25], "stabilizer": [_matrix_to_pairs(SZ)]},
+            {"kind": "encoded", "stabilizer": [_matrix_to_pairs(SZ)]},
+        ],
+        ids=["single_qubit", "single_qubit-stabilizer", "encoded"],
+    )
+    def test_one_qubit_targets(self, tmp_path, target):
+        cfg = dephasing_config()
+        cfg["target"] = target
+        code = main(["--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "out"), "synthesize"])
+        assert code == 0
+        payload = json.loads((tmp_path / "out" / "synthesis.json").read_text())
+        assert payload["residual"]["scalar_distance"] < 1e-9
+        if "stabilizer" in target:
+            assert payload["stabilizer_distance"] == pytest.approx(0.0, abs=1e-9)
+        else:
+            assert "stabilizer_distance" not in payload
+
 
 class TestVerify:
     def test_verify_improves(self, tmp_path):
@@ -214,6 +235,21 @@ class TestVerify:
         cfg["verify"] = {"group_path": "nothere.json"}
         code = main(["--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "o"), "verify"])
         assert code == 2
+
+    def test_overflowing_cycle_count_exit_2(self, tmp_path, capsys):
+        cfg = full_config()
+        cfg["verify"].update(delta_t=1e-300, total_time=1e300)
+        code = main(["--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "out"), "verify"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: verify.total_time / cycle time must be positive and finite")
+        assert not (tmp_path / "out").exists()
+
+    def test_group_of_wrong_dimension_exit_2(self, tmp_path, capsys):
+        cfg = heisenberg_config()
+        cfg["verify"] = {"group": {"pulses": [_matrix_to_pairs(I2), _matrix_to_pairs(1j * SX)], "delta_t": 0.05}}
+        code = main(["--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "out"), "verify"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: verify group pulses are 2x2, the system is 4x4")
 
 
 class TestOptimize:
@@ -407,6 +443,10 @@ BAD_CONFIG_VALUES = [
     ("optimize", ("loop",), [1]),
     ("synthesize", ("synthesis", "ansatz"), "general"),
     ("tomography", ("model", "bath_intial"), [[[1, 0]]]),
+    ("verify", ("verify", "group", "pulses"), [_matrix_to_pairs(np.eye(4))]),
+    ("synthesize", ("target", "stabilizer"), [_matrix_to_pairs(np.kron(SZ, SZ))]),
+    ("synthesize", ("target",), {"kind": "encoded", "wanted": [0.0] * 15}),
+    ("synthesize", ("target",), {"kind": "storage", "wanted": [0.0] * 15}),
 ]
 
 

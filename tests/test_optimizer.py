@@ -69,6 +69,16 @@ def two_qubit_bath_model():
     )
 
 
+def two_qubit_dephasing_model():
+    """Local Z dephasing on two system qubits, one through a bath qubit."""
+    z1, z2 = np.kron(SZ, I2), np.kron(I2, SZ)
+    return SystemBathModel(
+        system_hamiltonian=0.3 * z1 + 0.2 * z2,
+        bath_hamiltonian=0.5 * SZ,
+        couplings=(Coupling(system=0.1 * z1, bath=SX, name="z1x"),),
+    )
+
+
 def storage_cost(cycles=2, quadrature=1):
     return CostFunction(target=TargetSpec(kind="storage"), cycles=cycles, quadrature=quadrature)
 
@@ -197,9 +207,9 @@ class TestLearningLoop:
         assert records[0].converged
 
     @staticmethod
-    def assert_reproducible(model, cfg):
-        best_a, rec_a = learning_loop(model, TargetSpec(kind="storage"), cfg)
-        best_b, rec_b = learning_loop(model, TargetSpec(kind="storage"), cfg)
+    def assert_reproducible(model, cfg, target=TargetSpec(kind="storage")):
+        best_a, rec_a = learning_loop(model, target, cfg)
+        best_b, rec_b = learning_loop(model, target, cfg)
         assert len(rec_a) == len(rec_b)
         for a, b in zip(rec_a, rec_b):
             assert a.best_cost == b.best_cost
@@ -208,7 +218,7 @@ class TestLearningLoop:
         assert best_a.size == best_b.size
         for pa, pb in zip(best_a.pulses, best_b.pulses):
             assert np.array_equal(np.asarray(pa), np.asarray(pb))
-        return best_a
+        return best_a, rec_a
 
     def test_determinism(self):
         cfg = LearningLoopConfig(population=12, generations=4, tolerance=0.0, seed=7, delta_t=0.02)
@@ -216,7 +226,33 @@ class TestLearningLoop:
 
     def test_determinism_two_qubits(self):
         cfg = LearningLoopConfig(population=8, generations=3, tolerance=0.0, seed=7, delta_t=0.02)
-        assert self.assert_reproducible(two_qubit_bath_model(), cfg).dim == 4
+        best, _ = self.assert_reproducible(two_qubit_bath_model(), cfg)
+        assert best.dim == 4
+
+    @pytest.mark.parametrize(
+        "model, target, solver",
+        [
+            (two_error_model(), TargetSpec(kind="single_qubit", wanted=[0.0, 0.0, -0.25]), "solve_single_qubit_gate"),
+            (two_qubit_dephasing_model(), TargetSpec(kind="two_qubit", wanted=np.eye(3)), "solve_two_qubit"),
+        ],
+        ids=["single_qubit", "two_qubit"],
+    )
+    def test_gate_target_loop(self, monkeypatch, model, target, solver):
+        solved = []
+        solve = getattr(optimizer_mod, solver)
+
+        def recording(*args, **kwargs):
+            solved.append(solve(*args, **kwargs))
+            return solved[-1]
+
+        monkeypatch.setattr(optimizer_mod, solver, recording)
+        cfg = LearningLoopConfig(population=6, generations=3, tolerance=0.0, seed=5, delta_t=0.02)
+        best, records = self.assert_reproducible(model, cfg, target)
+        assert best.dim == model.system_dim
+        assert solved  # the analysis pass solved for the gate target
+        costs = [r.best_cost for r in records]
+        assert len(costs) == 3
+        assert all(b <= a for a, b in zip(costs, costs[1:]))
 
     def test_monotone_best_cost(self):
         model = bath_noise_model()
