@@ -31,7 +31,7 @@ from .errors import (
     NonRepresentableError,
     ShapeError,
 )
-from .open_system_sim import PulseGroup, _matrix_to_pairs
+from .open_system_sim import PulseGroup, _check_count
 from .operator_algebra import (
     AdjointRotation,
     CoordinateVector,
@@ -161,10 +161,7 @@ class SynthesisResult:
                 axes[k] = {"axis": [float(x) for x in aa.axis], "angle": float(aa.angle),
                            "free_axis": list(aa.free_axis)}
         return {
-            "group_size": self.group.size,
-            "delta_t": self.group.delta_t,
-            "cycle_time": self.group.cycle_time,
-            "pulses": [_matrix_to_pairs(p) for p in self.group.pulses],
+            **self.group.to_dict(),
             "axis_angles": axes,
             "residual": {
                 "error_vector": [float(x) for x in np.atleast_1d(self.residual.error_vector.coords).ravel()],
@@ -288,8 +285,7 @@ def solve_storage(generator, qubit: int = 0, max_group_size: int = 8, *, delta_t
     about the canonical axis orthogonal to ``xi`` removes the error exactly
     with the fewest possible pulses.
     """
-    if max_group_size < 2:
-        raise DomainError("max_group_size must be >= 2")
+    max_group_size = _check_count(max_group_size, "max_group_size", 2)
     xi = np.asarray(generator.xi[qubit] if hasattr(generator, "xi") else generator, dtype=float)
     basis1 = build_pauli_basis(1)
     if np.linalg.norm(xi) <= ROUNDOFF:
@@ -380,6 +376,7 @@ def solve_single_qubit_gate(generator, target: TargetSpec, qubit: int = 0, max_g
     """
     if target.kind not in ("single_qubit", "storage"):
         raise DomainError("target kind must be single_qubit (or storage)")
+    max_group_size = _check_count(max_group_size, "max_group_size", 2)
     xi = np.asarray(generator.xi[qubit] if hasattr(generator, "xi") else generator, dtype=float)
     w = target.wanted_vector()
     basis1 = build_pauli_basis(1)
@@ -428,7 +425,7 @@ def solve_single_qubit_gate(generator, target: TargetSpec, qubit: int = 0, max_g
             raise InfeasibleError(
                 f"no pulse set of size <= {max_group_size} reaches the target "
                 f"(shortfall {best:.3g}); raise max_group_size",
-                best_residual=best / max(m, 1),
+                best_residual=best / m,
             )
 
     group = _group_from_axis_angles(axis_angles, delta_t)
@@ -511,8 +508,7 @@ def solve_two_qubit(generator, target: TargetSpec, pair: tuple[int, int] = (0, 1
         raise DomainError("target kind must be two_qubit")
     if ansatz != "local_products":
         raise DomainError("ansatz must be local_products")
-    if max_group_size < 2:
-        raise DomainError("max_group_size must be >= 2")
+    max_group_size = _check_count(max_group_size, "max_group_size", 2)
     xi_pair = np.asarray(generator.pair_matrix(*pair) if hasattr(generator, "pair_matrix") else generator, dtype=float)
     if xi_pair.shape != (4, 4):
         raise ShapeError("pair coefficient matrix must be 4x4")
@@ -560,18 +556,22 @@ def _two_qubit_note(mode: str) -> str:
 
 
 def _two_qubit_candidates(xi_pair, w_pair, max_group_size) -> list[tuple[list, list]]:
-    """Per-qubit pulse-list pairs within the size bound, fewest product pulses first.
+    """Distinct per-qubit pulse-list pairs within the size bound, fewest product pulses first.
 
     The margin products come first, headed by the trivial pair
     ``([I], [I])`` since each margin's lists start with ``[I]``, then the
     tailored kicks, then the catalogue; the sort is stable, so that order
-    holds among pairs of one size.
+    holds among pairs of one size.  A pair whose lists repeat the exact
+    bits of an earlier pair's is dropped: it would build the same group.
     """
     lists_a = _single_qubit_pulse_lists(xi_pair[1:, 0], w_pair[1:, 0], max_group_size)
     lists_b = _single_qubit_pulse_lists(xi_pair[0, 1:], w_pair[0, 1:], max_group_size)
     pairs = [(pa, pb) for pa in lists_a for pb in lists_b]
     pairs += _tailored_kick_products(xi_pair) + _dim4_catalogue()
-    return sorted((p for p in pairs if _product_size(p) <= max_group_size), key=_product_size)
+    distinct = {}
+    for pair in (c for c in pairs if _product_size(c) <= max_group_size):
+        distinct.setdefault(tuple(b"".join([u.tobytes() for u in pulses]) for pulses in pair), pair)
+    return sorted(distinct.values(), key=_product_size)
 
 
 def _tailored_kick_products(xi_pair) -> list[tuple[list, list]]:
@@ -607,8 +607,8 @@ def _tailored_kick_products(xi_pair) -> list[tuple[list, list]]:
 def error_report(tilde_chi: CoordinateVector, wanted: CoordinateVector) -> ErrorReport:
     """Error vector and scalar distance between modified and wanted coordinates.
 
-    The scalar distance is the trace norm of the reconstructed deviation
-    operator, ``sqrt(Tr[(sum_a E_a K_a)^2])``.
+    The scalar distance is the Hilbert-Schmidt norm ``sqrt(Tr[D^dag D])`` of
+    the reconstructed deviation operator ``D = sum_a E_a K_a``.
     """
     if not isinstance(tilde_chi, CoordinateVector) or not isinstance(wanted, CoordinateVector):
         raise ShapeError("error_report expects CoordinateVector operands")

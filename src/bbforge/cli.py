@@ -1,9 +1,9 @@
 """Command-line front end for the simulate / probe / synthesize / optimize pipeline.
 
 Exit codes: 0 success, 1 other errors (numerical failures), 2 configuration
-error (including non-finite numbers, values or sections of the wrong type and
-non-positive times), 3 tomography inconsistency, 4 optimizer budget
-exhausted without convergence.
+error (including non-finite numbers, unknown keys, values or sections of the
+wrong type, and times or counts that ``_check_time`` or ``_check_count``
+rejects), 3 tomography inconsistency, 4 optimizer budget exhausted.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -25,12 +25,14 @@ from .bb_synthesis import (
     solve_storage,
     solve_two_qubit,
 )
-from .errors import BBForgeError, InconsistencyError
+from .errors import BBForgeError, DomainError, InconsistencyError
 from .open_system_sim import (
     DensityMatrix,
     PulseGroup,
     SystemBathModel,
-    _matrix_to_pairs,
+    _check_count,
+    _check_keys,
+    _check_time,
     _pairs_to_matrix,
     apply_bb_cycle,
     kraus_from_model,
@@ -53,17 +55,18 @@ def _reject_constant(token: str):
     raise ValueError(f"non-finite number {token}")
 
 
-def _finite_float(token: str) -> float:
+def _finite_number(token: str) -> int | float:
+    """A JSON number token as an int or a float; one beyond the float range, such as ``1e999`` or a 400-digit integer, fails."""
     x = float(token)
     if not math.isfinite(x):
         raise ValueError(f"number {token} is not finite as a float")
-    return x
+    return int(token) if token.lstrip("-").isdigit() else x
 
 
 def _read_json(path: Path, what: str):
     """Parse a JSON input file; malformed text and non-finite numbers are config errors."""
     try:
-        return json.loads(path.read_text(), parse_constant=_reject_constant, parse_float=_finite_float)
+        return json.loads(path.read_text(), parse_constant=_reject_constant, parse_float=_finite_number, parse_int=_finite_number)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{what} parse failure at line {exc.lineno}: {exc.msg}") from exc
     except ValueError as exc:
@@ -80,22 +83,22 @@ def _read_referenced(base: Path, value, what: str):
     return _read_json(path, what)
 
 
-def _config_number(value, name: str, kind=float, minimum: int = 0):
-    """``kind(value)`` for a config entry, or a config error.
-
-    A value of the wrong type is an error, a float must be finite and
-    positive (every float the CLI reads is a time) and an int at least
-    ``minimum``.
-    """
+def _config_check(check, *args):
+    """``check(*args)``, with the ``DomainError`` of a bad config entry raised as a config error."""
     try:
-        x = kind(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{name}: {exc}") from exc
-    if kind is float and not (math.isfinite(x) and x > 0):
-        raise ConfigError(f"{name} must be positive and finite, got {value!r}")
-    if kind is int and x < minimum:
-        raise ConfigError(f"{name} must be >= {minimum}, got {value!r}")
-    return x
+        return check(*args)
+    except DomainError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _config_number(value, name: str, minimum: int | None = None):
+    """A config time, which must be positive, or given ``minimum`` a count."""
+    if minimum is None:
+        return _config_check(_check_time, value, name, True)
+    return _config_check(_check_count, value, name, minimum)
+
+
+_CONFIG_KEYS = frozenset({"model", "model_path", "probe_time", "initial_state", "target", "simulate", "synthesis", "verify", "loop"})
 
 
 @dataclass
@@ -115,6 +118,7 @@ class ExperimentConfig:
         raw = _read_json(p, "config")
         if not isinstance(raw, dict):
             raise ConfigError("config must be a JSON object")
+        _config_check(_check_keys, raw, _CONFIG_KEYS, "config")
         if "model" in raw:
             model_data = raw["model"]
         elif "model_path" in raw:
@@ -129,11 +133,12 @@ class ExperimentConfig:
         probe = _config_number(_default_probe_time(model) if probe is None else probe, "probe_time")
         return cls(model=model, probe_time=probe, raw=raw, base_dir=p.parent)
 
-    def section(self, name: str) -> dict:
-        """The config's ``name`` object, empty when absent; any other JSON type is a config error."""
+    def section(self, name: str, keys) -> dict:
+        """The config's ``name`` object, empty when absent; another JSON type or a key outside ``keys`` is a config error."""
         value = self.raw.get(name, {})
         if not isinstance(value, dict):
             raise ConfigError(f"{name} must be a JSON object, got {value!r}")
+        _config_check(_check_keys, value, keys, name)
         return value
 
     def initial_state(self) -> DensityMatrix:
@@ -151,7 +156,7 @@ class ExperimentConfig:
         return DensityMatrix.from_state_vector(psi)
 
     def target(self) -> TargetSpec:
-        t = self.section("target")
+        t = self.section("target", {"kind", "wanted", "stabilizer"})
         try:
             kind = t.get("kind", "storage")
             wanted = np.asarray(t["wanted"], dtype=float) if "wanted" in t else None
@@ -165,13 +170,13 @@ class ExperimentConfig:
             raise ConfigError(f"invalid target: {exc}") from exc
 
     def loop_config(self, seed_override: int | None = None) -> LearningLoopConfig:
-        loop = dict(self.section("loop"))
+        loop = dict(self.section("loop", {f.name for f in fields(LearningLoopConfig)}))
         if seed_override is not None:
             loop["seed"] = seed_override
         loop.setdefault("probe_time", self.probe_time)
         try:
             return LearningLoopConfig(**loop)
-        except (TypeError, BBForgeError) as exc:
+        except BBForgeError as exc:
             raise ConfigError(f"invalid loop settings: {exc}") from exc
 
 
@@ -188,9 +193,9 @@ def _out_dir(args) -> Path:
 
 def cmd_simulate(args) -> int:
     cfg = ExperimentConfig.load(args.config, args.probe_time)
-    sim = cfg.section("simulate")
+    sim = cfg.section("simulate", {"time_max", "steps"})
     t_max = _config_number(sim.get("time_max", 1.0), "simulate.time_max")
-    steps = _config_number(sim.get("steps", 50), "simulate.steps", int, minimum=1)
+    steps = _config_number(sim.get("steps", 50), "simulate.steps", 1)
     rho0 = cfg.initial_state()
     rows = []
     for k in range(steps + 1):
@@ -225,15 +230,15 @@ def cmd_tomography(args) -> int:
 def cmd_synthesize(args) -> int:
     cfg = ExperimentConfig.load(args.config, args.probe_time)
     target = cfg.target()
-    synth = cfg.section("synthesis")
-    max_size = _config_number(synth.get("max_group_size", 8), "synthesis.max_group_size", int, minimum=2)
+    synth = cfg.section("synthesis", {"max_group_size", "delta_t", "ansatz", "qubit", "pair"})
+    max_size = _config_number(synth.get("max_group_size", 8), "synthesis.max_group_size", 2)
     delta_t = _config_number(synth.get("delta_t", 0.1), "synthesis.delta_t")
     if synth.get("ansatz", "local_products") != "local_products":
         raise ConfigError(f"synthesis.ansatz must be 'local_products', got {synth['ansatz']!r}")
     chi, basis = _probe_chi(cfg)
     gen = extract_generator(chi)
     if target.kind != "two_qubit":
-        qubit = _config_number(synth.get("qubit", 0), "synthesis.qubit", int)
+        qubit = _config_number(synth.get("qubit", 0), "synthesis.qubit", 0)
         if qubit >= gen.num_qubits:
             raise ConfigError(f"synthesis.qubit {qubit} is outside the {gen.num_qubits}-qubit system")
         stabilizer = target.stabilizer.generators if target.stabilizer else ()
@@ -248,7 +253,7 @@ def cmd_synthesize(args) -> int:
         pair = synth.get("pair", [0, 1])
         if not (isinstance(pair, list) and len(pair) == 2):
             raise ConfigError(f"synthesis.pair must be a list of two qubit indices, got {pair!r}")
-        i, j = (_config_number(q, "synthesis.pair", int) for q in pair)
+        i, j = (_config_number(q, "synthesis.pair", 0) for q in pair)
         if not i < j < gen.num_qubits:
             raise ConfigError(f"synthesis.pair needs qubits i < j < {gen.num_qubits}, got {pair!r}")
         result = solve_two_qubit(gen, target, (i, j), max_group_size=max_size, delta_t=delta_t)
@@ -271,15 +276,11 @@ def cmd_synthesize(args) -> int:
 
 
 def _group_from_payload(data: dict, delta_t: float | None, dim: int) -> PulseGroup:
+    """The verify group from a group object, its ``delta_t`` (0.1 when absent) replaced by ``verify.delta_t``."""
     try:
-        pulses = [_pairs_to_matrix(p) for p in data["pulses"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"verify group needs a 'pulses' list of matrices: {exc!r}") from exc
-    dt = _config_number(delta_t if delta_t is not None else data.get("delta_t", 0.1), "verify.delta_t")
-    try:
-        group = PulseGroup.from_pulses(pulses, dt)
-    except BBForgeError as exc:
-        raise ConfigError(f"invalid verify group: {exc}") from exc
+        group = PulseGroup.from_dict({"delta_t": 0.1, **data} if delta_t is None else {**data, "delta_t": delta_t})
+    except (KeyError, TypeError, ValueError, BBForgeError) as exc:
+        raise ConfigError(f"invalid verify group: {exc!r}") from exc
     if group.dim != dim:
         raise ConfigError(f"verify group pulses are {group.dim}x{group.dim}, the system is {dim}x{dim}")
     return group
@@ -287,17 +288,16 @@ def _group_from_payload(data: dict, delta_t: float | None, dim: int) -> PulseGro
 
 def cmd_verify(args) -> int:
     cfg = ExperimentConfig.load(args.config, args.probe_time)
-    ver = cfg.section("verify")
+    ver = cfg.section("verify", {"group_path", "group", "delta_t", "total_time"})
     if "group_path" in ver:
         group_data = _read_referenced(cfg.base_dir, ver["group_path"], "group file")
     elif "group" in ver:
         group_data = ver["group"]
     else:
         raise ConfigError("verify needs 'group_path' or an inline 'group'")
-    delta_t = ver.get("delta_t")
-    group = _group_from_payload(group_data, delta_t, cfg.model.system_dim)
+    group = _group_from_payload(group_data, ver.get("delta_t"), cfg.model.system_dim)
     total_time = _config_number(ver.get("total_time", 1.0), "verify.total_time")
-    cycles = max(1, int(round(_config_number(total_time / group.cycle_time, "verify.total_time / cycle time"))))
+    cycles = max(1, round(_config_number(total_time / group.cycle_time, "verify.total_time / cycle time")))
     rho0 = cfg.initial_state()
     pulsed = apply_bb_cycle(cfg.model, group, cycles, rho0)
     horizon = cycles * group.cycle_time
@@ -332,10 +332,7 @@ def cmd_optimize(args) -> int:
     ]
     write_csv(out / "generations.csv", ["generation", "best_J", "mean_J", "group_size", "converged"], rows)
     best_payload = {
-        "group_size": best.size,
-        "delta_t": best.delta_t,
-        "cycle_time": best.cycle_time,
-        "pulses": [_matrix_to_pairs(p) for p in best.pulses],
+        **best.to_dict(),
         "best_cost": records[-1].best_cost,
         "converged": records[-1].converged,
         "generations": len(records),

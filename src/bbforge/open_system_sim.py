@@ -13,6 +13,7 @@ factor only and the bath does not evolve while they are applied.
 from __future__ import annotations
 
 import functools
+import numbers
 import operator
 import sys
 from dataclasses import dataclass
@@ -185,7 +186,7 @@ class PulseGroup:
         object.__setattr__(self, "pulses", pulses)
         if not pulses:
             raise ShapeError("a pulse group needs at least the identity pulse")
-        _check_time(self.delta_t, "delta_t")
+        object.__setattr__(self, "delta_t", _check_time(self.delta_t, "delta_t", positive=True))
         d = pulses[0].shape[0]
         if d < 2 or d & (d - 1):
             raise ShapeError("pulse dimension must be a power of two")
@@ -199,6 +200,15 @@ class PulseGroup:
     @classmethod
     def from_pulses(cls, pulses, delta_t: float) -> "PulseGroup":
         return cls(pulses=tuple(pulses), delta_t=delta_t)
+
+    def to_dict(self) -> dict:
+        pulses = [_matrix_to_pairs(p) for p in self.pulses]
+        return {"group_size": self.size, "delta_t": self.delta_t, "cycle_time": self.cycle_time, "pulses": pulses}
+
+    @classmethod
+    def from_dict(cls, data: dict) -> "PulseGroup":
+        """Inverse of ``to_dict``; other keys, such as those of a synthesis artifact, are ignored."""
+        return cls.from_pulses([_pairs_to_matrix(p) for p in data["pulses"]], data["delta_t"])
 
     @functools.cached_property
     def rotations(self) -> tuple[AdjointRotation, ...]:
@@ -221,14 +231,28 @@ class PulseGroup:
         return PulseGroup(pulses=self.pulses, delta_t=delta_t)
 
 
-def _check_time(t: float, name: str = "propagation time") -> None:
-    if not 0 <= t <= sys.float_info.max:  # also false for NaN and ints beyond the float range
-        raise DomainError(f"{name} must be finite and non-negative")
+def _check_time(t, name: str = "propagation time", positive: bool = False) -> float:
+    """``t`` as a float, if it is a finite real other than a bool, non-negative (positive if ``positive``)."""
+    real = isinstance(t, numbers.Real) and not isinstance(t, bool)
+    if not (real and (0 < t if positive else 0 <= t) and t <= sys.float_info.max):  # NaN and huge ints fail too
+        raise DomainError(f"{name} must be {'positive' if positive else 'non-negative'} and finite, got {t!r}")
+    return float(t)
+
+
+def _check_count(n, name: str, minimum: int) -> int:
+    """``n`` as an int, if it is an integer other than a bool and at least ``minimum``."""
+    try:
+        count = None if isinstance(n, bool) else operator.index(n)
+    except TypeError:
+        count = None
+    if count is None or count < minimum:
+        raise DomainError(f"{name} must be an integer >= {minimum}, got {n!r}")
+    return count
 
 
 def propagate(model: SystemBathModel, t: float) -> np.ndarray:
     """Full system+bath propagator ``exp(-i H t)`` from the model's spectrum."""
-    _check_time(t)
+    t = _check_time(t)
     w, v = model.spectrum
     return (v * np.exp(-1j * t * w)) @ v.conj().T
 
@@ -323,9 +347,7 @@ def bb_propagator(model: SystemBathModel, group: PulseGroup, t: float) -> np.nda
     unfinished segment the opening pulse has been applied but its closing
     conjugate has not.
     """
-    _check_time(t)
-    if group.cycle_time <= 0:
-        raise DomainError("group needs delta_t > 0 for time evolution")
+    t = _check_time(t)
     return _propagator_from_cycle(model, group, t, *_cycle(model, group))
 
 
@@ -361,12 +383,7 @@ def apply_bb_cycle(model: SystemBathModel, group: PulseGroup, num_cycles: int, r
     segments; with the trivial group this is exactly ``reduced_state`` at
     ``num_cycles * delta_t``.
     """
-    try:
-        num_cycles = operator.index(num_cycles)
-    except TypeError:
-        raise DomainError("num_cycles must be an integer") from None
-    if num_cycles < 1:
-        raise DomainError("num_cycles must be >= 1")
+    num_cycles = _check_count(num_cycles, "num_cycles", 1)
     u = np.linalg.matrix_power(bb_cycle_propagator(model, group), num_cycles)
     return DensityMatrix(_reduced_channel(model, u)(rho_system_0))
 
@@ -427,7 +444,7 @@ _MODEL_KEYS = frozenset({"system_hamiltonian", "bath_hamiltonian", "couplings", 
 _COUPLING_KEYS = frozenset({"system", "bath", "name"})
 
 
-def _check_keys(data: dict, allowed: frozenset, what: str) -> None:
+def _check_keys(data: dict, allowed: set | frozenset, what: str) -> None:
     unknown = [k for k in data if k not in allowed]
     if unknown:
         raise DomainError(f"unknown {what} key(s) {unknown}")

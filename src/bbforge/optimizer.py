@@ -10,8 +10,6 @@ and wanted generators over a fixed horizon of pulse cycles.
 
 from __future__ import annotations
 
-import operator
-import sys
 import warnings
 from dataclasses import dataclass
 
@@ -35,6 +33,7 @@ from .errors import DomainError, InfeasibleError, ShapeError
 from .open_system_sim import (
     PulseGroup,
     SystemBathModel,
+    _check_count,
     _check_time,
     _cycle,
     _propagator_from_cycle,
@@ -72,13 +71,7 @@ _MUTATION_SIGMA = 0.1
 def _integer_fields(obj, **minimum) -> None:
     """Store each named field of frozen ``obj`` as an int no less than its minimum."""
     for name, low in minimum.items():
-        try:
-            value = operator.index(getattr(obj, name))
-        except TypeError:
-            raise DomainError(f"{name} must be an integer") from None
-        if value < low:
-            raise DomainError(f"{name} must be >= {low}")
-        object.__setattr__(obj, name, value)
+        object.__setattr__(obj, name, _check_count(getattr(obj, name), name, low))
 
 
 def _check_field(obj, name: str, ok, requirement: str) -> None:
@@ -89,10 +82,6 @@ def _check_field(obj, name: str, ok, requirement: str) -> None:
         passed = False
     if not passed:
         raise DomainError(f"{name} must be {requirement}")
-
-
-def _positive_time(value) -> bool:
-    return 0 < value <= sys.float_info.max  # also false for NaN and ints beyond the float range
 
 
 @dataclass(frozen=True)
@@ -134,9 +123,9 @@ class LearningLoopConfig:
         _check_field(self, "mutation_rate", lambda v: 0.0 <= v <= 1.0, "a probability")
         _check_field(self, "tolerance", lambda v: v >= 0.0, "non-negative")
         _check_field(self, "detection_floor", lambda v: 0.0 <= v <= 1.0, "a fraction")
-        _check_field(self, "delta_t", _positive_time, "positive and finite")
+        object.__setattr__(self, "delta_t", _check_time(self.delta_t, "delta_t", positive=True))
         if self.probe_time is not None:
-            _check_field(self, "probe_time", _positive_time, "positive and finite")
+            object.__setattr__(self, "probe_time", _check_time(self.probe_time, "probe_time", positive=True))
 
 
 @dataclass(frozen=True)
@@ -181,16 +170,14 @@ def evaluate_cost(model: SystemBathModel, group: PulseGroup, cost: CostFunction)
 
     At each quadrature node the pulsed channel up to that time is probed by
     full process tomography, the short-time generator is extracted in rate
-    units, and the integrand is the trace-norm distance to the wanted
-    generator.  Node values below ``defaults.EXACT_HIT`` are treated as exact
-    hits so that a perfect pulse set reports a cost of exactly zero.
+    units, and the integrand is the Hilbert-Schmidt distance to the wanted
+    generator (see ``error_report``).  Node values below ``defaults.EXACT_HIT``
+    count as exact hits, so a perfect pulse set reports a cost of exactly zero.
     """
     if group.dim != model.system_dim:
         raise ShapeError("pulse dimension does not match the model")
     basis = build_pauli_basis(model.num_qubits)
     tc = group.cycle_time
-    if tc <= 0:
-        raise DomainError("cost evaluation needs delta_t > 0")
     _check_time(cost.cycles * tc)  # the latest node, checked as bb_propagator would check it
     w_flat = _target_flat(cost.target, basis)
     u0, cycle = _cycle(model, group)
@@ -204,8 +191,7 @@ def evaluate_cost(model: SystemBathModel, group: PulseGroup, cost: CostFunction)
             times.append(t)
             values.append(0.0 if d < EXACT_HIT else d)
     values[0] = values[1]
-    trapezoid = getattr(np, "trapezoid", None) or np.trapz
-    return float(trapezoid(values, times))
+    return float(np.trapezoid(values, times))
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +231,7 @@ def _dim2_genomes(max_size: int) -> list[list[tuple[np.ndarray, float]]]:
     return genomes
 
 
-def enumerate_candidate_groups(dim: int, max_size: int, *, delta_t: float = 0.0) -> list[PulseGroup]:
+def enumerate_candidate_groups(dim: int, max_size: int, *, delta_t: float = 0.1) -> list[PulseGroup]:
     """Catalogue of discrete candidate pulse sets with g_0 = I.
 
     For single qubits: parity-kick pairs over the 26-direction axis grid,
@@ -253,8 +239,7 @@ def enumerate_candidate_groups(dim: int, max_size: int, *, delta_t: float = 0.0)
     axes, and the Pauli set.  For two qubits: local tensor products of the
     same families.  Every skeleton has a closed adjoint image.
     """
-    if max_size < 2:
-        raise DomainError("max_size must be >= 2")
+    max_size = _check_count(max_size, "max_size", 2)
     if dim == 2:
         return [_group_from_axis_angles(g, delta_t) for g in _dim2_genomes(max_size)]
     if dim == 4:

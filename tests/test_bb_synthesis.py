@@ -267,6 +267,27 @@ class TestCandidateBuilds:
         with pytest.raises(DomainError, match="max_group_size"):
             solve_two_qubit(xi_pair, TargetSpec(kind="two_qubit", wanted=wanted), max_group_size=1)
 
+    @pytest.mark.parametrize("bound", [3.5, 4.0, True, "4"], ids=repr)
+    def test_size_bound_not_an_integer_rejected(self, bound):
+        xi = np.array([0.0, 0.0, 0.5])
+        solves = (
+            lambda: solve_storage(xi, 0, bound),
+            lambda: solve_single_qubit_gate(xi, TargetSpec(kind="single_qubit", wanted=[0.0, 0.0, 0.1]), 0, bound),
+            lambda: solve_two_qubit(np.zeros((4, 4)), TargetSpec(kind="two_qubit", wanted=np.eye(3)), max_group_size=bound),
+        )
+        for solve in solves:
+            with pytest.raises(DomainError, match="max_group_size"):
+                solve()
+
+    @pytest.mark.parametrize("margins,count", [((0.3, 0.2), 20), ((0.0, 0.0), None)])
+    def test_each_distinct_candidate_once(self, margins, count):
+        xi_pair = np.zeros((4, 4))
+        xi_pair[3, 0], xi_pair[0, 3] = margins
+        for wanted in (np.zeros((4, 4)), TargetSpec(kind="two_qubit", wanted=np.eye(3)).wanted_vector()):
+            candidates = _two_qubit_candidates(xi_pair, wanted, 8)
+            keys = {tuple(np.array(pulses).tobytes() for pulses in pair) for pair in candidates}
+            assert len(keys) == len(candidates) == (count or len(candidates))
+
 
 class TestErrorReport:
     def test_equal_vectors(self):

@@ -447,6 +447,27 @@ BAD_CONFIG_VALUES = [
     ("synthesize", ("target", "stabilizer"), [_matrix_to_pairs(np.kron(SZ, SZ))]),
     ("synthesize", ("target",), {"kind": "encoded", "wanted": [0.0] * 15}),
     ("synthesize", ("target",), {"kind": "storage", "wanted": [0.0] * 15}),
+    # a count is an integer and a time a number, never a bool or a string
+    ("simulate", ("simulate", "steps"), 2.5),
+    ("simulate", ("simulate", "time_max"), "1.0"),
+    ("synthesize", ("synthesis", "max_group_size"), 2.5),
+    ("synthesize", ("synthesis", "qubit"), 0.5),
+    ("synthesize", ("synthesis", "delta_t"), True),
+    ("verify", ("verify", "total_time"), "1"),
+    ("optimize", ("loop", "delta_t"), True),
+    ("optimize", ("loop", "generations"), True),
+    # a misspelt key in each config object
+    ("tomography", ("probe_tme",), 0.01),
+    ("synthesize", ("target", "wantd"), [0.0, 0.0, 0.0]),
+    ("simulate", ("simulate", "step"), 5),
+    ("synthesize", ("synthesis", "max_group_sise"), 2),
+    ("verify", ("verify", "total_tme"), 1.0),
+    ("optimize", ("loop", "populaton"), 4),
+    # an integer literal beyond the float range
+    ("verify", ("verify", "group", "pulses"), [[[[10**400, 0]]]]),
+    ("simulate", ("initial_state",), [[[10**400, 0]]]),
+    ("synthesize", ("target", "wanted"), [10**400, 0, 0]),
+    ("simulate", ("simulate", "steps"), 10**400),
 ]
 
 
@@ -467,7 +488,7 @@ class TestConfigValues:
         assert capsys.readouterr().err.startswith("config error:")
         assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
 
-    @pytest.mark.parametrize("pair", [5, [1, 0], [0, 2], ["a", 1]], ids=repr)
+    @pytest.mark.parametrize("pair", [5, [1, 0], [0, 2], ["a", 1], [0, 1.5]], ids=repr)
     def test_bad_pair_exit_2(self, tmp_path, capsys, pair):
         cfg = heisenberg_config()
         cfg["synthesis"]["pair"] = pair

@@ -244,6 +244,14 @@ class TestPulseGroup:
         for p, r in zip(g.pulses, first):
             assert np.array_equal(r.matrix, adjoint_of(p, basis).matrix)
 
+    @pytest.mark.parametrize("delta_t", [0.0, 0, -0.1, True, "0.1"], ids=repr)
+    def test_spacing_must_be_a_positive_number(self, delta_t):
+        with pytest.raises(DomainError, match="delta_t"):
+            PulseGroup.from_pulses([I2], delta_t)
+
+    def test_spacing_stored_as_float(self):
+        assert type(PulseGroup.from_pulses([I2], 1).delta_t) is float
+
     @pytest.mark.parametrize("dim", [1, 3, 6])
     def test_dimension_not_power_of_two_rejected_at_construction(self, dim):
         with pytest.raises(ShapeError):

@@ -185,8 +185,12 @@ class TestCandidateCatalogue:
                         assert any(np.linalg.norm(prod - rc) < 1e-10 for rc in rots)
 
     def test_size_guard(self):
-        with pytest.raises(DomainError):
-            enumerate_candidate_groups(2, 1)
+        for bound in (1, 2.5, True):
+            with pytest.raises(DomainError, match="max_size"):
+                enumerate_candidate_groups(2, bound)
+
+    def test_default_spacing_is_the_solvers(self):
+        assert {g.delta_t for g in enumerate_candidate_groups(2, 4)} == {0.1}
 
 
 class TestLearningLoop:
