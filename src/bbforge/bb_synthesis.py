@@ -16,6 +16,7 @@ equal-length vectors with the required resultant.
 
 from __future__ import annotations
 
+import itertools
 import sys
 from dataclasses import dataclass
 from functools import reduce
@@ -31,15 +32,17 @@ from .errors import (
     NonRepresentableError,
     ShapeError,
 )
-from .open_system_sim import PulseGroup, _check_count
+from .open_system_sim import PulseGroup
 from .operator_algebra import (
     AdjointRotation,
     CoordinateVector,
     OperatorBasis,
+    _check_count,
     _check_hermitian,
     _first_significant,
     _kron,
     _polar,
+    _qubit_count,
     _readonly,
     _unit_axis,
     adjoint_of,
@@ -61,6 +64,7 @@ __all__ = [
     "error_report",
     "group_to_pulses",
     "parity_kick_group",
+    "axis_grid",
     "axis_orthogonal_to",
     "averaged_rotation",
     "modified_vector",
@@ -249,10 +253,18 @@ def axis_orthogonal_to(vectors) -> np.ndarray | None:
     return None
 
 
-def _group_from_axis_angles(axis_angles, delta_t: float) -> PulseGroup:
-    """Build a pulse group (identity first) from (axis, angle) parameters."""
-    pulses = [np.eye(2, dtype=complex)]
-    pulses.extend(axis_angle_unitary(axis, angle) for axis, angle in axis_angles)
+def _product_size(per_qubit) -> int:
+    """Pulse count of the local product of per-qubit pulse lists: the lcm of their lengths."""
+    return lcm(*map(len, per_qubit))
+
+
+def _product_group(per_qubit, delta_t: float) -> PulseGroup:
+    """Local product of per-qubit pulse lists, qubit 0 first.
+
+    Each list is repeated cyclically to the lcm of their lengths, which keeps
+    its average; pulse ``k`` is ``per_qubit[0][k] (x) per_qubit[1][k] (x) ...``.
+    """
+    pulses = [reduce(_kron, (qubit[k % len(qubit)] for qubit in per_qubit)) for k in range(_product_size(per_qubit))]
     return PulseGroup.from_pulses(pulses, delta_t)
 
 
@@ -263,7 +275,7 @@ def _kick_pulses(axis) -> list[np.ndarray]:
 
 def parity_kick_group(axis, delta_t: float = 0.1) -> PulseGroup:
     """The minimal decoupling pair ``{I, exp(i n.sigma pi/2)}``."""
-    return _group_from_axis_angles([(_unit_axis(axis, np.pi / 2), np.pi / 2)], delta_t)
+    return _product_group([_kick_pulses(_unit_axis(axis, np.pi / 2))], delta_t)
 
 
 def _report(achieved: np.ndarray, wanted: np.ndarray, basis: OperatorBasis) -> ErrorReport:
@@ -289,7 +301,7 @@ def solve_storage(generator, qubit: int = 0, max_group_size: int = 8, *, delta_t
     xi = np.asarray(generator.xi[qubit] if hasattr(generator, "xi") else generator, dtype=float)
     basis1 = build_pauli_basis(1)
     if np.linalg.norm(xi) <= ROUNDOFF:
-        group = _group_from_axis_angles([], delta_t)
+        group = _product_group([[np.eye(2, dtype=complex)]], delta_t)
         return SynthesisResult(
             group=group,
             residual=_report(xi, np.zeros(3), basis1),
@@ -383,7 +395,7 @@ def solve_single_qubit_gate(generator, target: TargetSpec, qubit: int = 0, max_g
     norm_xi, norm_w = np.linalg.norm(xi), np.linalg.norm(w)
     scale = max(norm_xi, norm_w, 1.0)
     if np.linalg.norm(xi - w) <= ROUNDOFF * scale:
-        group = _group_from_axis_angles([], delta_t)
+        group = _product_group([[np.eye(2, dtype=complex)]], delta_t)
         return SynthesisResult(
             group=group,
             residual=_report(xi, w, basis1),
@@ -428,7 +440,8 @@ def solve_single_qubit_gate(generator, target: TargetSpec, qubit: int = 0, max_g
                 best_residual=best / m,
             )
 
-    group = _group_from_axis_angles(axis_angles, delta_t)
+    pulses = [np.eye(2, dtype=complex)] + [axis_angle_unitary(axis, angle) for axis, angle in axis_angles]
+    group = _product_group([pulses], delta_t)
     achieved = modified_vector(group, xi)
     report = _report(achieved, w, basis1)
     if report.scalar_distance > LINEAR_SOLVE * max(1.0, scale):
@@ -437,23 +450,50 @@ def solve_single_qubit_gate(generator, target: TargetSpec, qubit: int = 0, max_g
 
 
 # ---------------------------------------------------------------------------
-# Two-qubit targets
+# Candidate catalogue
 # ---------------------------------------------------------------------------
 
 
-def _product_size(per_qubit) -> int:
-    """Pulse count of the local product of per-qubit pulse lists: the lcm of their lengths."""
-    return lcm(*map(len, per_qubit))
+def axis_grid() -> np.ndarray:
+    """The default 26-direction axis grid (all sign/zero patterns, normalized)."""
+    dirs = [np.array(v, dtype=float) for v in itertools.product((1, 0, -1), repeat=3) if any(v)]
+    coord_first = sorted(dirs, key=lambda v: (np.count_nonzero(v) != 1, -_first_significant(v), tuple(-v)))
+    return np.array([v / np.linalg.norm(v) for v in coord_first])
 
 
-def _product_group(per_qubit, delta_t: float) -> PulseGroup:
-    """Local product of per-qubit pulse lists, qubit 0 first.
+def _catalogue(num_qubits: int, max_size: int) -> list[tuple[list, ...]]:
+    """Product pulse sets of at most ``max_size`` pulses, each a tuple of per-qubit pulse lists.
 
-    Each list is repeated cyclically to the lcm of their lengths, which keeps
-    its average; pulse ``k`` is ``per_qubit[0][k] (x) per_qubit[1][k] (x) ...``.
+    One qubit: parity kicks about the 26 grid axes, the cyclic sets
+    ``{exp(i e.sigma pi k/m)}`` about each coordinate axis ``e`` for
+    ``m = 3 .. max_size``, then the Pauli set.  More qubits: the same
+    coordinate kick on every qubit; each kick on one qubit alone,
+    kick-major; every other tuple of coordinate kicks, in lexicographic
+    order; the Pauli set on every qubit; the Pauli set on one qubit alone.
     """
-    pulses = [reduce(_kron, (qubit[k % len(qubit)] for qubit in per_qubit)) for k in range(_product_size(per_qubit))]
-    return PulseGroup.from_pulses(pulses, delta_t)
+    eye = [np.eye(2, dtype=complex)]
+    kicks = [_kick_pulses(e) for e in np.eye(3)]
+    paulis = eye + [k[1] for k in kicks]
+    if num_qubits == 1:
+        sets = [_kick_pulses(axis) for axis in axis_grid()]
+        sets += [eye + [axis_angle_unitary(e, np.pi * step / m) for step in range(1, m)]
+                 for m in range(3, max_size + 1) for e in np.eye(3)]
+        candidates = [(pulses,) for pulses in sets + [paulis]]
+    else:
+        def alone(pulses):
+            return [tuple(pulses if q == i else eye for q in range(num_qubits)) for i in range(num_qubits)]
+
+        candidates = [(k,) * num_qubits for k in kicks]
+        candidates += [c for k in kicks for c in alone(k)]
+        candidates += [tuple(kicks[a] for a in axes) for axes in itertools.product(range(3), repeat=num_qubits)
+                       if len(set(axes)) > 1]
+        candidates += [(paulis,) * num_qubits] + alone(paulis)
+    return [c for c in candidates if _product_size(c) <= max_size]
+
+
+# ---------------------------------------------------------------------------
+# Two-qubit targets
+# ---------------------------------------------------------------------------
 
 
 def _single_qubit_pulse_lists(xi_vec: np.ndarray, w_vec: np.ndarray, max_group_size: int) -> list[list[np.ndarray]]:
@@ -471,18 +511,6 @@ def _single_qubit_pulse_lists(xi_vec: np.ndarray, w_vec: np.ndarray, max_group_s
         # parity kicks about each coordinate axis orthogonal enough to matter
         lists.extend(_kick_pulses(e) for e in np.eye(3))
     return lists
-
-
-def _dim4_catalogue() -> list[tuple[list, list]]:
-    """Deterministic catalogue of two-qubit product pulse sets, as per-qubit pulse-list pairs."""
-    eye = [np.eye(2, dtype=complex)]
-    kicks = [_kick_pulses(e) for e in np.eye(3)]
-    paulis = eye + [k[1] for k in kicks]
-    pairs = [(k, k) for k in kicks]
-    for k in kicks:
-        pairs += [(k, eye), (eye, k)]
-    pairs += [(kicks[a], kicks[b]) for a in range(3) for b in range(3) if a != b]
-    return pairs + [(paulis, paulis), (paulis, eye), (eye, paulis)]
 
 
 def solve_two_qubit(generator, target: TargetSpec, pair: tuple[int, int] = (0, 1), ansatz: str = "local_products", *, max_group_size: int = 8, delta_t: float = 0.1) -> SynthesisResult:
@@ -567,7 +595,7 @@ def _two_qubit_candidates(xi_pair, w_pair, max_group_size) -> list[tuple[list, l
     lists_a = _single_qubit_pulse_lists(xi_pair[1:, 0], w_pair[1:, 0], max_group_size)
     lists_b = _single_qubit_pulse_lists(xi_pair[0, 1:], w_pair[0, 1:], max_group_size)
     pairs = [(pa, pb) for pa in lists_a for pb in lists_b]
-    pairs += _tailored_kick_products(xi_pair) + _dim4_catalogue()
+    pairs += _tailored_kick_products(xi_pair) + _catalogue(2, max_group_size)
     distinct = {}
     for pair in (c for c in pairs if _product_size(c) <= max_group_size):
         distinct.setdefault(tuple(b"".join([u.tobytes() for u in pulses]) for pulses in pair), pair)
@@ -656,57 +684,41 @@ def check_encoded(result_generator: CoordinateVector, target: TargetSpec) -> Err
 def group_to_pulses(rotations, dim: int) -> list[np.ndarray]:
     """Recover unitary pulses from adjoint rotations, up to global phase.
 
-    Single-qubit rotations invert through the axis-angle closed form;
-    two-qubit rotations are inverted by rebuilding the conjugation
-    superoperator and extracting the rank-one factor of its Choi matrix.
+    Each rotation rebuilds the conjugation superoperator of its pulse, whose
+    Choi matrix has rank one; the pulse is the polar factor of that rank-one
+    factor, with its largest-magnitude entry made real positive.  ``dim``
+    is any power of two the Pauli basis allows.
 
     Raises
     ------
     NonRepresentableError
         If a rotation is not in the image of the adjoint map.
     """
-    if dim not in (2, 4):
-        raise ShapeError("pulse recovery supports dim 2 and 4")
+    basis = build_pauli_basis(_qubit_count(dim))
+    d2, n = dim * dim, dim * dim - 1
+    vecs = basis.elements.reshape(d2, d2)
     out = []
     for rot in rotations:
         r = rot.matrix if isinstance(rot, AdjointRotation) else np.asarray(rot, dtype=float)
-        n = dim * dim - 1
         if r.shape != (n, n):
             raise ShapeError(f"rotation must be {n}x{n} for dim {dim}")
         if not (np.linalg.norm(r.T @ r - np.eye(n)) <= PULSE_RECOVERY and np.linalg.det(r) > 0):
             raise DomainError("rotations must be orthogonal with determinant +1")
-        if dim == 2:
-            try:
-                out.append(unitary_from_rotation(r, tol=PULSE_RECOVERY).unitary())
-            except InfeasibleError as exc:
-                raise NonRepresentableError(
-                    f"rotation is not an SU(2) adjoint image (residual {exc.best_residual:.2e})"
-                ) from exc
-        else:
-            out.append(_su4_from_rotation(r))
+        s = np.einsum("ab,bi,aj->ij", _extend_identity(r), vecs, vecs.conj()) / basis.normalization
+        choi = s.reshape(dim, dim, dim, dim).transpose(0, 2, 1, 3).reshape(d2, d2)
+        choi = (choi + choi.conj().T) / 2.0
+        evals, evecs = np.linalg.eigh(choi)
+        if not evals[-2] <= CHOI_RANK:
+            raise NonRepresentableError(
+                f"rotation is not in the adjoint image of SU({dim}) "
+                f"(Choi rank defect {evals[-2]:.2e}); only a subgroup of SO({n}) is represented"
+            )
+        a = evecs[:, -1].reshape(dim, dim) * np.sqrt(max(evals[-1], 0.0))
+        u = _polar(a.conj().T)
+        resid = np.linalg.norm(adjoint_of(u, basis).matrix - r)
+        if not resid <= PULSE_RECOVERY:
+            raise NonRepresentableError(f"pulse reconstruction residual {resid:.2e} exceeds tolerance")
+        # deterministic phase: largest-magnitude entry made real positive
+        idx = np.unravel_index(np.argmax(np.abs(u)), u.shape)
+        out.append(u * np.exp(-1j * np.angle(u[idx])))
     return out
-
-
-def _su4_from_rotation(r15: np.ndarray) -> np.ndarray:
-    basis = build_pauli_basis(2)
-    k = basis.elements
-    vecs = k.reshape(16, 16)
-    r16 = _extend_identity(r15)
-    s = np.einsum("ab,bi,aj->ij", r16, vecs, vecs.conj()) / basis.normalization
-    choi = s.reshape(4, 4, 4, 4).transpose(0, 2, 1, 3).reshape(16, 16)
-    choi = (choi + choi.conj().T) / 2.0
-    evals, evecs = np.linalg.eigh(choi)
-    if not evals[-2] <= CHOI_RANK:
-        raise NonRepresentableError(
-            "rotation is not in the adjoint image of SU(4) "
-            f"(Choi rank defect {evals[-2]:.2e}); only a subgroup of SO(15) is represented"
-        )
-    a = evecs[:, -1].reshape(4, 4) * np.sqrt(max(evals[-1], 0.0))
-    u = _polar(a.conj().T)
-    resid = np.linalg.norm(adjoint_of(u, basis).matrix - r15)
-    if not resid <= PULSE_RECOVERY:
-        raise NonRepresentableError(f"pulse reconstruction residual {resid:.2e} exceeds tolerance")
-    # deterministic phase: largest-magnitude entry made real positive
-    idx = np.unravel_index(np.argmax(np.abs(u)), u.shape)
-    phase = np.exp(-1j * np.angle(u[idx]))
-    return u * phase

@@ -30,16 +30,14 @@ from .open_system_sim import (
     DensityMatrix,
     PulseGroup,
     SystemBathModel,
-    _check_count,
     _check_keys,
-    _check_time,
     _pairs_to_matrix,
     apply_bb_cycle,
     kraus_from_model,
     model_from_dict,
     reduced_state,
 )
-from .operator_algebra import CoordinateVector, build_pauli_basis
+from .operator_algebra import CoordinateVector, _check_count, _check_time, build_pauli_basis
 from .optimizer import LearningLoopConfig, _default_probe_time, learning_loop
 from .serialization import dump_json, write_csv
 from .tomography import chi_from_lambda, extract_generator, run_qpt

@@ -13,16 +13,13 @@ factor only and the bath does not evolve while they are applied.
 from __future__ import annotations
 
 import functools
-import numbers
-import operator
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .defaults import BATH_EIGENVALUE_CUTOFF, LINEAR_SOLVE, MATRIX_RESIDUAL, ROUNDOFF
 from .errors import DomainError, ShapeError
-from .operator_algebra import AdjointRotation, _check_hermitian, _check_unitary, _kron, _readonly, adjoint_of, build_pauli_basis
+from .operator_algebra import AdjointRotation, _check_count, _check_hermitian, _check_time, _check_unitary, _kron, _qubit_count, _readonly, adjoint_of, build_pauli_basis
 
 __all__ = [
     "Coupling",
@@ -137,7 +134,7 @@ class SystemBathModel:
 
     @property
     def num_qubits(self) -> int:
-        return int(round(np.log2(self.system_dim)))
+        return _qubit_count(self.system_dim)
 
     @functools.cached_property
     def spectrum(self) -> tuple[np.ndarray, np.ndarray]:
@@ -188,8 +185,7 @@ class PulseGroup:
             raise ShapeError("a pulse group needs at least the identity pulse")
         object.__setattr__(self, "delta_t", _check_time(self.delta_t, "delta_t", positive=True))
         d = pulses[0].shape[0]
-        if d < 2 or d & (d - 1):
-            raise ShapeError("pulse dimension must be a power of two")
+        _qubit_count(d)
         if not np.linalg.norm(pulses[0] - np.eye(d)) <= ROUNDOFF:
             raise DomainError("pulse 0 must be the identity")
         for p in pulses:
@@ -212,7 +208,7 @@ class PulseGroup:
 
     @functools.cached_property
     def rotations(self) -> tuple[AdjointRotation, ...]:
-        basis = build_pauli_basis(self.dim.bit_length() - 1)
+        basis = build_pauli_basis(_qubit_count(self.dim))
         return tuple(adjoint_of(p, basis) for p in self.pulses)
 
     @property
@@ -229,25 +225,6 @@ class PulseGroup:
 
     def with_delta_t(self, delta_t: float) -> "PulseGroup":
         return PulseGroup(pulses=self.pulses, delta_t=delta_t)
-
-
-def _check_time(t, name: str = "propagation time", positive: bool = False) -> float:
-    """``t`` as a float, if it is a finite real other than a bool, non-negative (positive if ``positive``)."""
-    real = isinstance(t, numbers.Real) and not isinstance(t, bool)
-    if not (real and (0 < t if positive else 0 <= t) and t <= sys.float_info.max):  # NaN and huge ints fail too
-        raise DomainError(f"{name} must be {'positive' if positive else 'non-negative'} and finite, got {t!r}")
-    return float(t)
-
-
-def _check_count(n, name: str, minimum: int) -> int:
-    """``n`` as an int, if it is an integer other than a bool and at least ``minimum``."""
-    try:
-        count = None if isinstance(n, bool) else operator.index(n)
-    except TypeError:
-        count = None
-    if count is None or count < minimum:
-        raise DomainError(f"{name} must be an integer >= {minimum}, got {n!r}")
-    return count
 
 
 def propagate(model: SystemBathModel, t: float) -> np.ndarray:

@@ -25,6 +25,8 @@ from __future__ import annotations
 
 import functools
 import itertools
+import numbers
+import operator
 import sys
 from dataclasses import dataclass
 
@@ -75,6 +77,33 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``np.kron`` of square matrices, broadcast over ``a``'s leading axes: the same products."""
     n = a.shape[-1] * b.shape[0]
     return (a[..., :, None, :, None] * b[None, :, None, :]).reshape(*a.shape[:-2], n, n)
+
+
+def _check_time(t, name: str = "propagation time", positive: bool = False) -> float:
+    """``t`` as a float, if it is a finite real other than a bool, non-negative (positive if ``positive``)."""
+    real = isinstance(t, numbers.Real) and not isinstance(t, bool)
+    if not (real and (0 < t if positive else 0 <= t) and t <= sys.float_info.max):  # NaN and huge ints fail too
+        raise DomainError(f"{name} must be {'positive' if positive else 'non-negative'} and finite, got {t!r}")
+    return float(t)
+
+
+def _check_count(n, name: str, minimum: int) -> int:
+    """``n`` as an int, if it is an integer other than a bool and at least ``minimum``."""
+    try:
+        count = None if isinstance(n, bool) else operator.index(n)
+    except TypeError:
+        count = None
+    if count is None or count < minimum:
+        raise DomainError(f"{name} must be an integer >= {minimum}, got {n!r}")
+    return count
+
+
+def _qubit_count(dim: int) -> int:
+    """Qubits of a ``dim``-dimensional system; ``ShapeError`` unless ``dim`` is a power of two, at least 2."""
+    dim = _check_count(dim, "dimension", 0)
+    if dim < 2 or dim & (dim - 1):
+        raise ShapeError(f"dimension must be a power of two, got {dim}")
+    return dim.bit_length() - 1
 
 
 def _polar(a: np.ndarray) -> np.ndarray:
@@ -176,7 +205,6 @@ class OperatorBasis:
         return int(round(np.log2(self.dim)))
 
 
-@functools.cache
 def build_pauli_basis(num_qubits: int) -> OperatorBasis:
     """Construct the full Pauli-string basis on ``num_qubits`` qubits.
 
@@ -187,11 +215,16 @@ def build_pauli_basis(num_qubits: int) -> OperatorBasis:
 
     Raises
     ------
+    DomainError
+        If ``num_qubits`` is not an integer of at least 1.
     CapacityError
         If ``num_qubits`` exceeds the dense-construction guard.
     """
-    if num_qubits < 1:
-        raise DomainError("num_qubits must be >= 1")
+    return _pauli_basis(_check_count(num_qubits, "num_qubits", 1))
+
+
+@functools.cache
+def _pauli_basis(num_qubits: int) -> OperatorBasis:
     if num_qubits > MAX_BASIS_QUBITS:
         raise CapacityError(
             f"num_qubits={num_qubits} exceeds the dense basis guard ({MAX_BASIS_QUBITS})"

@@ -18,12 +18,11 @@ import numpy as np
 from .bb_synthesis import (
     ErrorReport,
     TargetSpec,
-    _dim4_catalogue,
-    _group_from_axis_angles,
+    _catalogue,
     _kick_pulses,
     _product_group,
-    _product_size,
     _report,
+    axis_grid,
     axis_orthogonal_to,
     solve_single_qubit_gate,
     solve_two_qubit,
@@ -33,8 +32,6 @@ from .errors import DomainError, InfeasibleError, ShapeError
 from .open_system_sim import (
     PulseGroup,
     SystemBathModel,
-    _check_count,
-    _check_time,
     _cycle,
     _propagator_from_cycle,
     _reduced_channel,
@@ -42,9 +39,11 @@ from .open_system_sim import (
     kraus_from_model,
 )
 from .operator_algebra import (
-    _first_significant,
+    _check_count,
+    _check_time,
     _flat_coords,
     _polar,
+    _qubit_count,
     adjoint_of,
     axis_angle_unitary,
     build_pauli_basis,
@@ -75,9 +74,10 @@ def _integer_fields(obj, **minimum) -> None:
 
 
 def _check_field(obj, name: str, ok, requirement: str) -> None:
-    """Raise ``DomainError`` unless ``ok`` holds for the named field; a value of the wrong type fails too."""
+    """Raise ``DomainError`` unless ``ok`` holds for the named field; a bool or a value of the wrong type fails too."""
+    value = getattr(obj, name)
     try:
-        passed = ok(getattr(obj, name))
+        passed = not isinstance(value, (bool, np.bool_)) and ok(value)
     except TypeError:
         passed = False
     if not passed:
@@ -199,52 +199,17 @@ def evaluate_cost(model: SystemBathModel, group: PulseGroup, cost: CostFunction)
 # ---------------------------------------------------------------------------
 
 
-def axis_grid() -> np.ndarray:
-    """The default 26-direction axis grid (all sign/zero patterns, normalized)."""
-    dirs = []
-    for i in (1, 0, -1):
-        for j in (1, 0, -1):
-            for k in (1, 0, -1):
-                if (i, j, k) == (0, 0, 0):
-                    continue
-                dirs.append(np.array([i, j, k], dtype=float))
-    coord_first = sorted(
-        dirs,
-        key=lambda v: (np.count_nonzero(v) != 1, -_first_significant(v), tuple(-v)),
-    )
-    return np.array([v / np.linalg.norm(v) for v in coord_first])
-
-
-def _dim2_genomes(max_size: int) -> list[list[tuple[np.ndarray, float]]]:
-    genomes = []
-    for axis in axis_grid():
-        genomes.append([(axis, np.pi / 2)])
-    for m in range(3, max_size + 1):
-        for e in np.eye(3):
-            genomes.append([(e, np.pi * step / m) for step in range(1, m)])
-    if max_size >= 4:
-        genomes.append(
-            [(np.array([1.0, 0, 0]), np.pi / 2),
-             (np.array([0, 1.0, 0]), np.pi / 2),
-             (np.array([0, 0, 1.0]), np.pi / 2)]
-        )
-    return genomes
-
-
 def enumerate_candidate_groups(dim: int, max_size: int, *, delta_t: float = 0.1) -> list[PulseGroup]:
-    """Catalogue of discrete candidate pulse sets with g_0 = I.
+    """Catalogue of discrete candidate pulse sets with g_0 = I, on any number of qubits.
 
-    For single qubits: parity-kick pairs over the 26-direction axis grid,
-    cyclic sets generated by ``exp(i n.sigma pi/m)`` about the coordinate
-    axes, and the Pauli set.  For two qubits: local tensor products of the
-    same families.  Every skeleton has a closed adjoint image.
+    Every set is a local product of per-qubit pulse lists in the order
+    ``_catalogue`` gives, and every one has a closed adjoint image.  The
+    qubit count is limited by the Pauli basis the sets are scored in.
     """
     max_size = _check_count(max_size, "max_size", 2)
-    if dim == 2:
-        return [_group_from_axis_angles(g, delta_t) for g in _dim2_genomes(max_size)]
-    if dim == 4:
-        return [_product_group(p, delta_t) for p in _dim4_catalogue() if _product_size(p) <= max_size]
-    raise ShapeError("catalogue supports dim 2 and 4")
+    num_qubits = _qubit_count(dim)
+    build_pauli_basis(num_qubits)  # CapacityError past the qubit count the sets can be scored at
+    return [_product_group(c, delta_t) for c in _catalogue(num_qubits, max_size)]
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +283,7 @@ def _group_to_genome(group: PulseGroup):
     basis1 = build_pauli_basis(1)
     genome = []
     for p in group.pulses[1:]:
-        factors = _local_factors(p, group.dim.bit_length() - 1)
+        factors = _local_factors(p, _qubit_count(group.dim))
         if factors is None:
             return None
         axis_angles = [unitary_from_rotation(adjoint_of(f, basis1)) for f in factors]
@@ -395,17 +360,17 @@ def learning_loop(model: SystemBathModel, target: TargetSpec, config: LearningLo
     Returns ``(best_group, records)``.  The loop stops as soon as the best
     cost is within tolerance; otherwise it runs out the generation budget
     and the final record carries ``converged=False``.  Identical inputs and
-    seed reproduce the record sequence exactly.
+    seed reproduce the record sequence exactly.  The system may have any
+    number of qubits the Pauli basis allows.
 
     Each distinct genome is built and scored once per call: elites and
     unchanged crossover children reuse the cost found when their exact
     bits were first seen in this loop.  ``GenerationRecord.mean_cost`` is
-    still the mean over the full population, repeats included.
+    still the mean over the full population, repeats included.  The
+    generator under the best group is probed only when that group changes;
+    a record's ``residual`` is the latest probe's.
     """
     nq = model.num_qubits
-    dim = model.system_dim
-    if dim not in (2, 4):
-        raise ShapeError("learning loop supports 1- and 2-qubit systems")
     basis = build_pauli_basis(nq)
     rng = np.random.default_rng(config.seed)
     cost = CostFunction(target=target, cycles=config.cycles, quadrature=config.quadrature)
@@ -419,7 +384,7 @@ def learning_loop(model: SystemBathModel, target: TargetSpec, config: LearningLo
         g = _group_to_genome(analysis_group)
         if g is not None:
             genomes.append(g)
-    for grp in enumerate_candidate_groups(dim, config.group_size_bound, delta_t=config.delta_t):
+    for grp in enumerate_candidate_groups(model.system_dim, config.group_size_bound, delta_t=config.delta_t):
         g = _group_to_genome(grp)
         if g is not None:
             genomes.append(g)
@@ -443,10 +408,11 @@ def learning_loop(model: SystemBathModel, target: TargetSpec, config: LearningLo
     for generation in range(config.generations):
         costs, groups = zip(*(score(g) for g in genomes))
         order = np.argsort(costs, kind="stable")
-        if costs[order[0]] < best_cost:
+        if costs[order[0]] < best_cost:  # always taken at generation 0
             best_cost = costs[order[0]]
             best_group = groups[order[0]]
-        gen = _measure_generator(model, best_group, probe, basis)
+            gen = _measure_generator(model, best_group, probe, basis)
+            residual = _generator_report(gen, w_flat, basis)
         converged = best_cost <= config.tolerance
         records.append(
             GenerationRecord(
@@ -454,7 +420,7 @@ def learning_loop(model: SystemBathModel, target: TargetSpec, config: LearningLo
                 best_cost=float(best_cost),
                 best_group=best_group,
                 mean_cost=float(np.mean(costs)),
-                residual=_generator_report(gen, w_flat, basis),
+                residual=residual,
                 converged=converged,
             )
         )

@@ -22,7 +22,7 @@ import numpy as np
 from .defaults import LINEARITY, TRACE_PRESERVATION
 from .errors import DegenerateTimeError, DomainError, InconsistencyError, ShapeError
 from .open_system_sim import _matrix_to_pairs, _pairs_to_matrix
-from .operator_algebra import OperatorBasis, _check_hermitian, _pauli_offsets, _readonly, build_pauli_basis
+from .operator_algebra import OperatorBasis, _check_hermitian, _check_time, _pauli_offsets, _readonly, build_pauli_basis
 
 __all__ = [
     "TomographyData",
@@ -248,11 +248,12 @@ def extract_generator(chi: ChiMatrix) -> EffectiveGenerator:
     Raises
     ------
     DegenerateTimeError
-        If the chi matrix carries no positive probe time.
+        If the chi matrix carries no positive, finite probe time.
     """
-    if chi.time_tag is None or chi.time_tag <= 0:
-        raise DegenerateTimeError("generator extraction requires chi sampled at a time t > 0")
-    t = float(chi.time_tag)
+    try:
+        t = _check_time(chi.time_tag, "chi time tag", positive=True)
+    except DomainError as exc:
+        raise DegenerateTimeError(f"generator extraction: {exc}") from None
     num_qubits = chi.basis.num_qubits
     offsets = _pauli_offsets(num_qubits)
     rates = chi.entries[:, 0].imag / t

@@ -430,6 +430,9 @@ BAD_CONFIG_VALUES = [
     ("optimize", ("loop", "delta_t"), 10**400),
     ("optimize", ("loop", "detection_floor"), "x"),
     ("optimize", ("loop", "detection_floor"), 1.5),
+    ("optimize", ("loop", "detection_floor"), True),
+    ("optimize", ("loop", "tolerance"), True),
+    ("optimize", ("loop", "mutation_rate"), True),
     ("simulate", ("initial_state",), [[1, 2]]),
     ("simulate", ("initial_state",), [[[1, 0]]]),
     ("verify", ("verify", "group"), {"delta_t": 0.05}),

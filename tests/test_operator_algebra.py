@@ -22,7 +22,7 @@ from bbforge.operator_algebra import (
     unitary_from_rotation,
 )
 
-from conftest import I2, NON_FINITE, SX, SY, SZ, phase_aligned_distance, random_hermitian, random_su2, with_corner
+from conftest import I2, NON_FINITE, SX, SY, SZ, phase_aligned_distance, random_hermitian, random_su2, random_unitary, with_corner
 
 
 class TestPauliBasis:
@@ -77,6 +77,12 @@ class TestPauliBasis:
     def test_basis_is_shared_per_qubit_count(self):
         assert build_pauli_basis(2) is build_pauli_basis(2)
         assert build_pauli_basis(1) is not build_pauli_basis(2)
+        assert build_pauli_basis(np.int64(2)) is build_pauli_basis(2)
+
+    @pytest.mark.parametrize("num_qubits", [True, False, 2.0, "2", None, -1], ids=repr)
+    def test_qubit_count_must_be_an_integer(self, num_qubits):
+        with pytest.raises(DomainError, match="num_qubits"):
+            build_pauli_basis(num_qubits)
 
     def test_shared_basis_is_read_only(self):
         b = build_pauli_basis(1)
@@ -177,6 +183,22 @@ class TestAdjoint:
         got = axis_angle_rotation(axis, angle)
         want = adjoint_of(axis_angle_unitary(axis, angle), build_pauli_basis(1)).matrix
         assert np.abs(got - want).max() < 1e-12
+
+    @settings(max_examples=30, deadline=None)
+    @given(dim=st.sampled_from([2, 4, 8]), seed=st.integers(0, 2**32 - 1))
+    def test_adjoint_is_a_homomorphism(self, dim, seed):
+        rng = np.random.default_rng(seed)
+        u, v = random_unitary(dim, rng), random_unitary(dim, rng)
+        b = build_pauli_basis(dim.bit_length() - 1)
+        got = adjoint_of(u @ v, b).matrix
+        assert np.abs(got - adjoint_of(u, b).matrix @ adjoint_of(v, b).matrix).max() < 1e-12
+
+    @settings(max_examples=30, deadline=None)
+    @given(dim=st.sampled_from([2, 4, 8]), seed=st.integers(0, 2**32 - 1))
+    def test_adjoint_is_a_proper_rotation(self, dim, seed):
+        r = adjoint_of(random_unitary(dim, np.random.default_rng(seed)), build_pauli_basis(dim.bit_length() - 1)).matrix
+        assert np.abs(r.T @ r - np.eye(r.shape[0])).max() < 1e-12
+        assert abs(np.linalg.det(r) - 1.0) < 1e-10
 
     def test_orthogonality_and_det(self, rng):
         b = build_pauli_basis(1)

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 import bbforge.optimizer as optimizer_mod
 from bbforge.bb_synthesis import TargetSpec, parity_kick_group
-from bbforge.errors import DomainError
+from bbforge.errors import CapacityError, DomainError, ShapeError
 from bbforge.open_system_sim import Coupling, PulseGroup, SystemBathModel
-from bbforge.operator_algebra import adjoint_of, build_pauli_basis, unitary_from_rotation
+from bbforge.operator_algebra import MAX_BASIS_QUBITS, adjoint_of, build_pauli_basis, unitary_from_rotation
 from bbforge.optimizer import (
     CostFunction,
     LearningLoopConfig,
@@ -27,7 +27,7 @@ from bbforge.optimizer import (
     _measure_generator,
 )
 
-from conftest import I2, SX, SY, SZ, phase_aligned_distance, random_su2
+from conftest import I2, SX, SY, SZ, phase_aligned_distance, random_density, random_hermitian, random_su2
 
 B1 = build_pauli_basis(1)
 
@@ -76,6 +76,26 @@ def two_qubit_dephasing_model():
         system_hamiltonian=0.3 * z1 + 0.2 * z2,
         bath_hamiltonian=0.5 * SZ,
         couplings=(Coupling(system=0.1 * z1, bath=SX, name="z1x"),),
+    )
+
+
+def three_qubit_dephasing_model(seed=17):
+    """Seeded local Z dephasing on three system qubits, each through its own operator on one bath qubit."""
+    rng = np.random.default_rng(seed)
+
+    def z(qubit):
+        a, b, c = (SZ if q == qubit else I2 for q in range(3))
+        return np.kron(np.kron(a, b), c)
+
+    def unit_hermitian():
+        h = random_hermitian(2, rng)
+        return h / np.linalg.norm(h, 2)
+
+    return SystemBathModel(
+        system_hamiltonian=sum(rng.uniform(0.2, 0.5) * z(q) for q in range(3)),
+        bath_hamiltonian=0.5 * unit_hermitian(),
+        couplings=tuple(Coupling(system=rng.uniform(0.05, 0.2) * z(q), bath=unit_hermitian()) for q in range(3)),
+        bath_initial=random_density(2, rng),
     )
 
 
@@ -175,7 +195,7 @@ class TestCandidateCatalogue:
 
     def test_adjoint_closure(self):
         # every catalogue skeleton has a multiplicatively closed adjoint image
-        for dim, nq in ((2, 1), (4, 2)):
+        for dim, nq in ((2, 1), (4, 2), (8, 3)):
             basis = build_pauli_basis(nq)
             for g in enumerate_candidate_groups(dim, 4):
                 rots = [adjoint_of(np.asarray(p), basis).matrix for p in g.pulses]
@@ -183,6 +203,24 @@ class TestCandidateCatalogue:
                     for rb in rots:
                         prod = ra @ rb
                         assert any(np.linalg.norm(prod - rc) < 1e-10 for rc in rots)
+
+    def test_three_qubit_catalogue_order(self):
+        # kicks on every qubit, kicks on one qubit, the 24 mixed kick tuples, then the Pauli sets
+        groups = enumerate_candidate_groups(8, 4)
+        assert len(groups) == 3 + 9 + 24 + 1 + 3
+        x, y = 1j * SX, 1j * SY  # the kicks exp(i pi/2 sigma)
+        for k, (a, b, c) in {0: (x, x, x), 3: (x, I2, I2), 5: (I2, I2, x), 12: (x, x, y)}.items():
+            assert np.abs(groups[k].pulses[1] - np.kron(np.kron(a, b), c)).max() < 1e-15
+        assert [g.size for g in groups[:36]] == [2] * 36 and [g.size for g in groups[36:]] == [4] * 4
+        assert [g.size for g in enumerate_candidate_groups(8, 3)] == [2] * 36
+
+    def test_dimension_not_a_power_of_two_rejected(self):
+        with pytest.raises(ShapeError, match="power of two"):
+            enumerate_candidate_groups(3, 4)
+
+    def test_qubit_count_limited_by_the_basis(self):
+        with pytest.raises(CapacityError):
+            enumerate_candidate_groups(2 ** (MAX_BASIS_QUBITS + 1), 2)
 
     def test_size_guard(self):
         for bound in (1, 2.5, True):
@@ -257,6 +295,26 @@ class TestLearningLoop:
         costs = [r.best_cost for r in records]
         assert len(costs) == 3
         assert all(b <= a for a, b in zip(costs, costs[1:]))
+
+    def test_three_qubit_dephasing_finds_a_product_decoupling_group(self):
+        # Local Z dephasing on three qubits is removed to first order by {I, K (x) K (x) K}
+        # for any kick K perpendicular to z (Viola, Knill & Lloyd, PRL 82, 2417, 1999).
+        model = three_qubit_dephasing_model()
+        cfg = LearningLoopConfig(population=16, generations=6, tolerance=0.0, seed=4, delta_t=0.02)
+        best, records = learning_loop(model, TargetSpec(kind="storage"), cfg)
+        assert len(records) == 6 and best.dim == 8
+        assert best.size == 2
+        genome = optimizer_mod._group_to_genome(best)
+        for axis, angle in genome[0]:
+            assert abs(axis[2]) < 1e-9 and abs(angle - np.pi / 2) < 1e-9
+        cost = storage_cost(cycles=cfg.cycles, quadrature=cfg.quadrature)
+        identity = PulseGroup.from_pulses([np.eye(8)], cfg.delta_t)
+        assert records[-1].best_cost < 1e-2 * evaluate_cost(model, identity, cost)
+
+    def test_dimension_not_a_power_of_two_rejected(self):
+        model = SystemBathModel(system_hamiltonian=np.diag([1.0, 0.0, -1.0]), bath_hamiltonian=np.zeros((1, 1)))
+        with pytest.raises(ShapeError, match="power of two"):
+            learning_loop(model, TargetSpec(kind="storage"), LearningLoopConfig(population=4, generations=1))
 
     def test_monotone_best_cost(self):
         model = bath_noise_model()
@@ -451,6 +509,11 @@ class TestConfigValidation:
             ("mutation_rate", "x"),
             ("tolerance", "x"),
             ("detection_floor", "x"),
+            ("mutation_rate", True),
+            ("tolerance", True),
+            ("tolerance", False),
+            ("tolerance", np.True_),
+            ("detection_floor", True),
         ],
     )
     def test_owned_field_bounds(self, field, value):

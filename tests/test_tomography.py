@@ -282,6 +282,13 @@ class TestExtractGenerator:
         with pytest.raises(DegenerateTimeError):
             extract_generator(chi)
 
+    @pytest.mark.parametrize("t", [float("nan"), float("inf"), 0.0, -0.01, True], ids=repr)
+    def test_time_must_be_positive_and_finite(self, t):
+        # an infinite tag would read any channel as a zero generator, a perfect channel
+        chi = chi_from_lambda(run_qpt(first_order_dephasing(1.0, 0.01), build_pauli_basis(1), time_tag=t))
+        with pytest.raises(DegenerateTimeError, match="time tag"):
+            extract_generator(chi)
+
     def test_unitary_channel_first_order_consistency(self, rng):
         # For exp(-iHt) the extracted rates converge to minus the expansion
         # coordinates of H as t -> 0 (Richardson check at two probe times).
