@@ -207,9 +207,10 @@ def modified_pair_matrix(group: PulseGroup, xi_pair: np.ndarray) -> np.ndarray:
     """Pair coefficient matrix after averaging a two-qubit pulse set."""
     if group.dim != 4:
         raise ShapeError("pair transforms need two-qubit pulses")
-    basis = build_pauli_basis(2)
-    xi_flat = np.zeros(16)
-    xi_flat[1:] = CoordinateVector(np.asarray(xi_pair, dtype=float), basis).as_flat()
+    if np.shape(xi_pair) != (4, 4):
+        raise ShapeError("pair coefficient matrix must be 4x4")
+    xi_flat = np.array(xi_pair, dtype=float).reshape(16)  # entry [a, b] is Pauli string 4a + b
+    xi_flat[0] = 0.0
     acc = np.zeros(16)
     for r in group.rotations:
         acc += _extend_identity(r.matrix).T @ xi_flat
@@ -704,7 +705,7 @@ def group_to_pulses(rotations, dim: int) -> list[np.ndarray]:
             raise ShapeError(f"rotation must be {n}x{n} for dim {dim}")
         if not (np.linalg.norm(r.T @ r - np.eye(n)) <= PULSE_RECOVERY and np.linalg.det(r) > 0):
             raise DomainError("rotations must be orthogonal with determinant +1")
-        s = np.einsum("ab,bi,aj->ij", _extend_identity(r), vecs, vecs.conj()) / basis.normalization
+        s = vecs.T @ _extend_identity(r).T @ vecs.conj() / basis.normalization
         choi = s.reshape(dim, dim, dim, dim).transpose(0, 2, 1, 3).reshape(d2, d2)
         choi = (choi + choi.conj().T) / 2.0
         evals, evecs = np.linalg.eigh(choi)

@@ -139,22 +139,6 @@ def _pauli_offsets(num_qubits: int) -> np.ndarray:
     return _readonly(np.arange(4) * 4 ** np.arange(num_qubits - 1, -1, -1)[:, None])
 
 
-def _flat_coords(basis: OperatorBasis, vectors=(), pairs=None) -> np.ndarray:
-    """Scatter per-qubit 3-vectors and 4x4 pair matrices onto the flat generator ordering.
-
-    ``vectors[i]`` holds the x, y, z coordinates of qubit ``i``; ``pairs``
-    maps ``(i, j)`` to a matrix indexed by the labels of qubits ``i`` and
-    ``j``, whose ``[0, 0]`` entry (the identity) is dropped.
-    """
-    offsets = _pauli_offsets(basis.num_qubits)
-    full = np.zeros(basis.size)
-    for i, vec in enumerate(vectors):
-        full[offsets[i, 1:]] = vec
-    for (i, j), m in (pairs or {}).items():
-        full[offsets[i][:, None] + offsets[j]] = m
-    return full[1:]
-
-
 @dataclass(frozen=True)
 class OperatorBasis:
     """An ordered, trace-orthogonal Hermitian operator basis.
@@ -202,7 +186,7 @@ class OperatorBasis:
 
     @functools.cached_property
     def num_qubits(self) -> int:
-        return int(round(np.log2(self.dim)))
+        return _qubit_count(self.dim)
 
 
 def build_pauli_basis(num_qubits: int) -> OperatorBasis:
@@ -263,7 +247,7 @@ class CoordinateVector:
             return self.coords
         if self.basis.size != 16:
             raise ShapeError("pair-matrix coordinates require a two-qubit basis")
-        return _flat_coords(self.basis, (), {(0, 1): self.coords})
+        return self.coords.reshape(16)[1:]
 
 
 @dataclass(frozen=True)

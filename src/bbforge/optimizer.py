@@ -41,7 +41,7 @@ from .open_system_sim import (
 from .operator_algebra import (
     _check_count,
     _check_time,
-    _flat_coords,
+    _pauli_offsets,
     _polar,
     _qubit_count,
     adjoint_of,
@@ -139,14 +139,18 @@ class GenerationRecord:
 
 
 def _target_flat(target: TargetSpec, basis) -> np.ndarray:
-    """Wanted generator coordinates over the flat basis ordering."""
+    """Wanted coordinates over the flat basis ordering: a pair target on qubits 0 and 1, a vector on qubit 0."""
+    offsets = _pauli_offsets(basis.num_qubits)
+    full = np.zeros(basis.size)
     if target.kind == "two_qubit":
-        return _flat_coords(basis, (), {(0, 1): target.wanted_vector()})
-    if target.kind == "storage" or target.wanted is None:
-        return _flat_coords(basis)
-    if target.wanted.shape != (3,):
-        raise ShapeError("unsupported encoded target shape for cost evaluation")
-    return _flat_coords(basis, (target.wanted,))
+        if basis.num_qubits < 2:
+            raise ShapeError("a two-qubit target needs at least two system qubits")
+        full[offsets[0][:, None] + offsets[1]] = target.wanted_vector()
+    elif target.kind != "storage" and target.wanted is not None:
+        if target.wanted.shape != (3,):
+            raise ShapeError("unsupported encoded target shape for cost evaluation")
+        full[offsets[0, 1:]] = target.wanted
+    return full[1:]
 
 
 def _probe_generator(channel, basis, t: float):
@@ -160,9 +164,9 @@ def _probe_generator(channel, basis, t: float):
         return extract_generator(chi_from_lambda(run_qpt(channel, basis, time_tag=t)))
 
 
-def _generator_report(gen, w_flat: np.ndarray, basis) -> ErrorReport:
-    """Deviation of a measured generator from flat wanted coordinates."""
-    return _report(_flat_coords(basis, gen.xi, gen.xi_pair), w_flat, basis)
+def _generator_report(gen, w_flat: np.ndarray) -> ErrorReport:
+    """Deviation of a measured generator, every Pauli weight included, from flat wanted coordinates."""
+    return _report(gen.coords, w_flat, gen.basis)
 
 
 def evaluate_cost(model: SystemBathModel, group: PulseGroup, cost: CostFunction) -> float:
@@ -187,7 +191,7 @@ def evaluate_cost(model: SystemBathModel, group: PulseGroup, cost: CostFunction)
             t = (m - 1 + sub / cost.quadrature) * tc
             u = _propagator_from_cycle(model, group, t, u0, cycle)
             gen = _probe_generator(_reduced_channel(model, u), basis, t)
-            d = _generator_report(gen, w_flat, basis).scalar_distance
+            d = _generator_report(gen, w_flat).scalar_distance
             times.append(t)
             values.append(0.0 if d < EXACT_HIT else d)
     values[0] = values[1]
@@ -412,7 +416,7 @@ def learning_loop(model: SystemBathModel, target: TargetSpec, config: LearningLo
             best_cost = costs[order[0]]
             best_group = groups[order[0]]
             gen = _measure_generator(model, best_group, probe, basis)
-            residual = _generator_report(gen, w_flat, basis)
+            residual = _generator_report(gen, w_flat)
         converged = best_cost <= config.tolerance
         records.append(
             GenerationRecord(

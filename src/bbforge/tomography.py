@@ -8,7 +8,7 @@ turned into the process matrix ``chi`` in closed form
 basis from matrix units to the fixed Pauli basis: ``chi = A^dag L A / M^2``
 (Wood, Biamonte & Cory, arXiv:1111.6950).  The Hamiltonian-like part of
 the short-time expansion is read off the first column:
-``xi_a = Im(chi_a0) / t`` in rate units.
+``xi_a = Im(chi_a0) / t`` in rate units, over every Pauli string.
 """
 
 from __future__ import annotations
@@ -93,44 +93,61 @@ class ChiMatrix:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ChiMatrix":
-        labels = data["basis"]
-        num_qubits = len(labels[0])
-        basis = build_pauli_basis(num_qubits)
-        if tuple(labels) != basis.labels:
-            raise DomainError("chi file does not use the lexicographic Pauli basis")
         return cls(
             entries=_pairs_to_matrix(data["entries"]),
             time_tag=data.get("time_tag"),
-            basis=basis,
+            basis=_pauli_basis_labelled(data["basis"], "chi file"),
             skew_norm=float(data.get("skew_norm", 0.0)),
             residual=float(data.get("residual", 0.0)),
         )
+
+
+def _pauli_basis_labelled(labels, name: str) -> OperatorBasis:
+    """The Pauli basis, if ``labels`` are its labels in order; ``DomainError`` for any other basis."""
+    num_qubits = len(labels[0]) if len(labels) else 0
+    if num_qubits < 1 or tuple(labels) != build_pauli_basis(num_qubits).labels:
+        raise DomainError(f"{name} does not use the lexicographic Pauli basis")
+    return build_pauli_basis(num_qubits)
 
 
 @dataclass(frozen=True)
 class EffectiveGenerator:
     """Short-time generator coordinates extracted from chi, in rate units.
 
-    ``xi[i]`` is the weight-1 coordinate vector of qubit ``i``; for qubit
-    pairs, ``pair_matrix(i, j)`` is the 4x4 coefficient matrix whose row 0 /
+    ``coords[k - 1]`` is the coordinate of Pauli string ``k`` of ``basis``,
+    for every non-identity string of every weight.  ``xi[i]`` is the
+    weight-1 coordinate vector of qubit ``i``; for qubit pairs,
+    ``pair_matrix(i, j)`` is the 4x4 coefficient matrix whose row 0 /
     column 0 carry the single-qubit parts and whose (1:, 1:) block carries
-    the bilinear terms.
+    the bilinear terms.  Both are read-only gathers from ``coords``.
     """
 
-    xi: tuple[np.ndarray, ...]
-    xi_pair: dict
+    coords: np.ndarray
     basis: OperatorBasis
 
     def __post_init__(self):
-        object.__setattr__(self, "xi", tuple(_readonly(v) for v in self.xi))
-        object.__setattr__(self, "xi_pair", dict(self.xi_pair))
+        coords = _readonly(np.asarray(self.coords, dtype=float))
+        object.__setattr__(self, "coords", coords)
+        if coords.shape != (self.basis.num_generators,):
+            raise ShapeError("generator coordinates do not match the basis")
 
     @property
     def num_qubits(self) -> int:
-        return len(self.xi)
+        return self.basis.num_qubits
+
+    def _gather(self, index: np.ndarray) -> np.ndarray:
+        """Coordinates at Pauli-string indices ``index``; the identity, index 0, reads 0."""
+        return _readonly(np.concatenate(([0.0], self.coords))[index])
+
+    @functools.cached_property
+    def xi(self) -> tuple[np.ndarray, ...]:
+        return tuple(self._gather(offsets[1:]) for offsets in _pauli_offsets(self.num_qubits))
 
     def pair_matrix(self, i: int, j: int) -> np.ndarray:
-        return self.xi_pair[(i, j)]
+        if not 0 <= i < j < self.num_qubits:
+            raise DomainError(f"pair needs qubits i < j < {self.num_qubits}, got ({i}, {j})")
+        offsets = _pauli_offsets(self.num_qubits)
+        return self._gather(offsets[i][:, None] + offsets[j])
 
 
 @functools.cache
@@ -240,39 +257,29 @@ def chi_from_lambda(data: TomographyData) -> ChiMatrix:
 def extract_generator(chi: ChiMatrix) -> EffectiveGenerator:
     """Read the short-time generator coordinates off the chi matrix.
 
-    Single-qubit coordinates are ``Im(chi_{a,0}) / t`` over the weight-1
-    strings; pair matrices combine the weight-2 entries with the weight-1
-    margins.  A warning is emitted when ``t * |generator|`` is large enough
+    The coordinates are ``Im(chi_{a,0}) / t`` over every non-identity Pauli
+    string.  A warning is emitted when ``t * |generator|`` is large enough
     that the first-order reading is questionable.
 
     Raises
     ------
+    DomainError
+        If chi is not over the lexicographic Pauli basis, the only basis
+        whose strings the coordinates are read by.
     DegenerateTimeError
         If the chi matrix carries no positive, finite probe time.
     """
+    _pauli_basis_labelled(chi.basis.labels, "generator extraction: chi")
     try:
         t = _check_time(chi.time_tag, "chi time tag", positive=True)
     except DomainError as exc:
         raise DegenerateTimeError(f"generator extraction: {exc}") from None
-    num_qubits = chi.basis.num_qubits
-    offsets = _pauli_offsets(num_qubits)
-    rates = chi.entries[:, 0].imag / t
-    xi_by_qubit = [rates[offsets[i, 1:]] for i in range(num_qubits)]
-    xi_pair = {}
-    for i in range(num_qubits):
-        for j in range(i + 1, num_qubits):
-            m = rates[offsets[i][:, None] + offsets[j]]
-            m[0, 0] = 0.0
-            m.setflags(write=False)
-            xi_pair[(i, j)] = m
-    scale = max((np.linalg.norm(v) for v in xi_by_qubit), default=0.0)
-    for m in xi_pair.values():
-        scale = max(scale, np.linalg.norm(m))
+    coords = chi.entries[1:, 0].imag / t
+    scale = np.linalg.norm(coords)
     if t * scale > 0.1:
         warnings.warn(
             f"probe time {t} is large for generator scale {scale:.3g}; "
             "first-order extraction may be inaccurate",
             stacklevel=2,
         )
-    return EffectiveGenerator(xi=tuple(xi_by_qubit), xi_pair=xi_pair, basis=chi.basis)
-
+    return EffectiveGenerator(coords=coords, basis=chi.basis)

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from bbforge.operator_algebra import OperatorBasis
+
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -50,6 +52,18 @@ def phase_aligned_distance(u, v):
         return float(np.linalg.norm(u - v))
     phase = overlap / abs(overlap)
     return float(np.linalg.norm(u - phase * v))
+
+
+def gell_mann_basis():
+    """The qutrit basis: the identity and the eight Gell-Mann matrices, scaled so ``Tr(K_a K_b) = 3 delta_ab``."""
+    units = np.eye(3)
+    mats = []
+    for m in range(3):
+        for n in range(m + 1, 3):
+            e = np.outer(units[m], units[n])
+            mats += [e + e.T, -1j * e + 1j * e.T]
+    mats += [np.diag([1.0, -1.0, 0.0]), np.diag([1.0, 1.0, -2.0]) / np.sqrt(3.0)]
+    return OperatorBasis(elements=np.array([np.eye(3)] + [np.sqrt(1.5) * k for k in mats], dtype=complex))
 
 
 def with_corner(m, x):

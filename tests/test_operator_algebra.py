@@ -22,7 +22,7 @@ from bbforge.operator_algebra import (
     unitary_from_rotation,
 )
 
-from conftest import I2, NON_FINITE, SX, SY, SZ, phase_aligned_distance, random_hermitian, random_su2, random_unitary, with_corner
+from conftest import I2, NON_FINITE, SX, SY, SZ, gell_mann_basis, phase_aligned_distance, random_hermitian, random_su2, random_unitary, with_corner
 
 
 class TestPauliBasis:
@@ -58,6 +58,11 @@ class TestPauliBasis:
     def test_rejects_stack_that_is_not_trace_orthogonal(self, elements):
         with pytest.raises(DomainError, match="trace-orthogonal"):
             OperatorBasis(elements=np.array(elements))
+
+    def test_qubit_count_needs_a_power_of_two(self):
+        assert OperatorBasis(elements=np.array([I2, SZ, SX, SY])).num_qubits == 1
+        with pytest.raises(ShapeError, match="power of two"):
+            gell_mann_basis().num_qubits
 
     def test_ordering_is_lexicographic(self):
         b = build_pauli_basis(2)

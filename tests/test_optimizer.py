@@ -99,6 +99,11 @@ def three_qubit_dephasing_model(seed=17):
     )
 
 
+def three_qubit_zz_model(last=SZ):
+    """Closed three-qubit system, ``0.5 Z (x) Z (x) last``, beside an uncoupled bath qubit."""
+    return SystemBathModel(system_hamiltonian=0.5 * np.kron(np.kron(SZ, SZ), last), bath_hamiltonian=np.zeros((2, 2)))
+
+
 def storage_cost(cycles=2, quadrature=1):
     return CostFunction(target=TargetSpec(kind="storage"), cycles=cycles, quadrature=quadrature)
 
@@ -134,6 +139,13 @@ class TestEvaluateCost:
         j4 = evaluate_cost(model, group, storage_cost(cycles=2, quadrature=4))
         # both approximate the same integral
         assert abs(j1 - j4) < 0.05 * j1
+
+    def test_weight_three_error_costs_as_much_as_weight_two(self):
+        # Z (x) Z (x) Z dephases the state as fast as Z (x) Z (x) I; a cost blind to weight 3 read it as 0
+        identity = PulseGroup.from_pulses([np.eye(8)], 0.05)
+        weight_two = evaluate_cost(three_qubit_zz_model(I2), identity, storage_cost())
+        assert weight_two > 0.1
+        assert evaluate_cost(three_qubit_zz_model(), identity, storage_cost()) == pytest.approx(weight_two, rel=1e-12)
 
     def test_gate_target_cost(self):
         # aiming for the generator the model already produces costs nothing
@@ -310,6 +322,17 @@ class TestLearningLoop:
         cost = storage_cost(cycles=cfg.cycles, quadrature=cfg.quadrature)
         identity = PulseGroup.from_pulses([np.eye(8)], cfg.delta_t)
         assert records[-1].best_cost < 1e-2 * evaluate_cost(model, identity, cost)
+
+    def test_weight_three_error_is_decoupled(self):
+        cfg = LearningLoopConfig(population=8, generations=2, tolerance=1e-6, seed=0, delta_t=0.05)
+        best, records = learning_loop(three_qubit_zz_model(), TargetSpec(kind="storage"), cfg)
+        assert best.size > 1
+        assert records[-1].converged
+
+    def test_two_qubit_target_on_one_qubit_rejected(self):
+        target = TargetSpec(kind="two_qubit", wanted=np.eye(3))
+        with pytest.raises(ShapeError, match="two system qubits"):
+            learning_loop(pure_dephasing_model(), target, LearningLoopConfig(population=4, generations=1))
 
     def test_dimension_not_a_power_of_two_rejected(self):
         model = SystemBathModel(system_hamiltonian=np.diag([1.0, 0.0, -1.0]), bath_hamiltonian=np.zeros((1, 1)))

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from bbforge.errors import DegenerateTimeError, DomainError, InconsistencyError, ShapeError
 from bbforge.open_system_sim import Coupling, KrausSet, SystemBathModel, kraus_from_model
-from bbforge.operator_algebra import _flat_coords, build_pauli_basis, expand
+from bbforge.operator_algebra import OperatorBasis, build_pauli_basis, expand
 from bbforge.tomography import (
     ChiMatrix,
     TomographyData,
@@ -14,7 +14,7 @@ from bbforge.tomography import (
     run_qpt,
 )
 
-from conftest import I2, NON_FINITE, SX, SY, SZ, random_density, random_hermitian, random_unitary, with_corner
+from conftest import I2, NON_FINITE, SX, SY, SZ, gell_mann_basis, random_density, random_hermitian, random_unitary, with_corner
 
 
 def first_order_dephasing(g, t):
@@ -275,6 +275,23 @@ class TestExtractGenerator:
         assert np.abs(pm[mask]).max() < 1e-9
         assert np.allclose(gen.xi[0], [0, 0, g1], atol=1e-9)
         assert np.allclose(gen.xi[1], [0, 0, g2], atol=1e-9)
+        for pair in [(1, 0), (0, 0), (0, 2)]:
+            with pytest.raises(DomainError, match="pair"):
+                gen.pair_matrix(*pair)
+
+    @pytest.mark.parametrize(
+        "basis",
+        [OperatorBasis(elements=np.array([I2, SZ, SX, SY]), labels=("I", "Z", "X", "Y")), gell_mann_basis()],
+        ids=["pauli-reordered", "gell-mann"],
+    )
+    def test_basis_other_than_pauli_rejected(self, basis):
+        # a generator read by Pauli-string index would mislabel or overrun any other basis
+        def dephasing(rho):
+            return rho + 0.005j * (rho @ basis.elements[1] - basis.elements[1] @ rho)
+
+        chi = chi_from_lambda(run_qpt(dephasing, basis, time_tag=0.01))
+        with pytest.raises(DomainError, match="Pauli basis"):
+            extract_generator(chi)
 
     def test_time_required(self):
         b = build_pauli_basis(1)
@@ -329,18 +346,28 @@ class TestExtractGenerator:
 @pytest.mark.filterwarnings("ignore::UserWarning")
 @settings(max_examples=30, deadline=None)
 @given(
-    num_qubits=st.integers(min_value=1, max_value=2),
+    num_qubits=st.integers(min_value=1, max_value=3),
     count=st.integers(min_value=1, max_value=4),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
 def test_flat_generator_is_first_chi_column(num_qubits, count, seed):
-    # every weight-1 and weight-2 string is placed by the offset table
+    # every string of every weight; xi and the pair matrices read it by label
     b = build_pauli_basis(num_qubits)
     t = 0.01
     ops = normalized_kraus(b.dim, count, np.random.default_rng(seed))
     chi = chi_from_lambda(run_qpt(KrausSet(ops).apply, b, time_tag=t))
     gen = extract_generator(chi)
-    assert np.array_equal(_flat_coords(b, gen.xi, gen.xi_pair), chi.entries[1:, 0].imag / t)
+    assert np.array_equal(gen.coords, chi.entries[1:, 0].imag / t)
+    by_label = dict(zip(b.labels, np.concatenate(([0.0], gen.coords))))
+
+    def coord(on):  # on: qubit -> label index
+        return by_label["".join("IXYZ"[on.get(q, 0)] for q in range(num_qubits))]
+
+    for i in range(num_qubits):
+        assert list(gen.xi[i]) == [coord({i: a}) for a in range(1, 4)]
+        for j in range(i + 1, num_qubits):
+            want = [[coord({i: a, j: c}) for c in range(4)] for a in range(4)]
+            assert np.array_equal(gen.pair_matrix(i, j), want)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
