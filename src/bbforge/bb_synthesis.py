@@ -147,7 +147,10 @@ class ErrorReport:
 
 @dataclass(frozen=True)
 class SynthesisResult:
+    """A solver's pulse set: ``group`` is the local product of the per-qubit pulse lists ``factors``, qubit 0 first."""
+
     group: PulseGroup
+    factors: tuple[list[np.ndarray], ...]
     residual: ErrorReport
     free_parameters: str
     qubit: int | None = None
@@ -302,21 +305,23 @@ def solve_storage(generator, qubit: int = 0, max_group_size: int = 8, *, delta_t
     xi = np.asarray(generator.xi[qubit] if hasattr(generator, "xi") else generator, dtype=float)
     basis1 = build_pauli_basis(1)
     if np.linalg.norm(xi) <= ROUNDOFF:
-        group = _product_group([[np.eye(2, dtype=complex)]], delta_t)
+        factors = ([np.eye(2, dtype=complex)],)
         return SynthesisResult(
-            group=group,
+            group=_product_group(factors, delta_t),
+            factors=factors,
             residual=_report(xi, np.zeros(3), basis1),
             free_parameters="generator already vanishes; no pulses required",
             qubit=qubit,
         )
-    axis = axis_orthogonal_to([xi])
-    group = parity_kick_group(axis, delta_t)
+    factors = (_kick_pulses(_unit_axis(axis_orthogonal_to([xi]), np.pi / 2)),)
+    group = _product_group(factors, delta_t)
     achieved = modified_vector(group, xi)
     report = _report(achieved, np.zeros(3), basis1)
     if report.scalar_distance > LINEAR_SOLVE:
         raise InfeasibleError("parity kick failed to annihilate the generator", best_residual=report.scalar_distance)
     return SynthesisResult(
         group=group,
+        factors=factors,
         residual=report,
         free_parameters=(
             "kick axis free within the plane orthogonal to the measured generator; "
@@ -396,9 +401,10 @@ def solve_single_qubit_gate(generator, target: TargetSpec, qubit: int = 0, max_g
     norm_xi, norm_w = np.linalg.norm(xi), np.linalg.norm(w)
     scale = max(norm_xi, norm_w, 1.0)
     if np.linalg.norm(xi - w) <= ROUNDOFF * scale:
-        group = _product_group([[np.eye(2, dtype=complex)]], delta_t)
+        factors = ([np.eye(2, dtype=complex)],)
         return SynthesisResult(
-            group=group,
+            group=_product_group(factors, delta_t),
+            factors=factors,
             residual=_report(xi, w, basis1),
             free_parameters="measured generator already equals the target",
             qubit=qubit,
@@ -441,13 +447,13 @@ def solve_single_qubit_gate(generator, target: TargetSpec, qubit: int = 0, max_g
                 best_residual=best / m,
             )
 
-    pulses = [np.eye(2, dtype=complex)] + [axis_angle_unitary(axis, angle) for axis, angle in axis_angles]
-    group = _product_group([pulses], delta_t)
+    factors = ([np.eye(2, dtype=complex)] + [axis_angle_unitary(axis, angle) for axis, angle in axis_angles],)
+    group = _product_group(factors, delta_t)
     achieved = modified_vector(group, xi)
     report = _report(achieved, w, basis1)
     if report.scalar_distance > LINEAR_SOLVE * max(1.0, scale):
         raise InfeasibleError("constructed pulse set missed the target", best_residual=report.scalar_distance)
-    return SynthesisResult(group=group, residual=report, free_parameters=note, qubit=qubit)
+    return SynthesisResult(group=group, factors=factors, residual=report, free_parameters=note, qubit=qubit)
 
 
 # ---------------------------------------------------------------------------
@@ -505,7 +511,7 @@ def _single_qubit_pulse_lists(xi_vec: np.ndarray, w_vec: np.ndarray, max_group_s
             res = solve_storage(xi_vec, 0, max_group_size)
         else:
             res = solve_single_qubit_gate(xi_vec, TargetSpec(kind="single_qubit", wanted=w_vec), 0, max_group_size)
-        lists.append([np.array(p) for p in res.group.pulses])
+        lists.append(res.factors[0])
     except InfeasibleError:
         pass
     if np.linalg.norm(xi_vec) > ROUNDOFF:
@@ -563,6 +569,7 @@ def solve_two_qubit(generator, target: TargetSpec, pair: tuple[int, int] = (0, 1
             if resid <= LINEAR_SOLVE:
                 return SynthesisResult(
                     group=groups[k],
+                    factors=candidate,
                     residual=_report(achieved, w_pair, basis2),
                     free_parameters=_two_qubit_note(mode),
                     pair=tuple(pair),

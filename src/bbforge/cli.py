@@ -96,6 +96,16 @@ def _config_number(value, name: str, minimum: int | None = None):
     return _config_check(_check_count, value, name, minimum)
 
 
+def _config_pair(pair, name: str, num_qubits: int) -> tuple[int, int]:
+    """The qubits ``i < j < num_qubits`` a two-qubit target acts on, from a two-element list."""
+    if not (isinstance(pair, list) and len(pair) == 2):
+        raise ConfigError(f"{name} must be a list of two qubit indices, got {pair!r}")
+    i, j = (_config_number(q, name, 0) for q in pair)
+    if not i < j < num_qubits:
+        raise ConfigError(f"{name} needs qubits i < j < {num_qubits}, got {pair!r}")
+    return i, j
+
+
 _CONFIG_KEYS = frozenset({"model", "model_path", "probe_time", "initial_state", "target", "simulate", "synthesis", "verify", "loop"})
 
 
@@ -248,13 +258,8 @@ def cmd_synthesize(args) -> int:
     elif target.kind == "single_qubit":
         result = solve_single_qubit_gate(gen, target, qubit, max_size, delta_t=delta_t)
     else:
-        pair = synth.get("pair", [0, 1])
-        if not (isinstance(pair, list) and len(pair) == 2):
-            raise ConfigError(f"synthesis.pair must be a list of two qubit indices, got {pair!r}")
-        i, j = (_config_number(q, "synthesis.pair", 0) for q in pair)
-        if not i < j < gen.num_qubits:
-            raise ConfigError(f"synthesis.pair needs qubits i < j < {gen.num_qubits}, got {pair!r}")
-        result = solve_two_qubit(gen, target, (i, j), max_group_size=max_size, delta_t=delta_t)
+        pair = _config_pair(synth.get("pair", [0, 1]), "synthesis.pair", gen.num_qubits)
+        result = solve_two_qubit(gen, target, pair, max_group_size=max_size, delta_t=delta_t)
     payload = result.to_dict()
     if target.stabilizer is not None and target.kind != "two_qubit":
         error = result.residual.error_vector
@@ -321,6 +326,8 @@ def cmd_verify(args) -> int:
 def cmd_optimize(args) -> int:
     cfg = ExperimentConfig.load(args.config, args.probe_time)
     target = cfg.target()
+    if target.kind == "two_qubit":
+        _config_pair([0, 1], "the loop's two-qubit target", cfg.model.num_qubits)  # the loop solves on qubits 0 and 1
     loop_cfg = cfg.loop_config(args.seed)
     best, records = learning_loop(cfg.model, target, loop_cfg)
     out = _out_dir(args)

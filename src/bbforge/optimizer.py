@@ -21,6 +21,7 @@ from .bb_synthesis import (
     _catalogue,
     _kick_pulses,
     _product_group,
+    _product_size,
     _report,
     axis_grid,
     axis_orthogonal_to,
@@ -42,7 +43,6 @@ from .operator_algebra import (
     _check_count,
     _check_time,
     _pauli_offsets,
-    _polar,
     _qubit_count,
     adjoint_of,
     axis_angle_unitary,
@@ -238,38 +238,42 @@ def _mask_detected(vec: np.ndarray, floor: float) -> np.ndarray:
 
 
 def _analysis_candidate(gen, target, config, history: dict):
-    """One analyze pass: re-solve on the generator measured under the current pulses, propose a group.
+    """One analyze pass: re-solve on the generator measured under the current pulses.
 
+    Returns the proposed pulse set as per-qubit pulse lists, one for each
+    system qubit, or None when the solver finds none.  A gate target is
+    solved on qubit 0 or the pair (0, 1); every other qubit gets ``[I]``.
     ``history`` maps a qubit to the error vectors detected on it by every
     pass so far; this pass appends to it.
     """
+    eye = [np.eye(2, dtype=complex)]
+    if target.kind == "storage":
+        per_qubit = []
+        for i in range(gen.num_qubits):
+            detected = _mask_detected(gen.xi[i], config.detection_floor)
+            if np.linalg.norm(detected) > NEGLIGIBLE:
+                history.setdefault(i, []).append(detected)
+            hist = history.get(i, [])
+            if not hist:
+                per_qubit.append(eye)
+                continue
+            axis = axis_orthogonal_to(hist)
+            if axis is None:
+                pulses = eye + [axis_angle_unitary(e, np.pi / 2) for e in np.eye(3)]
+            else:
+                pulses = _kick_pulses(axis)
+            per_qubit.append(pulses)
+        return per_qubit
     try:
-        if target.kind == "storage":
-            per_qubit = []
-            for i in range(gen.num_qubits):
-                detected = _mask_detected(gen.xi[i], config.detection_floor)
-                if np.linalg.norm(detected) > NEGLIGIBLE:
-                    history.setdefault(i, []).append(detected)
-                hist = history.get(i, [])
-                if not hist:
-                    per_qubit.append([np.eye(2, dtype=complex)])
-                    continue
-                axis = axis_orthogonal_to(hist)
-                if axis is None:
-                    pulses = [np.eye(2, dtype=complex)] + [axis_angle_unitary(e, np.pi / 2) for e in np.eye(3)]
-                else:
-                    pulses = _kick_pulses(axis)
-                per_qubit.append(pulses)
-            return _product_group(per_qubit, config.delta_t)
         if target.kind == "single_qubit":
-            res = solve_single_qubit_gate(gen, target, 0, config.group_size_bound, delta_t=config.delta_t)
-            return res.group
-        if target.kind == "two_qubit":
-            res = solve_two_qubit(gen, target, (0, 1), max_group_size=config.group_size_bound, delta_t=config.delta_t)
-            return res.group
+            factors = solve_single_qubit_gate(gen, target, 0, config.group_size_bound, delta_t=config.delta_t).factors
+        elif target.kind == "two_qubit":
+            factors = solve_two_qubit(gen, target, (0, 1), max_group_size=config.group_size_bound, delta_t=config.delta_t).factors
+        else:
+            return None
     except InfeasibleError:
         return None
-    return None
+    return [*factors] + [eye] * (gen.num_qubits - len(factors))
 
 
 def _default_probe_time(model: SystemBathModel) -> float:
@@ -277,41 +281,21 @@ def _default_probe_time(model: SystemBathModel) -> float:
     return 0.01 / max(np.linalg.norm(model.total_hamiltonian, 2), 1.0)
 
 
-def _group_to_genome(group: PulseGroup):
-    """Genome of a pulse group, or None when a pulse is not a local product.
+def _genome_of(per_qubit):
+    """Genome of the local product of per-qubit pulse lists, qubit 0 first.
 
     One entry per pulse after the identity, each a tuple of per-qubit
-    ``(axis, angle)`` pairs, qubit 0 first.  Each factor goes through its
+    ``(axis, angle)`` pairs; pulse ``k`` reads factor ``k mod len`` of each
+    list, as ``_product_group`` builds it.  Each factor goes through its
     adjoint rotation, so its global phase does not reach the genome.
     """
     basis1 = build_pauli_basis(1)
-    genome = []
-    for p in group.pulses[1:]:
-        factors = _local_factors(p, _qubit_count(group.dim))
-        if factors is None:
-            return None
-        axis_angles = [unitary_from_rotation(adjoint_of(f, basis1)) for f in factors]
-        genome.append(tuple((np.array(aa.axis), float(aa.angle)) for aa in axis_angles))
-    return genome
 
+    def axis_angle(factor):
+        aa = unitary_from_rotation(adjoint_of(factor, basis1))
+        return np.array(aa.axis), float(aa.angle)
 
-def _local_factors(u: np.ndarray, num_qubits: int):
-    """Per-qubit unitary factors of ``u``, qubit 0 first, or None if it is not a local product.
-
-    Each step splits qubit 0 off by a rank-one SVD, ``vec(a) vec(rest)^T =
-    s0 uu[:, 0] vh[0]`` (``vh[0]`` unconjugated), and projects both parts onto
-    the unitaries; a single-qubit ``u`` is its own factor.
-    """
-    factors = []
-    for rest_qubits in range(num_qubits - 1, 0, -1):
-        rest = 2**rest_qubits
-        m = u.reshape(2, rest, 2, rest).transpose(0, 2, 1, 3).reshape(4, rest * rest)
-        uu, s, vh = np.linalg.svd(m)
-        if s[1] > NEGLIGIBLE:
-            return None
-        factors.append(_polar(uu[:, 0].reshape(2, 2) * np.sqrt(s[0])))
-        u = _polar(vh[0].reshape(rest, rest) * np.sqrt(s[0]))
-    return factors + [u]
+    return [tuple(axis_angle(q[k % len(q)]) for q in per_qubit) for k in range(1, _product_size(per_qubit))]
 
 
 def _genome_group(genome, num_qubits: int, delta_t: float) -> PulseGroup:
@@ -382,21 +366,11 @@ def learning_loop(model: SystemBathModel, target: TargetSpec, config: LearningLo
     probe = config.probe_time if config.probe_time is not None else _default_probe_time(model)
 
     history: dict = {}
-    genomes = []
-    analysis_group = _analysis_candidate(_measure_generator(model, None, probe, basis), target, config, history)
-    if analysis_group is not None:
-        g = _group_to_genome(analysis_group)
-        if g is not None:
-            genomes.append(g)
-    for grp in enumerate_candidate_groups(model.system_dim, config.group_size_bound, delta_t=config.delta_t):
-        g = _group_to_genome(grp)
-        if g is not None:
-            genomes.append(g)
-        if len(genomes) >= config.population:
-            break
+    analysis = _analysis_candidate(_measure_generator(model, None, probe, basis), target, config, history)
+    genomes = [] if analysis is None else [_genome_of(analysis)]
+    genomes += [_genome_of(c) for c in _catalogue(nq, config.group_size_bound)[: config.population - len(genomes)]]
     while len(genomes) < config.population:
         genomes.append(_random_genome(rng, nq, config.group_size_bound))
-    genomes = genomes[: config.population]
 
     records: list[GenerationRecord] = []
     best_group, best_cost = None, np.inf
@@ -432,11 +406,9 @@ def learning_loop(model: SystemBathModel, target: TargetSpec, config: LearningLo
             break
 
         next_genomes = [genomes[order[k]] for k in range(min(_ELITE, len(genomes)))]
-        analysis_group = _analysis_candidate(gen, target, config, history)
-        if analysis_group is not None:
-            g = _group_to_genome(analysis_group)
-            if g is not None:
-                next_genomes.append(g)
+        analysis = _analysis_candidate(gen, target, config, history)
+        if analysis is not None:
+            next_genomes.append(_genome_of(analysis))
         while len(next_genomes) < config.population:
             picks = rng.integers(0, config.population, size=_TOURNAMENT)
             pa = genomes[min(picks, key=lambda i: costs[i])]

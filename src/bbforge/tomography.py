@@ -264,12 +264,15 @@ def extract_generator(chi: ChiMatrix) -> EffectiveGenerator:
     Raises
     ------
     DomainError
-        If chi is not over the lexicographic Pauli basis, the only basis
-        whose strings the coordinates are read by.
+        If chi is not over the lexicographic Pauli basis, labels and
+        elements both, the only basis whose strings the coordinates are
+        read by.
     DegenerateTimeError
         If the chi matrix carries no positive, finite probe time.
     """
-    _pauli_basis_labelled(chi.basis.labels, "generator extraction: chi")
+    pauli = _pauli_basis_labelled(chi.basis.labels, "generator extraction: chi")
+    if not np.array_equal(chi.basis.elements, pauli.elements):
+        raise DomainError("generator extraction: chi's basis elements differ from the Pauli basis its labels name")
     try:
         t = _check_time(chi.time_tag, "chi time tag", positive=True)
     except DomainError as exc:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bbforge.open_system_sim import Coupling, SystemBathModel
 from bbforge.operator_algebra import OperatorBasis
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -52,6 +53,27 @@ def phase_aligned_distance(u, v):
         return float(np.linalg.norm(u - v))
     phase = overlap / abs(overlap)
     return float(np.linalg.norm(u - phase * v))
+
+
+def on_qubit(op, qubit, num_qubits):
+    """``op`` on one qubit of ``num_qubits``, the identity on the rest; qubit 0 is the leftmost factor."""
+    return np.kron(np.kron(np.eye(2**qubit), op), np.eye(2 ** (num_qubits - 1 - qubit)))
+
+
+def three_qubit_dephasing_model(seed=17):
+    """Seeded local Z dephasing on three system qubits, each through its own operator on one bath qubit."""
+    rng = np.random.default_rng(seed)
+
+    def unit_hermitian():
+        h = random_hermitian(2, rng)
+        return h / np.linalg.norm(h, 2)
+
+    return SystemBathModel(
+        system_hamiltonian=sum(rng.uniform(0.2, 0.5) * on_qubit(SZ, q, 3) for q in range(3)),
+        bath_hamiltonian=0.5 * unit_hermitian(),
+        couplings=tuple(Coupling(system=rng.uniform(0.05, 0.2) * on_qubit(SZ, q, 3), bath=unit_hermitian()) for q in range(3)),
+        bath_initial=random_density(2, rng),
+    )
 
 
 def gell_mann_basis():

@@ -35,10 +35,10 @@ from bbforge.operator_algebra import (
     reconstruct,
     unitary_from_rotation,
 )
-from bbforge.optimizer import LearningLoopConfig, learning_loop
+from bbforge.optimizer import CostFunction, LearningLoopConfig, evaluate_cost, learning_loop
 from bbforge.tomography import chi_from_lambda, extract_generator, run_qpt
 
-from conftest import I2, SX, SY, SZ, random_hermitian, random_su2, trace_distance
+from conftest import I2, SX, SY, SZ, on_qubit, random_hermitian, random_su2, three_qubit_dephasing_model, trace_distance
 
 B1 = build_pauli_basis(1)
 B2 = build_pauli_basis(2)
@@ -283,3 +283,20 @@ def test_criterion_9_encoded_condition():
             oracle = np.sqrt(np.trace(resid.conj().T @ resid).real)
             worst = max(worst, abs(rep.stabilizer_distance - oracle))
         assert worst < 1e-10
+
+
+def test_criterion_10_three_qubit_learning_loop():
+    # local Z dephasing is removed to first order by {I, K (x) K (x) K} for any
+    # kick K perpendicular to z (Viola, Knill & Lloyd, PRL 82, 2417, 1999)
+    with criterion(10, "3-qubit learning loop: size-2 product group flipping every local Z, J < 1e-2 x J(identity)"):
+        with Timer() as timer:
+            model = three_qubit_dephasing_model()
+            cfg = LearningLoopConfig(population=16, generations=6, tolerance=0.0, seed=4, delta_t=0.02)
+            best, records = learning_loop(model, TargetSpec(kind="storage"), cfg)
+            assert best.size == 2
+            for z in (on_qubit(SZ, q, 3) for q in range(3)):
+                assert np.linalg.norm(best.pulses[1].conj().T @ z @ best.pulses[1] + z) < 1e-9
+            cost = CostFunction(target=TargetSpec(kind="storage"), cycles=cfg.cycles, quadrature=cfg.quadrature)
+            identity = PulseGroup.from_pulses([np.eye(8)], cfg.delta_t)
+            assert records[-1].best_cost < 1e-2 * evaluate_cost(model, identity, cost)
+        assert timer.elapsed < 60.0

@@ -222,6 +222,28 @@ class TestSolveTwoQubit:
         assert res.group.size == 1
 
 
+HEISENBERG_XI = np.zeros((4, 4))
+HEISENBERG_XI[3, 0], HEISENBERG_XI[0, 3] = 0.3, 0.2
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [
+        lambda: solve_storage(np.zeros(3)),
+        lambda: solve_storage(np.array([0.1, -0.2, 0.3])),
+        lambda: solve_single_qubit_gate(np.array([0.0, 0.0, 0.5]), TargetSpec(kind="single_qubit", wanted=[0.0, 0.0, 0.5])),
+        lambda: solve_single_qubit_gate(np.array([0.0, 0.0, 0.5]), TargetSpec(kind="single_qubit", wanted=[0.1, 0.0, 0.1])),
+        lambda: solve_two_qubit(HEISENBERG_XI, TargetSpec(kind="two_qubit", wanted=np.eye(3))),
+    ],
+    ids=["storage-zero", "storage-kick", "gate-trivial", "gate-fan", "two-qubit"],
+)
+def test_factors_build_the_group(solve):
+    res = solve()
+    rebuilt = _product_group(res.factors, res.group.delta_t)
+    assert rebuilt.size == res.group.size
+    assert all(np.array_equal(a, b) for a, b in zip(rebuilt.pulses, res.group.pulses))
+
+
 class TestCandidateBuilds:
     """``solve_two_qubit`` builds a candidate's group when it tries it, and once per solve."""
 

@@ -288,6 +288,25 @@ class TestOptimize:
         assert best["converged"] is False
         assert best["best_cost"] > 0
 
+    def test_two_qubit_target_on_one_qubit_exit_2(self, tmp_path, capsys):
+        cfg = {**dephasing_config(), "target": heisenberg_config()["target"]}
+        code = main(["--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "out"), "optimize"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not (tmp_path / "out").exists()
+
+    def test_single_qubit_target_on_two_qubits(self, tmp_path):
+        # the loop solves a single-qubit target on qubit 0 and leaves qubit 1 to the search
+        cfg = {
+            **heisenberg_config(),
+            "target": {"kind": "single_qubit", "wanted": [0.0, 0.0, -0.25]},
+            "loop": {"population": 4, "generations": 2, "tolerance": 0.0, "seed": 1, "delta_t": 0.05},
+        }
+        code = main(["--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "out"), "optimize"])
+        assert code == 4
+        best = json.loads((tmp_path / "out" / "best_group.json").read_text())
+        assert len(best["pulses"][0]) == 4
+
     def test_seed_override_reproducible(self, tmp_path):
         cfg = write_config(tmp_path, dephasing_config())
         main(["--config", cfg, "--out", str(tmp_path / "a"), "--seed", "7", "optimize"])

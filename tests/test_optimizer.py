@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bbforge.optimizer as optimizer_mod
-from bbforge.bb_synthesis import TargetSpec, parity_kick_group
+from bbforge.bb_synthesis import TargetSpec, _product_group, parity_kick_group
 from bbforge.errors import CapacityError, DomainError, ShapeError
 from bbforge.open_system_sim import Coupling, PulseGroup, SystemBathModel
 from bbforge.operator_algebra import MAX_BASIS_QUBITS, adjoint_of, build_pauli_basis, unitary_from_rotation
@@ -23,11 +23,11 @@ from bbforge.optimizer import (
     _default_probe_time,
     _genome_group,
     _genome_key,
-    _group_to_genome,
+    _genome_of,
     _measure_generator,
 )
 
-from conftest import I2, SX, SY, SZ, phase_aligned_distance, random_density, random_hermitian, random_su2
+from conftest import I2, SX, SY, SZ, on_qubit, phase_aligned_distance, random_su2, three_qubit_dephasing_model
 
 B1 = build_pauli_basis(1)
 
@@ -69,33 +69,13 @@ def two_qubit_bath_model():
     )
 
 
-def two_qubit_dephasing_model():
-    """Local Z dephasing on two system qubits, one through a bath qubit."""
-    z1, z2 = np.kron(SZ, I2), np.kron(I2, SZ)
+def local_dephasing_model(num_qubits=2):
+    """Local Z dephasing on two or three system qubits, qubit 0's also through a bath qubit."""
+    z = [on_qubit(SZ, q, num_qubits) for q in range(num_qubits)]
     return SystemBathModel(
-        system_hamiltonian=0.3 * z1 + 0.2 * z2,
+        system_hamiltonian=sum(g * zq for g, zq in zip((0.3, 0.2, 0.1), z)),
         bath_hamiltonian=0.5 * SZ,
-        couplings=(Coupling(system=0.1 * z1, bath=SX, name="z1x"),),
-    )
-
-
-def three_qubit_dephasing_model(seed=17):
-    """Seeded local Z dephasing on three system qubits, each through its own operator on one bath qubit."""
-    rng = np.random.default_rng(seed)
-
-    def z(qubit):
-        a, b, c = (SZ if q == qubit else I2 for q in range(3))
-        return np.kron(np.kron(a, b), c)
-
-    def unit_hermitian():
-        h = random_hermitian(2, rng)
-        return h / np.linalg.norm(h, 2)
-
-    return SystemBathModel(
-        system_hamiltonian=sum(rng.uniform(0.2, 0.5) * z(q) for q in range(3)),
-        bath_hamiltonian=0.5 * unit_hermitian(),
-        couplings=tuple(Coupling(system=rng.uniform(0.05, 0.2) * z(q), bath=unit_hermitian()) for q in range(3)),
-        bath_initial=random_density(2, rng),
+        couplings=(Coupling(system=0.1 * z[0], bath=SX, name="z1x"),),
     )
 
 
@@ -287,9 +267,12 @@ class TestLearningLoop:
         "model, target, solver",
         [
             (two_error_model(), TargetSpec(kind="single_qubit", wanted=[0.0, 0.0, -0.25]), "solve_single_qubit_gate"),
-            (two_qubit_dephasing_model(), TargetSpec(kind="two_qubit", wanted=np.eye(3)), "solve_two_qubit"),
+            (local_dephasing_model(), TargetSpec(kind="two_qubit", wanted=np.eye(3)), "solve_two_qubit"),
+            # a gate target acts on qubit 0, or qubits 0 and 1, of a larger system
+            (local_dephasing_model(), TargetSpec(kind="single_qubit", wanted=[0.0, 0.0, -0.25]), "solve_single_qubit_gate"),
+            (local_dephasing_model(3), TargetSpec(kind="two_qubit", wanted=np.eye(3)), "solve_two_qubit"),
         ],
-        ids=["single_qubit", "two_qubit"],
+        ids=["single_qubit", "two_qubit", "single_qubit-of-2", "two_qubit-of-3"],
     )
     def test_gate_target_loop(self, monkeypatch, model, target, solver):
         solved = []
@@ -316,9 +299,10 @@ class TestLearningLoop:
         best, records = learning_loop(model, TargetSpec(kind="storage"), cfg)
         assert len(records) == 6 and best.dim == 8
         assert best.size == 2
-        genome = optimizer_mod._group_to_genome(best)
-        for axis, angle in genome[0]:
-            assert abs(axis[2]) < 1e-9 and abs(angle - np.pi / 2) < 1e-9
+        # the second pulse flips each qubit's Z: it anticommutes with every local Z
+        for z in (on_qubit(SZ, q, 3) for q in range(3)):
+            flip = best.pulses[1].conj().T @ z @ best.pulses[1]
+            assert np.linalg.norm(flip + z) < 1e-9
         cost = storage_cost(cycles=cfg.cycles, quadrature=cfg.quadrature)
         identity = PulseGroup.from_pulses([np.eye(8)], cfg.delta_t)
         assert records[-1].best_cost < 1e-2 * evaluate_cost(model, identity, cost)
@@ -426,33 +410,20 @@ class TestScoringOnce:
 
 class TestGenome:
     @settings(max_examples=40, deadline=None)
-    @given(num_qubits=st.integers(1, 3), num_pulses=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
-    def test_local_product_round_trip(self, num_qubits, num_pulses, seed):
+    @given(lengths=st.lists(st.integers(1, 3), min_size=1, max_size=3), seed=st.integers(0, 2**32 - 1))
+    def test_pulse_list_round_trip(self, lengths, seed):
+        # per-qubit lists of unequal lengths -> genome -> group, against the product built directly
         rng = np.random.default_rng(seed)
-        factors = [[random_su2(rng) * np.exp(1j * rng.uniform(0, 2 * np.pi)) for _ in range(num_qubits)]
-                   for _ in range(num_pulses)]
-        pulses = [np.eye(2**num_qubits, dtype=complex)]
-        for per_qubit in factors:
-            pulse = per_qubit[0]
-            for f in per_qubit[1:]:
-                pulse = np.kron(pulse, f)
-            pulses.append(pulse)
-        group = PulseGroup.from_pulses(pulses, 0.05)
-        genome = _group_to_genome(group)
-        assert len(genome) == num_pulses
-        assert all(len(entry) == num_qubits for entry in genome)
-        back = _genome_group(genome, num_qubits, 0.05)
+        per_qubit = [[I2] + [random_su2(rng) * np.exp(1j * rng.uniform(0, 2 * np.pi)) for _ in range(n - 1)]
+                     for n in lengths]
+        group = _product_group(per_qubit, 0.05)
+        genome = _genome_of(per_qubit)
+        assert len(genome) == group.size - 1
+        assert all(len(entry) == len(lengths) for entry in genome)
+        back = _genome_group(genome, len(lengths), 0.05)
         assert back.size == group.size and back.delta_t == group.delta_t
         for got, want in zip(back.pulses, group.pulses):
             assert phase_aligned_distance(np.asarray(got), want) < 1e-10
-
-    @pytest.mark.parametrize("local", [None, SX], ids=["2q", "3q"])
-    def test_entangling_pulse_has_no_genome(self, local):
-        # at 3 qubits qubit 0 splits off and the CNOT on the rest does not
-        cnot = np.eye(4, dtype=complex)[[0, 1, 3, 2]]
-        pulse = cnot if local is None else np.kron(local, cnot)
-        group = PulseGroup.from_pulses([np.eye(pulse.shape[0]), pulse], 0.05)
-        assert _group_to_genome(group) is None
 
 
 class TestTwoPassAnalysis:
@@ -466,11 +437,12 @@ class TestTwoPassAnalysis:
         history = {}
         target = TargetSpec(kind="storage")
         probe = _default_probe_time(model)
-        cand1 = _analysis_candidate(_measure_generator(model, None, probe, B1), target, cfg, history)
-        aa1 = unitary_from_rotation(adjoint_of(cand1.pulses[1], B1))
+        (cand1,) = _analysis_candidate(_measure_generator(model, None, probe, B1), target, cfg, history)
+        aa1 = unitary_from_rotation(adjoint_of(cand1[1], B1))
         assert np.allclose(aa1.axis, [1, 0, 0], atol=1e-9)
-        cand2 = _analysis_candidate(_measure_generator(model, cand1, probe, B1), target, cfg, history)
-        aa2 = unitary_from_rotation(adjoint_of(cand2.pulses[1], B1))
+        pulsed = _product_group([cand1], cfg.delta_t)
+        (cand2,) = _analysis_candidate(_measure_generator(model, pulsed, probe, B1), target, cfg, history)
+        aa2 = unitary_from_rotation(adjoint_of(cand2[1], B1))
         assert np.allclose(aa2.axis, [0, 1, 0], atol=1e-9)
         assert len(history[0]) == 2
 

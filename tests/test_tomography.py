@@ -281,8 +281,12 @@ class TestExtractGenerator:
 
     @pytest.mark.parametrize(
         "basis",
-        [OperatorBasis(elements=np.array([I2, SZ, SX, SY]), labels=("I", "Z", "X", "Y")), gell_mann_basis()],
-        ids=["pauli-reordered", "gell-mann"],
+        [
+            OperatorBasis(elements=np.array([I2, SZ, SX, SY]), labels=("I", "Z", "X", "Y")),
+            OperatorBasis(elements=np.array([I2, SZ, SX, SY]), labels=("I", "X", "Y", "Z")),
+            gell_mann_basis(),
+        ],
+        ids=["pauli-reordered", "pauli-mislabelled", "gell-mann"],
     )
     def test_basis_other_than_pauli_rejected(self, basis):
         # a generator read by Pauli-string index would mislabel or overrun any other basis
