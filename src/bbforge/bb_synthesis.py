@@ -652,9 +652,12 @@ def error_report(tilde_chi: CoordinateVector, wanted: CoordinateVector) -> Error
         raise ShapeError("coordinate shapes do not match")
     e_coords = tilde_chi.coords - wanted.coords
     e_vec = CoordinateVector(coords=e_coords, basis=tilde_chi.basis)
-    delta = reconstruct(e_vec)
-    d = float(np.sqrt(abs(np.trace(delta.conj().T @ delta).real)))
-    return ErrorReport(error_vector=e_vec, scalar_distance=d)
+    return ErrorReport(error_vector=e_vec, scalar_distance=float(_hs_norm(reconstruct(e_vec))))
+
+
+def _hs_norm(delta: np.ndarray) -> np.ndarray:
+    """Hilbert-Schmidt norm ``sqrt(Tr[D^dag D])`` of each ``(d, d)`` slice of ``delta``."""
+    return np.sqrt(np.abs(np.trace(delta.conj().swapaxes(-1, -2) @ delta, axis1=-2, axis2=-1).real))
 
 
 def check_encoded(result_generator: CoordinateVector, target: TargetSpec) -> ErrorReport:
@@ -680,7 +683,7 @@ def check_encoded(result_generator: CoordinateVector, target: TargetSpec) -> Err
     coeffs, *_ = np.linalg.lstsq(gram, rhs, rcond=None)
     nearest = sum(c * g for c, g in zip(coeffs, gens))
     resid = delta - nearest
-    stab_d = float(np.sqrt(abs(np.trace(resid.conj().T @ resid).real)))
+    stab_d = float(_hs_norm(resid))
     return ErrorReport(error_vector=e_vec, scalar_distance=d, stabilizer_distance=min(stab_d, d))
 
 

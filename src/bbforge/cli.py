@@ -44,6 +44,10 @@ from .tomography import chi_from_lambda, extract_generator, run_qpt
 
 __all__ = ["ExperimentConfig", "main", "entry_point"]
 
+# verify raises the one-cycle propagator to the cycle count, and round-off in that power grows with
+# the count: 262144 cycles of a parity kick on one system and one bath qubit fail the unit-trace check.
+MAX_VERIFY_CYCLES = 2**16
+
 
 class ConfigError(BBForgeError):
     """Malformed or incomplete experiment configuration."""
@@ -301,6 +305,8 @@ def cmd_verify(args) -> int:
     group = _group_from_payload(group_data, ver.get("delta_t"), cfg.model.system_dim)
     total_time = _config_number(ver.get("total_time", 1.0), "verify.total_time")
     cycles = max(1, round(_config_number(total_time / group.cycle_time, "verify.total_time / cycle time")))
+    if cycles > MAX_VERIFY_CYCLES:
+        raise ConfigError(f"verify.total_time / cycle time is {cycles} cycles, above the cap of {MAX_VERIFY_CYCLES}")
     rho0 = cfg.initial_state()
     pulsed = apply_bb_cycle(cfg.model, group, cycles, rho0)
     horizon = cycles * group.cycle_time

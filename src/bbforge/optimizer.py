@@ -10,6 +10,8 @@ and wanted generators over a fixed horizon of pulse cycles.
 
 from __future__ import annotations
 
+import functools
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -19,6 +21,7 @@ from .bb_synthesis import (
     ErrorReport,
     TargetSpec,
     _catalogue,
+    _hs_norm,
     _kick_pulses,
     _product_group,
     _product_size,
@@ -49,7 +52,7 @@ from .operator_algebra import (
     build_pauli_basis,
     unitary_from_rotation,
 )
-from .tomography import chi_from_lambda, extract_generator, run_qpt
+from .tomography import _assemble_lam, _chi_raw, _probe_inputs, chi_from_lambda, extract_generator, run_qpt
 
 __all__ = [
     "CostFunction",
@@ -164,19 +167,18 @@ def _probe_generator(channel, basis, t: float):
         return extract_generator(chi_from_lambda(run_qpt(channel, basis, time_tag=t)))
 
 
-def _generator_report(gen, w_flat: np.ndarray) -> ErrorReport:
-    """Deviation of a measured generator, every Pauli weight included, from flat wanted coordinates."""
-    return _report(gen.coords, w_flat, gen.basis)
-
-
 def evaluate_cost(model: SystemBathModel, group: PulseGroup, cost: CostFunction) -> float:
     """Integrated deviation between achieved and wanted generators.
 
-    At each quadrature node the pulsed channel up to that time is probed by
-    full process tomography, the short-time generator is extracted in rate
-    units, and the integrand is the Hilbert-Schmidt distance to the wanted
-    generator (see ``error_report``).  Node values below ``defaults.EXACT_HIT``
-    count as exact hits, so a perfect pulse set reports a cost of exactly zero.
+    All ``cycles * quadrature`` nodes are probed by full process tomography
+    in one pass over one stack of propagators, each node checked for
+    linearity and trace preservation.  The generator at node time ``t`` is
+    ``Im(chi[1:, 0]) / t`` of chi's Hermitian part, and the integrand is its
+    Hilbert-Schmidt distance to the wanted generator (see ``error_report``),
+    bit for bit what ``run_qpt``, ``chi_from_lambda``, ``extract_generator``
+    and ``error_report`` give on each node alone.  Node values below
+    ``defaults.EXACT_HIT`` count as exact hits, so a perfect pulse set
+    reports a cost of exactly zero.
     """
     if group.dim != model.system_dim:
         raise ShapeError("pulse dimension does not match the model")
@@ -185,17 +187,16 @@ def evaluate_cost(model: SystemBathModel, group: PulseGroup, cost: CostFunction)
     _check_time(cost.cycles * tc)  # the latest node, checked as bb_propagator would check it
     w_flat = _target_flat(cost.target, basis)
     u0, cycle = _cycle(model, group)
-    times, values = [0.0], [None]
-    for m in range(1, cost.cycles + 1):
-        for sub in range(1, cost.quadrature + 1):
-            t = (m - 1 + sub / cost.quadrature) * tc
-            u = _propagator_from_cycle(model, group, t, u0, cycle)
-            gen = _probe_generator(_reduced_channel(model, u), basis, t)
-            d = _generator_report(gen, w_flat).scalar_distance
-            times.append(t)
-            values.append(0.0 if d < EXACT_HIT else d)
-    values[0] = values[1]
-    return float(np.trapezoid(values, times))
+    times = [(m - 1 + sub / cost.quadrature) * tc for m in range(1, cost.cycles + 1) for sub in range(1, cost.quadrature + 1)]
+    u = np.array([_propagator_from_cycle(model, group, t, u0, cycle) for t in times])
+    responses = _reduced_channel(model, u)(_probe_inputs(basis.dim)[0])
+    chi, _ = _chi_raw(_assemble_lam(responses, basis.dim), basis)
+    coords = ((chi[:, 1:, 0] + chi[:, 0, 1:].conj()) / 2.0).imag / np.array(times)[:, None]
+    d = _hs_norm(np.tensordot(coords - w_flat, basis.generators, axes=1))
+    if not np.all(d <= sys.float_info.max):  # also false for NaN
+        raise DomainError("distances are non-negative and finite")
+    values = np.where(d < EXACT_HIT, 0.0, d)
+    return float(np.trapezoid(np.concatenate((values[:1], values)), [0.0, *times]))
 
 
 # ---------------------------------------------------------------------------
@@ -293,9 +294,15 @@ def _genome_of(per_qubit):
 
     def axis_angle(factor):
         aa = unitary_from_rotation(adjoint_of(factor, basis1))
-        return np.array(aa.axis), float(aa.angle)
+        return aa.axis, float(aa.angle)
 
     return [tuple(axis_angle(q[k % len(q)]) for q in per_qubit) for k in range(1, _product_size(per_qubit))]
+
+
+@functools.cache
+def _catalogue_genomes(num_qubits: int, max_size: int) -> tuple:
+    """Genomes of ``_catalogue(num_qubits, max_size)``, in its order, built once; their axes are read-only."""
+    return tuple(tuple(_genome_of(c)) for c in _catalogue(num_qubits, max_size))
 
 
 def _genome_group(genome, num_qubits: int, delta_t: float) -> PulseGroup:
@@ -368,7 +375,7 @@ def learning_loop(model: SystemBathModel, target: TargetSpec, config: LearningLo
     history: dict = {}
     analysis = _analysis_candidate(_measure_generator(model, None, probe, basis), target, config, history)
     genomes = [] if analysis is None else [_genome_of(analysis)]
-    genomes += [_genome_of(c) for c in _catalogue(nq, config.group_size_bound)[: config.population - len(genomes)]]
+    genomes += _catalogue_genomes(nq, config.group_size_bound)[: config.population - len(genomes)]
     while len(genomes) < config.population:
         genomes.append(_random_genome(rng, nq, config.group_size_bound))
 
@@ -390,7 +397,7 @@ def learning_loop(model: SystemBathModel, target: TargetSpec, config: LearningLo
             best_cost = costs[order[0]]
             best_group = groups[order[0]]
             gen = _measure_generator(model, best_group, probe, basis)
-            residual = _generator_report(gen, w_flat)
+            residual = _report(gen.coords, w_flat, basis)
         converged = best_cost <= config.tolerance
         records.append(
             GenerationRecord(

@@ -197,20 +197,51 @@ def run_qpt(channel, basis: OperatorBasis, *, time_tag: float | None = None) -> 
         Evolution time the channel corresponds to; carried through to the
         chi matrix so generator extraction can report rates.
     """
-    d = basis.dim
-    states, index, coeff = _probe_inputs(d)
-    responses = np.asarray(channel(states), dtype=complex)
-    if responses.shape != states.shape:
+    states = _probe_inputs(basis.dim)[0]
+    return TomographyData(lam=_assemble_lam(channel(states), basis.dim), basis=basis, time_tag=time_tag)
+
+
+def _assemble_lam(responses, dim: int) -> np.ndarray:
+    """``lam`` from a channel's responses to ``_probe_inputs(dim)``, over any leading axes.
+
+    ``responses`` has shape ``(..., dim^2 + 3, dim, dim)``; ``DomainError``
+    if any slice fails the superposition test.
+    """
+    states, index, coeff = _probe_inputs(dim)
+    responses = np.asarray(responses, dtype=complex)
+    if responses.shape[-3:] != states.shape:
         raise ShapeError("channel output dimension does not match its input")
-    r_a, r_b, direct = responses[-3:]
-    if not np.linalg.norm(direct - (0.37 * r_a + 0.63 * r_b)) <= LINEARITY:
+    r_a, r_b, direct = np.moveaxis(responses[..., -3:, :, :], -3, 0)
+    if not np.all(np.linalg.norm(direct - (0.37 * r_a + 0.63 * r_b), axis=(-2, -1)) <= LINEARITY):
         raise DomainError("channel failed the superposition test; tomography needs a linear map")
     # expansion over matrix units is just the entries themselves
-    flat = responses.reshape(len(states), d * d)
-    lam = np.zeros((d * d, d * d), dtype=complex)
+    flat = responses.reshape(*responses.shape[:-2], dim * dim)
+    lam = np.zeros((*responses.shape[:-3], dim * dim, dim * dim), dtype=complex)
     for part in range(4):
-        lam += coeff[:, part, None] * flat[index[:, part]]
-    return TomographyData(lam=lam, basis=basis, time_tag=time_tag)
+        lam += coeff[:, part, None] * flat[..., index[:, part], :]
+    return lam
+
+
+def _chi_raw(lam: np.ndarray, basis: OperatorBasis) -> tuple[np.ndarray, np.ndarray]:
+    """``chi = A^dag L A / M^2`` of each ``(d^2, d^2)`` slice of ``lam``, and its trace-preservation residual.
+
+    ``InconsistencyError`` if any slice's residual exceeds
+    ``defaults.TRACE_PRESERVATION`` or is not finite.
+    """
+    d = basis.dim
+    lead = lam.shape[:-2]
+    k = basis.elements
+    a = k.transpose(1, 2, 0).reshape(d * d, basis.size)
+    lam = lam.reshape(*lead, d, d, d, d).transpose(*range(len(lead)), -2, -4, -1, -3).reshape(*lead, d * d, d * d)
+    chi = a.conj().T @ lam @ a / basis.normalization**2
+    # sum_ab chi_ab K_b K_a, summed over a first; each slice's norm is taken alone, as a single run takes it
+    tp = (k @ np.tensordot(chi, k, axes=(-2, 0))).sum(axis=-3)
+    residual = np.array([np.linalg.norm(r) for r in (tp - np.eye(d)).reshape(-1, d, d)]).reshape(lead)
+    if not np.all(residual <= TRACE_PRESERVATION):
+        raise InconsistencyError(
+            f"trace-preservation residual {np.max(residual):.2e}; channel is not trace preserving"
+        )
+    return chi, residual
 
 
 def chi_from_lambda(data: TomographyData) -> ChiMatrix:
@@ -230,28 +261,9 @@ def chi_from_lambda(data: TomographyData) -> ChiMatrix:
         exceeds ``defaults.TRACE_PRESERVATION`` or is not finite, i.e. the
         probed map is not a trace-preserving channel.
     """
-    basis = data.basis
-    d = basis.dim
-    k = basis.elements
-    a = k.transpose(1, 2, 0).reshape(d * d, basis.size)
-    lam = data.lam.reshape(d, d, d, d).transpose(2, 0, 3, 1).reshape(d * d, d * d)
-    chi = a.conj().T @ lam @ a / basis.normalization**2
-    # sum_ab chi_ab K_b K_a, summed over a first
-    tp = (k @ np.tensordot(chi, k, axes=(0, 0))).sum(axis=0)
-    residual = float(np.linalg.norm(tp - np.eye(d)))
-    if not residual <= TRACE_PRESERVATION:
-        raise InconsistencyError(
-            f"trace-preservation residual {residual:.2e}; channel is not trace preserving"
-        )
+    chi, residual = _chi_raw(data.lam, data.basis)
     skew = float(np.linalg.norm(chi - chi.conj().T) / 2.0)
-    chi = (chi + chi.conj().T) / 2.0
-    return ChiMatrix(
-        entries=chi,
-        time_tag=data.time_tag,
-        basis=basis,
-        skew_norm=skew,
-        residual=residual,
-    )
+    return ChiMatrix((chi + chi.conj().T) / 2.0, data.time_tag, data.basis, skew_norm=skew, residual=float(residual))
 
 
 def extract_generator(chi: ChiMatrix) -> EffectiveGenerator:

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bbforge.cli import main
+from bbforge.cli import MAX_VERIFY_CYCLES, main
 from bbforge.open_system_sim import Coupling, SystemBathModel, _matrix_to_pairs, model_to_dict
 
 from conftest import I2, SX, SZ
@@ -243,6 +243,28 @@ class TestVerify:
         assert code == 2
         assert capsys.readouterr().err.startswith("config error: verify.total_time / cycle time must be positive and finite")
         assert not (tmp_path / "out").exists()
+
+    @staticmethod
+    def kick_on_bath_config(total_time):
+        """A parity kick at cycle time 0.1 on one system qubit coupled through Z (x) X to one bath qubit."""
+        cfg = storage_bath_config()
+        cfg["verify"] = {"group": {"pulses": [_matrix_to_pairs(I2), _matrix_to_pairs(1j * SX)], "delta_t": 0.05},
+                         "total_time": total_time}
+        return cfg
+
+    # both counts used to reach apply_bb_cycle, whose reduced state then failed the unit-trace check (exit 1)
+    @pytest.mark.parametrize("total_time", [262144 * 0.1, 1e300], ids=["262144-cycles", "1e300"])
+    def test_cycle_count_above_cap_exit_2(self, tmp_path, capsys, total_time):
+        code = main(["--config", write_config(tmp_path, self.kick_on_bath_config(total_time)), "--out", str(tmp_path / "out"), "verify"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: verify.total_time / cycle time is") and f"above the cap of {MAX_VERIFY_CYCLES}" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_cycle_count_at_cap_runs(self, tmp_path):
+        code = main(["--config", write_config(tmp_path, self.kick_on_bath_config(MAX_VERIFY_CYCLES * 0.1)), "--out", str(tmp_path / "out"), "verify"])
+        assert code == 0
+        assert json.loads((tmp_path / "out" / "verify.json").read_text())["cycles"] == MAX_VERIFY_CYCLES
 
     def test_group_of_wrong_dimension_exit_2(self, tmp_path, capsys):
         cfg = heisenberg_config()

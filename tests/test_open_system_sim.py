@@ -121,7 +121,7 @@ class TestSpectralPropagator:
 
 
 class TestChannelContract:
-    """A channel maps a ``(..., d, d)`` stack of states to the stack of images, bit for bit."""
+    """A channel maps a ``(..., d, d)`` stack of states to the stack of images, bit for bit; the reduced channel also takes a propagator stack."""
 
     @settings(max_examples=40, deadline=None)
     @given(model=random_models(), t=st.floats(0.0, 5.0), count=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
@@ -134,6 +134,11 @@ class TestChannelContract:
             assert np.array_equal(got, np.array([channel(rho) for rho in stack]))
             # more than one leading axis
             assert np.array_equal(channel(np.array([stack, stack]))[1], got)
+        # a stack of propagators maps every state, or stack of states, under every propagator
+        singles = [_reduced_channel(model, propagate(model, s)) for s in (t, t / 2)]
+        stacked = _reduced_channel(model, np.array([propagate(model, s) for s in (t, t / 2)]))
+        for states in (stack, stack[0]):
+            assert np.array_equal(stacked(states), np.array([channel(states) for channel in singles]))
 
 
 class TestReducedState:

@@ -1,4 +1,5 @@
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -6,10 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bbforge.optimizer as optimizer_mod
-from bbforge.bb_synthesis import TargetSpec, _product_group, parity_kick_group
+from bbforge.bb_synthesis import TargetSpec, _catalogue, _product_group, error_report, parity_kick_group
+from bbforge.defaults import EXACT_HIT
 from bbforge.errors import CapacityError, DomainError, ShapeError
-from bbforge.open_system_sim import Coupling, PulseGroup, SystemBathModel
-from bbforge.operator_algebra import MAX_BASIS_QUBITS, adjoint_of, build_pauli_basis, unitary_from_rotation
+from bbforge.open_system_sim import Coupling, PulseGroup, SystemBathModel, _reduced_channel, bb_propagator
+from bbforge.operator_algebra import (
+    MAX_BASIS_QUBITS,
+    CoordinateVector,
+    adjoint_of,
+    axis_angle_unitary,
+    build_pauli_basis,
+    unitary_from_rotation,
+)
 from bbforge.optimizer import (
     CostFunction,
     LearningLoopConfig,
@@ -20,14 +29,28 @@ from bbforge.optimizer import (
 )
 from bbforge.optimizer import (
     _analysis_candidate,
+    _catalogue_genomes,
     _default_probe_time,
     _genome_group,
     _genome_key,
     _genome_of,
     _measure_generator,
+    _target_flat,
 )
+from bbforge.tomography import chi_from_lambda, extract_generator, run_qpt
 
-from conftest import I2, SX, SY, SZ, on_qubit, phase_aligned_distance, random_su2, three_qubit_dephasing_model
+from conftest import (
+    I2,
+    SX,
+    SY,
+    SZ,
+    on_qubit,
+    phase_aligned_distance,
+    random_density,
+    random_hermitian,
+    random_su2,
+    three_qubit_dephasing_model,
+)
 
 B1 = build_pauli_basis(1)
 
@@ -88,7 +111,49 @@ def storage_cost(cycles=2, quadrature=1):
     return CostFunction(target=TargetSpec(kind="storage"), cycles=cycles, quadrature=quadrature)
 
 
+def node_chain_cost(model, group, cost) -> float:
+    """The cost through the public chain, one node at a time: the trapezoid over every node's distance."""
+    basis = build_pauli_basis(model.num_qubits)
+    wanted = CoordinateVector(_target_flat(cost.target, basis), basis)
+    times, values = [], []
+    for m in range(1, cost.cycles + 1):
+        for sub in range(1, cost.quadrature + 1):
+            t = (m - 1 + sub / cost.quadrature) * group.cycle_time
+            channel = _reduced_channel(model, bb_propagator(model, group, t))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                gen = extract_generator(chi_from_lambda(run_qpt(channel, basis, time_tag=t)))
+            d = error_report(CoordinateVector(gen.coords, basis), wanted).scalar_distance
+            times.append(t)
+            values.append(0.0 if d < EXACT_HIT else d)
+    return float(np.trapezoid([values[0], *values], [0.0, *times]))
+
+
 class TestEvaluateCost:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        num_qubits=st.integers(1, 3),
+        size=st.integers(1, 4),
+        cycles=st.integers(1, 3),
+        quadrature=st.integers(1, 3),
+        gate=st.booleans(),
+    )
+    def test_stacked_nodes_equal_the_per_node_chain_bit_for_bit(self, seed, num_qubits, size, cycles, quadrature, gate):
+        rng = np.random.default_rng(seed)
+        model = SystemBathModel(
+            system_hamiltonian=0.5 * random_hermitian(2**num_qubits, rng),
+            bath_hamiltonian=random_hermitian(2, rng),
+            couplings=tuple(Coupling(system=0.3 * on_qubit(p, q, num_qubits), bath=random_hermitian(2, rng))
+                            for q in range(num_qubits) for p in (SX, SY, SZ)),
+            bath_initial=random_density(2, rng),
+        )
+        group = _product_group([[I2] + [random_su2(rng) for _ in range(size - 1)] for _ in range(num_qubits)],
+                               float(rng.uniform(0.01, 0.1)))
+        target = TargetSpec(kind="single_qubit", wanted=rng.normal(size=3)) if gate else TargetSpec(kind="storage")
+        cost = CostFunction(target=target, cycles=cycles, quadrature=quadrature)
+        assert evaluate_cost(model, group, cost) == node_chain_cost(model, group, cost)
+
     def test_exact_solution_gives_zero(self):
         model = pure_dephasing_model()
         kick = parity_kick_group([1, 0, 0], delta_t=0.05)
@@ -135,6 +200,13 @@ class TestEvaluateCost:
         cost = CostFunction(target=target, cycles=2)
         group = PulseGroup.from_pulses([I2], 0.01)
         assert evaluate_cost(model, group, cost) < 2e-4
+
+    def test_overflowing_distance_rejected(self):
+        # at a denormal spacing, round-off in chi divided by the node time overflows the distance
+        model = SystemBathModel(0.5 * SZ + 0.3 * SX, 0.5 * SZ, (Coupling(system=0.1 * SZ, bath=SX),), np.diag([0.7, 0.3]))
+        group = _product_group([[I2, axis_angle_unitary([0.3, 0.5, 0.8], 0.7)]], 1e-310)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DomainError, match="finite"):
+            evaluate_cost(model, group, storage_cost())
 
     def test_overflowing_horizon_rejected(self):
         # each delta_t is finite, but the cycle and the horizon overflow to inf
@@ -409,6 +481,15 @@ class TestScoringOnce:
 
 
 class TestGenome:
+    @pytest.mark.parametrize("num_qubits, max_size", [(1, 4), (2, 4), (3, 2)])
+    def test_catalogue_genomes_built_once_and_read_only(self, num_qubits, max_size):
+        cached = _catalogue_genomes(num_qubits, max_size)
+        assert _catalogue_genomes(num_qubits, max_size) is cached
+        fresh = [_genome_of(c) for c in _catalogue(num_qubits, max_size)]
+        assert [_genome_key(g) for g in cached] == [_genome_key(g) for g in fresh]
+        axes = [axis for genome in cached for entry in genome for axis, _ in entry]
+        assert axes and not any(axis.flags.writeable for axis in axes)
+
     @settings(max_examples=40, deadline=None)
     @given(lengths=st.lists(st.integers(1, 3), min_size=1, max_size=3), seed=st.integers(0, 2**32 - 1))
     def test_pulse_list_round_trip(self, lengths, seed):

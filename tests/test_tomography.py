@@ -9,6 +9,9 @@ from bbforge.operator_algebra import OperatorBasis, build_pauli_basis, expand
 from bbforge.tomography import (
     ChiMatrix,
     TomographyData,
+    _assemble_lam,
+    _chi_raw,
+    _probe_inputs,
     chi_from_lambda,
     extract_generator,
     run_qpt,
@@ -146,6 +149,51 @@ class TestRunQPT:
             run_qpt(lambda r: r[..., :1, :1], b)
         with pytest.raises(ShapeError):
             run_qpt(lambda r: r[0], b)
+
+
+class TestStackedKernels:
+    """``lam`` assembly and the chi product over leading axes: each slice as if it were alone, each slice checked."""
+
+    @staticmethod
+    def unitary_responses(num_qubits, count, rng):
+        states = _probe_inputs(2**num_qubits)[0]
+        u = np.array([random_unitary(2**num_qubits, rng) for _ in range(count)])
+        return u[:, None] @ states @ u.conj().swapaxes(-1, -2)[:, None]
+
+    @pytest.mark.parametrize("num_qubits", [1, 2, 3])
+    def test_each_slice_equals_its_single_run_bit_for_bit(self, rng, num_qubits):
+        b = build_pauli_basis(num_qubits)
+        responses = self.unitary_responses(num_qubits, 3, rng)
+        lam = _assemble_lam(responses, b.dim)
+        chi, residual = _chi_raw(lam, b)
+        assert lam.shape == (3, b.dim**2, b.dim**2) and chi.shape == (3, b.size, b.size) and residual.shape == (3,)
+        for i, r in enumerate(responses):
+            single = run_qpt(lambda _: r, b)
+            assert np.array_equal(lam[i], single.lam)
+            chi_i, residual_i = _chi_raw(single.lam, b)
+            assert np.array_equal(chi[i], chi_i) and residual[i] == residual_i == chi_from_lambda(single).residual
+
+    @pytest.mark.parametrize("bad", [0, 2])
+    def test_one_nonlinear_slice_rejected(self, rng, bad):
+        responses = self.unitary_responses(1, 3, rng)
+        responses[bad] = responses[bad] @ responses[bad]
+        with pytest.raises(DomainError, match="superposition"):
+            _assemble_lam(responses, 2)
+
+    @pytest.mark.parametrize("bad", [0, 2])
+    def test_one_non_trace_preserving_slice_rejected(self, rng, bad):
+        b = build_pauli_basis(2)
+        lam = _assemble_lam(self.unitary_responses(2, 3, rng), b.dim)
+        _chi_raw(lam, b)
+        lam[bad] *= 0.9
+        with pytest.raises(InconsistencyError, match="not trace preserving"):
+            _chi_raw(lam, b)
+
+    def test_wrong_trailing_shape_rejected(self, rng):
+        responses = self.unitary_responses(1, 2, rng)
+        for wrong in (responses[..., :1, :1], responses[:, :-1], responses[:, :, None]):
+            with pytest.raises(ShapeError):
+                _assemble_lam(wrong, 2)
 
 
 class TestChiFromLambda:
