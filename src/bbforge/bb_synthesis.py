@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import itertools
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 from math import lcm
 
 import numpy as np
@@ -39,6 +40,7 @@ from .operator_algebra import (
     OperatorBasis,
     _check_count,
     _check_hermitian,
+    _check_time,
     _first_significant,
     _kron,
     _polar,
@@ -150,7 +152,7 @@ class SynthesisResult:
     """A solver's pulse set: ``group`` is the local product of the per-qubit pulse lists ``factors``, qubit 0 first."""
 
     group: PulseGroup
-    factors: tuple[list[np.ndarray], ...]
+    factors: tuple[Sequence[np.ndarray], ...]
     residual: ErrorReport
     free_parameters: str
     qubit: int | None = None
@@ -212,12 +214,17 @@ def modified_pair_matrix(group: PulseGroup, xi_pair: np.ndarray) -> np.ndarray:
         raise ShapeError("pair transforms need two-qubit pulses")
     if np.shape(xi_pair) != (4, 4):
         raise ShapeError("pair coefficient matrix must be 4x4")
+    return _pair_average([r.matrix for r in group.rotations], xi_pair)
+
+
+def _pair_average(rotations, xi_pair) -> np.ndarray:
+    """Pair matrix averaged over 15x15 adjoint images ``R``: the mean of ``_extend_identity(R).T @ xi``."""
     xi_flat = np.array(xi_pair, dtype=float).reshape(16)  # entry [a, b] is Pauli string 4a + b
     xi_flat[0] = 0.0
     acc = np.zeros(16)
-    for r in group.rotations:
-        acc += _extend_identity(r.matrix).T @ xi_flat
-    acc /= group.size
+    for r in rotations:
+        acc += _extend_identity(r).T @ xi_flat
+    acc /= len(rotations)
     return acc.reshape(4, 4)
 
 
@@ -262,14 +269,18 @@ def _product_size(per_qubit) -> int:
     return lcm(*map(len, per_qubit))
 
 
-def _product_group(per_qubit, delta_t: float) -> PulseGroup:
-    """Local product of per-qubit pulse lists, qubit 0 first.
+def _product_pulses(per_qubit) -> list[np.ndarray]:
+    """Pulses of the local product of per-qubit pulse lists, qubit 0 first.
 
     Each list is repeated cyclically to the lcm of their lengths, which keeps
     its average; pulse ``k`` is ``per_qubit[0][k] (x) per_qubit[1][k] (x) ...``.
     """
-    pulses = [reduce(_kron, (qubit[k % len(qubit)] for qubit in per_qubit)) for k in range(_product_size(per_qubit))]
-    return PulseGroup.from_pulses(pulses, delta_t)
+    return [reduce(_kron, (qubit[k % len(qubit)] for qubit in per_qubit)) for k in range(_product_size(per_qubit))]
+
+
+def _product_group(per_qubit, delta_t: float) -> PulseGroup:
+    """The pulse group of ``_product_pulses(per_qubit)``."""
+    return PulseGroup.from_pulses(_product_pulses(per_qubit), delta_t)
 
 
 def _kick_pulses(axis) -> list[np.ndarray]:
@@ -468,7 +479,8 @@ def axis_grid() -> np.ndarray:
     return np.array([v / np.linalg.norm(v) for v in coord_first])
 
 
-def _catalogue(num_qubits: int, max_size: int) -> list[tuple[list, ...]]:
+@cache
+def _catalogue(num_qubits: int, max_size: int) -> tuple[tuple[tuple[np.ndarray, ...], ...], ...]:
     """Product pulse sets of at most ``max_size`` pulses, each a tuple of per-qubit pulse lists.
 
     One qubit: parity kicks about the 26 grid axes, the cyclic sets
@@ -477,6 +489,7 @@ def _catalogue(num_qubits: int, max_size: int) -> list[tuple[list, ...]]:
     coordinate kick on every qubit; each kick on one qubit alone,
     kick-major; every other tuple of coordinate kicks, in lexicographic
     order; the Pauli set on every qubit; the Pauli set on one qubit alone.
+    Built once per argument pair; each pulse list is a tuple of read-only arrays.
     """
     eye = [np.eye(2, dtype=complex)]
     kicks = [_kick_pulses(e) for e in np.eye(3)]
@@ -495,7 +508,7 @@ def _catalogue(num_qubits: int, max_size: int) -> list[tuple[list, ...]]:
         candidates += [tuple(kicks[a] for a in axes) for axes in itertools.product(range(3), repeat=num_qubits)
                        if len(set(axes)) > 1]
         candidates += [(paulis,) * num_qubits] + alone(paulis)
-    return [c for c in candidates if _product_size(c) <= max_size]
+    return tuple(tuple(tuple(map(_readonly, pulses)) for pulses in c) for c in candidates if _product_size(c) <= max_size)
 
 
 # ---------------------------------------------------------------------------
@@ -535,9 +548,11 @@ def solve_two_qubit(generator, target: TargetSpec, pair: tuple[int, int] = (0, 1
     tried with the fewest product pulses first; among equal sizes the order
     is the trivial pair, the products of the margin solutions, the tailored
     kicks, then the catalogue.  The direct mode tries them all before the
-    running mode.  A candidate's pulse group is built only when the search
-    reaches it, and at most once per solve.  ``ansatz`` accepts only
-    ``'local_products'``, which names that search.
+    running mode.  A candidate is scored from the adjoint images of its
+    product pulses, each computed once per distinct pulse in a solve and
+    shared by both modes; only the returned candidate's pulse group is
+    built.  ``ansatz`` accepts only ``'local_products'``, which names that
+    search.
     """
     if target.kind != "two_qubit":
         raise DomainError("target kind must be two_qubit")
@@ -547,6 +562,7 @@ def solve_two_qubit(generator, target: TargetSpec, pair: tuple[int, int] = (0, 1
     xi_pair = np.asarray(generator.pair_matrix(*pair) if hasattr(generator, "pair_matrix") else generator, dtype=float)
     if xi_pair.shape != (4, 4):
         raise ShapeError("pair coefficient matrix must be 4x4")
+    _check_time(delta_t, "delta_t", positive=True)
     w_pair = target.wanted_vector()
     basis2 = build_pauli_basis(2)
 
@@ -557,18 +573,16 @@ def solve_two_qubit(generator, target: TargetSpec, pair: tuple[int, int] = (0, 1
         modes.append(("running", xi_pair + w_pair))
 
     candidates = _two_qubit_candidates(xi_pair, w_pair, max_group_size)
-    groups: list[PulseGroup | None] = [None] * len(candidates)
+    images: dict[bytes, np.ndarray] = {}
     best = np.inf
     for mode, source in modes:
-        for k, candidate in enumerate(candidates):
-            if groups[k] is None:
-                groups[k] = _product_group(candidate, delta_t)
-            achieved = modified_pair_matrix(groups[k], source)
+        for candidate in candidates:
+            achieved = _pair_average(_pulse_images(_product_pulses(candidate), basis2, images), source)
             resid = np.linalg.norm(achieved - w_pair)
             best = min(best, resid)
             if resid <= LINEAR_SOLVE:
                 return SynthesisResult(
-                    group=groups[k],
+                    group=_product_group(candidate, delta_t),
                     factors=candidate,
                     residual=_report(achieved, w_pair, basis2),
                     free_parameters=_two_qubit_note(mode),
@@ -582,6 +596,15 @@ def solve_two_qubit(generator, target: TargetSpec, pair: tuple[int, int] = (0, 1
     )
 
 
+def _pulse_images(pulses, basis: OperatorBasis, images: dict) -> list[np.ndarray]:
+    """Adjoint image matrix of each pulse; ``images`` holds them by pulse bits, so each is computed once."""
+    for p in pulses:
+        key = p.tobytes()
+        if key not in images:
+            images[key] = adjoint_of(p, basis).matrix
+    return [images[p.tobytes()] for p in pulses]
+
+
 def _two_qubit_note(mode: str) -> str:
     if mode == "direct":
         return "pulse products realize the pair target directly; per-factor phases free"
@@ -591,7 +614,7 @@ def _two_qubit_note(mode: str) -> str:
     )
 
 
-def _two_qubit_candidates(xi_pair, w_pair, max_group_size) -> list[tuple[list, list]]:
+def _two_qubit_candidates(xi_pair, w_pair, max_group_size) -> list[tuple[Sequence, Sequence]]:
     """Distinct per-qubit pulse-list pairs within the size bound, fewest product pulses first.
 
     The margin products come first, headed by the trivial pair
@@ -603,7 +626,7 @@ def _two_qubit_candidates(xi_pair, w_pair, max_group_size) -> list[tuple[list, l
     lists_a = _single_qubit_pulse_lists(xi_pair[1:, 0], w_pair[1:, 0], max_group_size)
     lists_b = _single_qubit_pulse_lists(xi_pair[0, 1:], w_pair[0, 1:], max_group_size)
     pairs = [(pa, pb) for pa in lists_a for pb in lists_b]
-    pairs += _tailored_kick_products(xi_pair) + _catalogue(2, max_group_size)
+    pairs += [*_tailored_kick_products(xi_pair), *_catalogue(2, max_group_size)]
     distinct = {}
     for pair in (c for c in pairs if _product_size(c) <= max_group_size):
         distinct.setdefault(tuple(b"".join([u.tobytes() for u in pulses]) for pulses in pair), pair)
@@ -657,7 +680,8 @@ def error_report(tilde_chi: CoordinateVector, wanted: CoordinateVector) -> Error
 
 def _hs_norm(delta: np.ndarray) -> np.ndarray:
     """Hilbert-Schmidt norm ``sqrt(Tr[D^dag D])`` of each ``(d, d)`` slice of ``delta``."""
-    return np.sqrt(np.abs(np.trace(delta.conj().swapaxes(-1, -2) @ delta, axis1=-2, axis2=-1).real))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite norm is the callers' DomainError
+        return np.sqrt(np.abs(np.trace(delta.conj().swapaxes(-1, -2) @ delta, axis1=-2, axis2=-1).real))
 
 
 def check_encoded(result_generator: CoordinateVector, target: TargetSpec) -> ErrorReport:

@@ -1,3 +1,5 @@
+from math import lcm
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,11 @@ from hypothesis import strategies as st
 from bbforge import bb_synthesis
 from bbforge.bb_synthesis import (
     ErrorReport,
+    _catalogue,
+    _pair_average,
     _product_group,
+    _product_pulses,
+    _pulse_images,
     _two_qubit_candidates,
     StabilizerSpace,
     TargetSpec,
@@ -29,6 +35,7 @@ from bbforge.errors import (
     NonRepresentableError,
     ShapeError,
 )
+from bbforge.open_system_sim import PulseGroup
 from bbforge.operator_algebra import (
     CoordinateVector,
     _kron,
@@ -245,47 +252,82 @@ def test_factors_build_the_group(solve):
 
 
 class TestCandidateBuilds:
-    """``solve_two_qubit`` builds a candidate's group when it tries it, and once per solve."""
+    """``solve_two_qubit`` builds only the group it returns, and images each distinct pulse once per solve."""
 
     @pytest.fixture
     def counted(self, monkeypatch):
-        built, tried = [], []
-        build, modify = bb_synthesis._product_group, bb_synthesis.modified_pair_matrix
+        built, imaged, scored = [], [], []
+        post_init, image, average = PulseGroup.__post_init__, bb_synthesis.adjoint_of, bb_synthesis._pair_average
 
-        def counting_build(per_qubit, delta_t):
-            # the margin solvers build one-qubit groups through the same function; count candidates only
-            group = build(per_qubit, delta_t)
+        def counting_post_init(group):
+            # the margin solvers build one-qubit groups; count two-qubit ones only
+            post_init(group)
             if group.dim == 4:
                 built.append(group)
-            return group
 
-        def counting_modify(group, xi_pair):
-            tried.append(group)
-            return modify(group, xi_pair)
+        def counting_image(pulse, basis):
+            if basis.dim == 4:
+                imaged.append(np.asarray(pulse).tobytes())
+            return image(pulse, basis)
 
-        monkeypatch.setattr(bb_synthesis, "_product_group", counting_build)
-        monkeypatch.setattr(bb_synthesis, "modified_pair_matrix", counting_modify)
-        return built, tried
+        def counting_average(rotations, xi_pair):
+            scored.append(len(rotations))
+            return average(rotations, xi_pair)
 
-    def test_first_hit_builds_only_the_candidates_tried(self, counted):
-        built, tried = counted
-        xi_pair = np.zeros((4, 4))
-        xi_pair[3, 0], xi_pair[0, 3] = 0.3, 0.2
+        monkeypatch.setattr(PulseGroup, "__post_init__", counting_post_init)
+        monkeypatch.setattr(bb_synthesis, "adjoint_of", counting_image)
+        monkeypatch.setattr(bb_synthesis, "_pair_average", counting_average)
+        return built, imaged, scored
+
+    def test_success_builds_only_the_returned_group(self, counted):
+        built, imaged, scored = counted
         wanted = TargetSpec(kind="two_qubit", wanted=np.eye(3)).wanted_vector()
-        res = solve_two_qubit(xi_pair, TargetSpec(kind="two_qubit", wanted=wanted), max_group_size=4)
-        assert res.group is tried[-1]
-        assert 0 < len(built) == len({id(g) for g in tried})
-        assert len(built) < len(_two_qubit_candidates(xi_pair, wanted, 4))
+        res = solve_two_qubit(HEISENBERG_XI, TargetSpec(kind="two_qubit", wanted=wanted), max_group_size=4)
+        assert built == [res.group] and built[0] is res.group
+        assert len(imaged) == len(set(imaged))
+        assert {p.tobytes() for p in res.group.pulses} <= set(imaged)
+        assert 0 < len(scored) < len(_two_qubit_candidates(HEISENBERG_XI, wanted, 4))
 
-    def test_both_modes_build_each_candidate_once(self, counted):
-        built, tried = counted
+    def test_infeasible_solve_images_each_distinct_pulse_once(self, counted):
+        built, imaged, scored = counted
         xi_pair = np.random.default_rng(0).normal(size=(4, 4))
         wanted = TargetSpec(kind="two_qubit", wanted=np.eye(3)).wanted_vector()
         with pytest.raises(InfeasibleError):
             solve_two_qubit(xi_pair, TargetSpec(kind="two_qubit", wanted=wanted), max_group_size=4)
-        count = len(_two_qubit_candidates(xi_pair, wanted, 4))
-        assert len(tried) == 2 * count
-        assert len(built) == len({id(g) for g in tried}) == count
+        candidates = _two_qubit_candidates(xi_pair, wanted, 4)
+        assert built == []
+        assert len(scored) == 2 * len(candidates)  # both modes tried every candidate
+        assert len(imaged) == len(set(imaged))
+        assert set(imaged) == {p.tobytes() for c in candidates for p in _product_pulses(c)}
+
+    @pytest.mark.parametrize("delta_t", [0.0, -1.0, float("nan"), float("inf")], ids=repr)
+    def test_bad_spacing_rejected_when_no_candidate_fits(self, delta_t):
+        xi_pair = np.random.default_rng(0).normal(size=(4, 4))
+        target = TargetSpec(kind="two_qubit", wanted=np.eye(3))
+        with pytest.raises(InfeasibleError):
+            solve_two_qubit(xi_pair, target, max_group_size=2)
+        with pytest.raises(DomainError, match="delta_t"):
+            solve_two_qubit(xi_pair, target, max_group_size=2, delta_t=delta_t)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_every_candidate_list_starts_with_the_identity(self, seed):
+        xi_pair = np.random.default_rng(seed).normal(size=(4, 4)) * (seed % 2)
+        for wanted in (np.zeros((4, 4)), TargetSpec(kind="two_qubit", wanted=np.eye(3)).wanted_vector()):
+            for candidate in _two_qubit_candidates(xi_pair, wanted, 8):
+                assert all(np.array_equal(pulses[0], I2) for pulses in candidate)
+
+    @settings(max_examples=40, deadline=None)
+    @given(lengths=st.lists(st.integers(1, 4), min_size=2, max_size=2).filter(lambda n: lcm(*n) <= 8),
+           seed=st.integers(0, 2**32 - 1))
+    def test_images_and_average_match_the_built_group(self, lengths, seed):
+        rng = np.random.default_rng(seed)
+        candidate = [[I2] + [random_unitary(2, rng) for _ in range(n - 1)] for n in lengths]
+        group = _product_group(candidate, 0.05)
+        images = _pulse_images(_product_pulses(candidate), B2, {})
+        assert len(images) == group.size
+        assert all(np.array_equal(a, r.matrix) for a, r in zip(images, group.rotations))
+        xi_pair = rng.normal(size=(4, 4))
+        assert np.array_equal(_pair_average(images, xi_pair), modified_pair_matrix(group, xi_pair))
 
     def test_size_bound_below_two_rejected(self):
         xi_pair = np.zeros((4, 4))
@@ -315,6 +357,26 @@ class TestCandidateBuilds:
             candidates = _two_qubit_candidates(xi_pair, wanted, 8)
             keys = {tuple(np.array(pulses).tobytes() for pulses in pair) for pair in candidates}
             assert len(keys) == len(candidates) == (count or len(candidates))
+
+
+class TestCatalogueCache:
+    @pytest.mark.parametrize("num_qubits, max_size", [(1, 4), (2, 4), (3, 2)])
+    def test_built_once_and_read_only(self, num_qubits, max_size):
+        cached = _catalogue(num_qubits, max_size)
+        assert _catalogue(num_qubits, max_size) is cached
+        pulses = [p for candidate in cached for qubit in candidate for p in qubit]
+        assert pulses and not any(p.flags.writeable for p in pulses)
+        with pytest.raises(ValueError):
+            cached[0][0][1][0, 0] = 0.0
+
+    def test_catalogue_winner_cannot_corrupt_it(self):
+        rng = np.random.default_rng(2)
+        xi_pair = np.where(rng.random((4, 4)) < 0.3, rng.normal(size=(4, 4)), 0.0)
+        xi_pair[0, 0] = 0.0
+        res = solve_two_qubit(xi_pair, TargetSpec(kind="two_qubit", wanted=np.zeros((4, 4))), max_group_size=4)
+        assert any(res.factors is c for c in _catalogue(2, 4))
+        with pytest.raises(ValueError):
+            res.factors[0][1][0, 0] = 0.0
 
 
 class TestErrorReport:
@@ -353,6 +415,12 @@ class TestErrorReport:
     def test_infinite_distance_rejected(self, stabilizer_distance):
         with pytest.raises(DomainError):
             ErrorReport(CoordinateVector(np.zeros(3), B1), float("inf"), stabilizer_distance)
+
+    @pytest.mark.parametrize("scale", [1e200, -3e200])
+    def test_overflowing_distance_rejected(self, scale):
+        # each coordinate is finite, but the squared norm overflows
+        with pytest.raises(DomainError, match="finite"):
+            error_report(CoordinateVector(np.full(3, scale), B1), CoordinateVector(np.zeros(3), B1))
 
     @pytest.mark.parametrize("field", ["scalar_distance", "stabilizer_distance"])
     def test_nan_distance_rejected(self, field):
