@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 import sys
 from collections.abc import Sequence
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import cache, reduce
 from math import lcm
@@ -288,6 +289,12 @@ def _kick_pulses(axis) -> list[np.ndarray]:
     return [np.eye(2, dtype=complex), axis_angle_unitary(axis, np.pi / 2)]
 
 
+@cache
+def _pauli_pulses() -> tuple[np.ndarray, ...]:
+    """``I`` and the parity kicks about the x, y and z axes (the Pauli set up to phases), built once; read-only."""
+    return tuple(map(_readonly, [np.eye(2, dtype=complex)] + [_kick_pulses(e)[1] for e in np.eye(3)]))
+
+
 def parity_kick_group(axis, delta_t: float = 0.1) -> PulseGroup:
     """The minimal decoupling pair ``{I, exp(i n.sigma pi/2)}``."""
     return _product_group([_kick_pulses(_unit_axis(axis, np.pi / 2))], delta_t)
@@ -298,6 +305,39 @@ def _report(achieved: np.ndarray, wanted: np.ndarray, basis: OperatorBasis) -> E
         CoordinateVector(coords=np.asarray(achieved, dtype=float), basis=basis),
         CoordinateVector(coords=np.asarray(wanted, dtype=float), basis=basis),
     )
+
+
+def _qubit_xi(generator, qubit) -> tuple[int, np.ndarray]:
+    """``qubit`` checked, and its vector: ``generator.xi[qubit]``, or a bare 3-vector ``generator`` as qubit 0."""
+    vectors = generator.xi if hasattr(generator, "xi") else (generator,)
+    qubit = _check_count(qubit, "qubit", 0)
+    if qubit >= len(vectors):
+        raise DomainError(f"qubit {qubit} is outside the {len(vectors)}-qubit generator")
+    return qubit, np.asarray(vectors[qubit], dtype=float)
+
+
+def _one_qubit_distance(error: np.ndarray) -> float:
+    """``error_report``'s distance of a one-qubit error vector; ``DomainError`` as ``ErrorReport`` raises it unless finite."""
+    distance = float(_hs_norm(np.tensordot(error, build_pauli_basis(1).generators, axes=1)))
+    if not distance <= sys.float_info.max:  # also true for NaN
+        raise DomainError("distances are non-negative and finite")
+    return distance
+
+
+def _one_qubit_error(pulses, xi: np.ndarray, w: np.ndarray, bound: float, message: str) -> np.ndarray:
+    """Error vector ``mean_k R(p_k).T @ xi - w`` of one-qubit ``pulses``; ``InfeasibleError`` if its distance exceeds ``bound``."""
+    basis1 = build_pauli_basis(1)
+    error = np.mean([adjoint_of(p, basis1).matrix for p in pulses], axis=0).T @ xi - w
+    distance = _one_qubit_distance(error)
+    if distance > bound:
+        raise InfeasibleError(message, best_residual=distance)
+    return error
+
+
+def _one_qubit_result(pulses, error: np.ndarray, note: str, qubit: int, delta_t: float) -> SynthesisResult:
+    """The result of a one-qubit solver core's pulse list, error vector and note."""
+    return SynthesisResult(group=_product_group((pulses,), delta_t), factors=(pulses,), free_parameters=note, qubit=qubit,
+                           residual=_report(error, np.zeros(3), build_pauli_basis(1)))  # error - 0 keeps its bits
 
 
 # ---------------------------------------------------------------------------
@@ -312,34 +352,19 @@ def solve_storage(generator, qubit: int = 0, max_group_size: int = 8, *, delta_t
     about the canonical axis orthogonal to ``xi`` removes the error exactly
     with the fewest possible pulses.
     """
-    max_group_size = _check_count(max_group_size, "max_group_size", 2)
-    xi = np.asarray(generator.xi[qubit] if hasattr(generator, "xi") else generator, dtype=float)
-    basis1 = build_pauli_basis(1)
+    _check_count(max_group_size, "max_group_size", 2)
+    qubit, xi = _qubit_xi(generator, qubit)
+    _check_time(delta_t, "delta_t", positive=True)
+    return _one_qubit_result(*_storage_pulses(xi), qubit, delta_t)
+
+
+def _storage_pulses(xi: np.ndarray) -> tuple[list[np.ndarray], np.ndarray, str]:
+    """``solve_storage``'s core: the pulse list, its error vector and the note, or the solver's error."""
     if np.linalg.norm(xi) <= ROUNDOFF:
-        factors = ([np.eye(2, dtype=complex)],)
-        return SynthesisResult(
-            group=_product_group(factors, delta_t),
-            factors=factors,
-            residual=_report(xi, np.zeros(3), basis1),
-            free_parameters="generator already vanishes; no pulses required",
-            qubit=qubit,
-        )
-    factors = (_kick_pulses(_unit_axis(axis_orthogonal_to([xi]), np.pi / 2)),)
-    group = _product_group(factors, delta_t)
-    achieved = modified_vector(group, xi)
-    report = _report(achieved, np.zeros(3), basis1)
-    if report.scalar_distance > LINEAR_SOLVE:
-        raise InfeasibleError("parity kick failed to annihilate the generator", best_residual=report.scalar_distance)
-    return SynthesisResult(
-        group=group,
-        factors=factors,
-        residual=report,
-        free_parameters=(
-            "kick axis free within the plane orthogonal to the measured generator; "
-            "sign of the rotation angle free"
-        ),
-        qubit=qubit,
-    )
+        return [np.eye(2, dtype=complex)], xi, "generator already vanishes; no pulses required"
+    pulses = _kick_pulses(_unit_axis(axis_orthogonal_to([xi]), np.pi / 2))
+    error = _one_qubit_error(pulses, xi, np.zeros(3), LINEAR_SOLVE, "parity kick failed to annihilate the generator")
+    return pulses, error, "kick axis free within the plane orthogonal to the measured generator; sign of the rotation angle free"
 
 
 # ---------------------------------------------------------------------------
@@ -406,22 +431,20 @@ def solve_single_qubit_gate(generator, target: TargetSpec, qubit: int = 0, max_g
     if target.kind not in ("single_qubit", "storage"):
         raise DomainError("target kind must be single_qubit (or storage)")
     max_group_size = _check_count(max_group_size, "max_group_size", 2)
-    xi = np.asarray(generator.xi[qubit] if hasattr(generator, "xi") else generator, dtype=float)
-    w = target.wanted_vector()
-    basis1 = build_pauli_basis(1)
+    qubit, xi = _qubit_xi(generator, qubit)
+    _check_time(delta_t, "delta_t", positive=True)
+    return _one_qubit_result(*_gate_pulses(xi, target.wanted_vector(), max_group_size), qubit, delta_t)
+
+
+def _gate_pulses(xi: np.ndarray, w: np.ndarray, max_group_size: int) -> tuple[list[np.ndarray], np.ndarray, str]:
+    """``solve_single_qubit_gate``'s core: the pulse list, its error vector and the note, or the solver's error."""
     norm_xi, norm_w = np.linalg.norm(xi), np.linalg.norm(w)
     scale = max(norm_xi, norm_w, 1.0)
     if np.linalg.norm(xi - w) <= ROUNDOFF * scale:
-        factors = ([np.eye(2, dtype=complex)],)
-        return SynthesisResult(
-            group=_product_group(factors, delta_t),
-            factors=factors,
-            residual=_report(xi, w, basis1),
-            free_parameters="measured generator already equals the target",
-            qubit=qubit,
-        )
+        _one_qubit_distance(xi - w)  # refuses what the public solver's report would
+        return [np.eye(2, dtype=complex)], xi - w, "measured generator already equals the target"
     if norm_w <= ROUNDOFF:
-        return solve_storage(generator, qubit, max_group_size, delta_t=delta_t)
+        return _storage_pulses(xi)
     if norm_w > norm_xi + ROUNDOFF:
         gain = f" (would need amplification by {norm_w / norm_xi:.3g})" if norm_xi > 0 else ""
         raise InfeasibleMagnitudeError(
@@ -458,13 +481,8 @@ def solve_single_qubit_gate(generator, target: TargetSpec, qubit: int = 0, max_g
                 best_residual=best / m,
             )
 
-    factors = ([np.eye(2, dtype=complex)] + [axis_angle_unitary(axis, angle) for axis, angle in axis_angles],)
-    group = _product_group(factors, delta_t)
-    achieved = modified_vector(group, xi)
-    report = _report(achieved, w, basis1)
-    if report.scalar_distance > LINEAR_SOLVE * max(1.0, scale):
-        raise InfeasibleError("constructed pulse set missed the target", best_residual=report.scalar_distance)
-    return SynthesisResult(group=group, factors=factors, residual=report, free_parameters=note, qubit=qubit)
+    pulses = [np.eye(2, dtype=complex)] + [axis_angle_unitary(axis, angle) for axis, angle in axis_angles]
+    return pulses, _one_qubit_error(pulses, xi, w, LINEAR_SOLVE * max(1.0, scale), "constructed pulse set missed the target"), note
 
 
 # ---------------------------------------------------------------------------
@@ -491,14 +509,13 @@ def _catalogue(num_qubits: int, max_size: int) -> tuple[tuple[tuple[np.ndarray, 
     order; the Pauli set on every qubit; the Pauli set on one qubit alone.
     Built once per argument pair; each pulse list is a tuple of read-only arrays.
     """
-    eye = [np.eye(2, dtype=complex)]
-    kicks = [_kick_pulses(e) for e in np.eye(3)]
-    paulis = eye + [k[1] for k in kicks]
+    paulis = _pauli_pulses()
+    eye, kicks = paulis[:1], [(paulis[0], flip) for flip in paulis[1:]]
     if num_qubits == 1:
         sets = [_kick_pulses(axis) for axis in axis_grid()]
-        sets += [eye + [axis_angle_unitary(e, np.pi * step / m) for step in range(1, m)]
+        sets += [[*eye] + [axis_angle_unitary(e, np.pi * step / m) for step in range(1, m)]
                  for m in range(3, max_size + 1) for e in np.eye(3)]
-        candidates = [(pulses,) for pulses in sets + [paulis]]
+        candidates = [(tuple(map(_readonly, pulses)),) for pulses in sets] + [(paulis,)]
     else:
         def alone(pulses):
             return [tuple(pulses if q == i else eye for q in range(num_qubits)) for i in range(num_qubits)]
@@ -508,7 +525,7 @@ def _catalogue(num_qubits: int, max_size: int) -> tuple[tuple[tuple[np.ndarray, 
         candidates += [tuple(kicks[a] for a in axes) for axes in itertools.product(range(3), repeat=num_qubits)
                        if len(set(axes)) > 1]
         candidates += [(paulis,) * num_qubits] + alone(paulis)
-    return tuple(tuple(tuple(map(_readonly, pulses)) for pulses in c) for c in candidates if _product_size(c) <= max_size)
+    return tuple(c for c in candidates if _product_size(c) <= max_size)
 
 
 # ---------------------------------------------------------------------------
@@ -516,20 +533,15 @@ def _catalogue(num_qubits: int, max_size: int) -> tuple[tuple[tuple[np.ndarray, 
 # ---------------------------------------------------------------------------
 
 
-def _single_qubit_pulse_lists(xi_vec: np.ndarray, w_vec: np.ndarray, max_group_size: int) -> list[list[np.ndarray]]:
-    """Candidate pulse lists for one qubit's margin of the pair problem."""
-    lists: list[list[np.ndarray]] = [[np.eye(2, dtype=complex)]]
-    try:
-        if np.linalg.norm(w_vec) <= ROUNDOFF:
-            res = solve_storage(xi_vec, 0, max_group_size)
-        else:
-            res = solve_single_qubit_gate(xi_vec, TargetSpec(kind="single_qubit", wanted=w_vec), 0, max_group_size)
-        lists.append(res.factors[0])
-    except InfeasibleError:
-        pass
+def _single_qubit_pulse_lists(xi_vec: np.ndarray, w_vec: np.ndarray, max_group_size: int) -> list[Sequence[np.ndarray]]:
+    """Candidate pulse lists for one qubit's margin of the pair problem: ``[I]``, the solver cores' list, the coordinate kicks."""
+    lists: list[Sequence[np.ndarray]] = [[np.eye(2, dtype=complex)]]
+    with suppress(InfeasibleError):
+        solved = _storage_pulses(xi_vec) if np.linalg.norm(w_vec) <= ROUNDOFF else _gate_pulses(xi_vec, w_vec, max_group_size)
+        lists.append(solved[0])
     if np.linalg.norm(xi_vec) > ROUNDOFF:
-        # parity kicks about each coordinate axis orthogonal enough to matter
-        lists.extend(_kick_pulses(e) for e in np.eye(3))
+        paulis = _pauli_pulses()
+        lists.extend((paulis[0], flip) for flip in paulis[1:])
     return lists
 
 
@@ -548,11 +560,12 @@ def solve_two_qubit(generator, target: TargetSpec, pair: tuple[int, int] = (0, 1
     tried with the fewest product pulses first; among equal sizes the order
     is the trivial pair, the products of the margin solutions, the tailored
     kicks, then the catalogue.  The direct mode tries them all before the
-    running mode.  A candidate is scored from the adjoint images of its
-    product pulses, each computed once per distinct pulse in a solve and
-    shared by both modes; only the returned candidate's pulse group is
-    built.  ``ansatz`` accepts only ``'local_products'``, which names that
-    search.
+    running mode.  The margins' lists come from the one-qubit solvers'
+    cores, which build no group or report.  A candidate is scored from the
+    images of its product pulses, each computed once per solve (once per
+    process for the 16 products of ``I`` and the coordinate kicks) and
+    shared by both modes; only the returned candidate's group is built.
+    ``ansatz`` accepts only ``'local_products'``, which names that search.
     """
     if target.kind != "two_qubit":
         raise DomainError("target kind must be two_qubit")
@@ -577,7 +590,7 @@ def solve_two_qubit(generator, target: TargetSpec, pair: tuple[int, int] = (0, 1
     best = np.inf
     for mode, source in modes:
         for candidate in candidates:
-            achieved = _pair_average(_pulse_images(_product_pulses(candidate), basis2, images), source)
+            achieved = _pair_average(_pulse_images(_product_pulses(candidate), images), source)
             resid = np.linalg.norm(achieved - w_pair)
             best = min(best, resid)
             if resid <= LINEAR_SOLVE:
@@ -596,13 +609,26 @@ def solve_two_qubit(generator, target: TargetSpec, pair: tuple[int, int] = (0, 1
     )
 
 
-def _pulse_images(pulses, basis: OperatorBasis, images: dict) -> list[np.ndarray]:
-    """Adjoint image matrix of each pulse; ``images`` holds them by pulse bits, so each is computed once."""
-    for p in pulses:
-        key = p.tobytes()
+def _pulse_images(pulses, images: dict) -> list[np.ndarray]:
+    """Adjoint image matrix of each two-qubit pulse, computed once per solve: ``images`` holds them by pulse bits."""
+    basis2, fixed = build_pauli_basis(2), _fixed_products()
+    keys = [p.tobytes() for p in pulses]
+    for p, key in zip(pulses, keys):
         if key not in images:
-            images[key] = adjoint_of(p, basis).matrix
-    return [images[p.tobytes()] for p in pulses]
+            images[key] = _fixed_image(key) if key in fixed else adjoint_of(p, basis2).matrix
+    return [images[key] for key in keys]
+
+
+@cache
+def _fixed_products() -> dict[bytes, np.ndarray]:
+    """The 16 two-qubit products of ``I`` and the coordinate kicks, by their bits."""
+    return {p.tobytes(): p for p in (_kron(a, b) for a in _pauli_pulses() for b in _pauli_pulses())}
+
+
+@cache
+def _fixed_image(key: bytes) -> np.ndarray:
+    """Read-only adjoint image of the fixed product with bits ``key``, computed once per process on first use."""
+    return _readonly(adjoint_of(_fixed_products()[key], build_pauli_basis(2)).matrix)
 
 
 def _two_qubit_note(mode: str) -> str:
@@ -627,9 +653,12 @@ def _two_qubit_candidates(xi_pair, w_pair, max_group_size) -> list[tuple[Sequenc
     lists_b = _single_qubit_pulse_lists(xi_pair[0, 1:], w_pair[0, 1:], max_group_size)
     pairs = [(pa, pb) for pa in lists_a for pb in lists_b]
     pairs += [*_tailored_kick_products(xi_pair), *_catalogue(2, max_group_size)]
+    bits: dict[int, bytes] = {}  # id of a pulse list -> its pulses' bits, joined once; ``pairs`` holds every list
     distinct = {}
     for pair in (c for c in pairs if _product_size(c) <= max_group_size):
-        distinct.setdefault(tuple(b"".join([u.tobytes() for u in pulses]) for pulses in pair), pair)
+        for pulses in (p for p in pair if id(p) not in bits):
+            bits[id(pulses)] = b"".join([u.tobytes() for u in pulses])
+        distinct.setdefault(tuple(bits[id(pulses)] for pulses in pair), pair)
     return sorted(distinct.values(), key=_product_size)
 
 

@@ -23,6 +23,7 @@ from .bb_synthesis import (
     _catalogue,
     _hs_norm,
     _kick_pulses,
+    _pauli_pulses,
     _product_group,
     _product_size,
     _report,
@@ -260,7 +261,7 @@ def _analysis_candidate(gen, target, config, history: dict):
                 continue
             axis = axis_orthogonal_to(hist)
             if axis is None:
-                pulses = eye + [axis_angle_unitary(e, np.pi / 2) for e in np.eye(3)]
+                pulses = _pauli_pulses()
             else:
                 pulses = _kick_pulses(axis)
             per_qubit.append(pulses)

@@ -9,10 +9,13 @@ from bbforge import bb_synthesis
 from bbforge.bb_synthesis import (
     ErrorReport,
     _catalogue,
+    _fixed_image,
+    _fixed_products,
     _pair_average,
     _product_group,
     _product_pulses,
     _pulse_images,
+    _single_qubit_pulse_lists,
     _two_qubit_candidates,
     StabilizerSpace,
     TargetSpec,
@@ -28,6 +31,7 @@ from bbforge.bb_synthesis import (
     solve_storage,
     solve_two_qubit,
 )
+from bbforge.defaults import ROUNDOFF
 from bbforge.errors import (
     DomainError,
     InfeasibleError,
@@ -44,6 +48,7 @@ from bbforge.operator_algebra import (
     build_pauli_basis,
     unitary_from_rotation,
 )
+from bbforge.tomography import EffectiveGenerator
 
 from conftest import I2, NON_FINITE, SX, SY, SZ, phase_aligned_distance, random_su2, random_unitary, with_corner
 
@@ -175,6 +180,81 @@ class TestSolveSingleQubitGate:
         assert np.linalg.norm(avg.T @ xi - w) < 1e-8
 
 
+def _scaled(norm, direction):
+    return norm * np.asarray(direction, dtype=float) / np.linalg.norm(direction)
+
+
+_DIRECTIONS = st.sampled_from(list(np.eye(3))) | st.lists(
+    st.floats(-1.0, 1.0), min_size=3, max_size=3).filter(lambda v: np.linalg.norm(v) > 1e-3)
+# zero, around ROUNDOFF, ordinary, around 1e8, where the LINEAR_SOLVE check can fire, and past
+# 1e154, where a distance overflows and the public solvers' ErrorReport raises DomainError
+_NORMS = (st.sampled_from([0.0, ROUNDOFF / 2, ROUNDOFF, 2 * ROUNDOFF, 1e160])
+          | st.floats(1e-3, 10.0) | st.floats(1e7, 1e9))
+
+
+@st.composite
+def _margins(draw):
+    """A margin ``(xi, w)``: ``w`` zero, equal to ``xi``, a projection or a multiple of it, or free."""
+    xi = _scaled(draw(_NORMS), draw(_DIRECTIONS))
+    kind = draw(st.sampled_from(["zero", "same", "projection", "multiple", "free"]))
+    if kind == "zero":
+        w = np.zeros(3)
+    elif kind == "same":
+        w = xi.copy()
+    elif kind == "projection":
+        n = _scaled(1.0, draw(_DIRECTIONS))
+        w = (xi @ n) * n
+    elif kind == "multiple":
+        w = draw(st.floats(0.0, 1.0)) * xi
+    else:
+        w = _scaled(draw(_NORMS), draw(_DIRECTIONS))
+    return xi, w
+
+
+class TestOneQubitCores:
+    """The margins of a two-qubit solve come from the one-qubit solvers' cores."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(margin=_margins(), bound=st.integers(2, 8))
+    @np.errstate(over="ignore", invalid="ignore")  # np.linalg.norm past 1e154 warns in both
+    def test_margin_lists_match_the_public_solvers(self, margin, bound):
+        xi, w = margin
+        try:
+            if np.linalg.norm(w) <= ROUNDOFF:
+                expected = [solve_storage(xi, 0, bound).factors[0]]
+            else:
+                expected = [solve_single_qubit_gate(xi, TargetSpec(kind="single_qubit", wanted=w), 0, bound).factors[0]]
+        except InfeasibleError:
+            expected = []
+        except DomainError:
+            with pytest.raises(DomainError):
+                _single_qubit_pulse_lists(xi, w, bound)
+            return
+        lists = _single_qubit_pulse_lists(xi, w, bound)
+        kicks = 3 if np.linalg.norm(xi) > ROUNDOFF else 0
+        solved = lists[1:len(lists) - kicks]
+        assert len(solved) == len(expected)  # InfeasibleError in exactly the same cases
+        for got, want in zip(solved, expected):
+            assert len(got) == len(want) and all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    @pytest.mark.parametrize("qubit", [5, 2, -1, True, 1.0, "0"], ids=repr)
+    def test_qubit_outside_the_generator_rejected(self, qubit):
+        gen = EffectiveGenerator(coords=np.random.default_rng(0).normal(size=15), basis=B2)
+        with pytest.raises(DomainError, match="qubit"):
+            solve_storage(gen, qubit)
+        with pytest.raises(DomainError, match="qubit"):
+            solve_single_qubit_gate(gen, TargetSpec(kind="single_qubit", wanted=np.zeros(3)), qubit)
+
+    def test_qubit_index_solves_that_qubit(self):
+        gen = EffectiveGenerator(coords=np.random.default_rng(0).normal(size=15), basis=B2)
+        for qubit in (0, 1, np.int64(1)):
+            res = solve_storage(gen, qubit)
+            assert res.qubit == qubit and type(res.qubit) is int
+            assert np.linalg.norm(modified_vector(res.group, gen.xi[qubit])) < 1e-9
+        with pytest.raises(DomainError, match="qubit"):
+            solve_storage(np.array([0.0, 0.0, 0.5]), 1)  # a bare 3-vector is qubit 0
+
+
 class TestSolveTwoQubit:
     def test_heisenberg_with_independent_dephasing(self):
         xi_pair = np.zeros((4, 4))
@@ -252,7 +332,7 @@ def test_factors_build_the_group(solve):
 
 
 class TestCandidateBuilds:
-    """``solve_two_qubit`` builds only the group it returns, and images each distinct pulse once per solve."""
+    """``solve_two_qubit`` builds only the group it returns; it images a pulse once per solve, a fixed product once per process."""
 
     @pytest.fixture
     def counted(self, monkeypatch):
@@ -260,10 +340,8 @@ class TestCandidateBuilds:
         post_init, image, average = PulseGroup.__post_init__, bb_synthesis.adjoint_of, bb_synthesis._pair_average
 
         def counting_post_init(group):
-            # the margin solvers build one-qubit groups; count two-qubit ones only
             post_init(group)
-            if group.dim == 4:
-                built.append(group)
+            built.append(group)
 
         def counting_image(pulse, basis):
             if basis.dim == 4:
@@ -277,13 +355,14 @@ class TestCandidateBuilds:
         monkeypatch.setattr(PulseGroup, "__post_init__", counting_post_init)
         monkeypatch.setattr(bb_synthesis, "adjoint_of", counting_image)
         monkeypatch.setattr(bb_synthesis, "_pair_average", counting_average)
+        _fixed_image.cache_clear()  # so this test sees each fixed product imaged on first use
         return built, imaged, scored
 
     def test_success_builds_only_the_returned_group(self, counted):
         built, imaged, scored = counted
         wanted = TargetSpec(kind="two_qubit", wanted=np.eye(3)).wanted_vector()
         res = solve_two_qubit(HEISENBERG_XI, TargetSpec(kind="two_qubit", wanted=wanted), max_group_size=4)
-        assert built == [res.group] and built[0] is res.group
+        assert built == [res.group] and built[0] is res.group  # the margins build no one-qubit group either
         assert len(imaged) == len(set(imaged))
         assert {p.tobytes() for p in res.group.pulses} <= set(imaged)
         assert 0 < len(scored) < len(_two_qubit_candidates(HEISENBERG_XI, wanted, 4))
@@ -292,13 +371,33 @@ class TestCandidateBuilds:
         built, imaged, scored = counted
         xi_pair = np.random.default_rng(0).normal(size=(4, 4))
         wanted = TargetSpec(kind="two_qubit", wanted=np.eye(3)).wanted_vector()
-        with pytest.raises(InfeasibleError):
-            solve_two_qubit(xi_pair, TargetSpec(kind="two_qubit", wanted=wanted), max_group_size=4)
         candidates = _two_qubit_candidates(xi_pair, wanted, 4)
-        assert built == []
-        assert len(scored) == 2 * len(candidates)  # both modes tried every candidate
-        assert len(imaged) == len(set(imaged))
-        assert set(imaged) == {p.tobytes() for c in candidates for p in _product_pulses(c)}
+        pulses = {p.tobytes() for c in candidates for p in _product_pulses(c)}
+        assert pulses & set(_fixed_products()) and pulses - set(_fixed_products())
+        for expected in (pulses, pulses - set(_fixed_products())):
+            imaged.clear()
+            scored.clear()
+            with pytest.raises(InfeasibleError):
+                solve_two_qubit(xi_pair, TargetSpec(kind="two_qubit", wanted=wanted), max_group_size=4)
+            assert built == []
+            assert len(scored) == 2 * len(candidates)  # both modes tried every candidate
+            assert len(imaged) == len(set(imaged))
+            assert set(imaged) == expected
+
+    def test_fixed_images_are_the_16_products_read_only_and_exact(self):
+        for seed in range(3):  # solves that reach the fixed products
+            xi_pair = np.random.default_rng(seed).normal(size=(4, 4))
+            with pytest.raises(InfeasibleError):
+                solve_two_qubit(xi_pair, TargetSpec(kind="two_qubit", wanted=np.eye(3)), max_group_size=4)
+        assert _fixed_image.cache_info().currsize <= 16
+        paulis = [I2] + [axis_angle_unitary(e, np.pi / 2) for e in np.eye(3)]
+        fixed = _fixed_products()
+        assert set(fixed) == {_kron(a, b).tobytes() for a in paulis for b in paulis}
+        for key, pulse in fixed.items():
+            image = _fixed_image(key)
+            assert not image.flags.writeable
+            assert image.tobytes() == adjoint_of(pulse, B2).matrix.tobytes()
+        assert _fixed_image.cache_info().currsize == 16
 
     @pytest.mark.parametrize("delta_t", [0.0, -1.0, float("nan"), float("inf")], ids=repr)
     def test_bad_spacing_rejected_when_no_candidate_fits(self, delta_t):
@@ -323,7 +422,7 @@ class TestCandidateBuilds:
         rng = np.random.default_rng(seed)
         candidate = [[I2] + [random_unitary(2, rng) for _ in range(n - 1)] for n in lengths]
         group = _product_group(candidate, 0.05)
-        images = _pulse_images(_product_pulses(candidate), B2, {})
+        images = _pulse_images(_product_pulses(candidate), {})
         assert len(images) == group.size
         assert all(np.array_equal(a, r.matrix) for a, r in zip(images, group.rotations))
         xi_pair = rng.normal(size=(4, 4))
