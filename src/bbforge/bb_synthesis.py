@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import sys
 from collections.abc import Sequence
-from contextlib import suppress
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from functools import cache, reduce
 from math import lcm
@@ -51,7 +51,7 @@ from .operator_algebra import (
     adjoint_of,
     axis_angle_unitary,
     build_pauli_basis,
-    reconstruct,
+    expand,
     unitary_from_rotation,
 )
 
@@ -123,6 +123,8 @@ class TargetSpec:
                     w = full
                 if w.shape != (4, 4):
                     raise ShapeError("two-qubit target needs a 4x4 pair matrix")
+                if w[0, 0] != 0.0:
+                    raise DomainError("a two-qubit target's entry [0, 0] is the identity string, not a generator term; it must be 0")
             object.__setattr__(self, "wanted", _readonly(w))
         elif self.kind == "storage":
             object.__setattr__(self, "wanted", _readonly(np.zeros(3)))
@@ -215,17 +217,12 @@ def modified_pair_matrix(group: PulseGroup, xi_pair: np.ndarray) -> np.ndarray:
         raise ShapeError("pair transforms need two-qubit pulses")
     if np.shape(xi_pair) != (4, 4):
         raise ShapeError("pair coefficient matrix must be 4x4")
-    return _pair_average([r.matrix for r in group.rotations], xi_pair)
-
-
-def _pair_average(rotations, xi_pair) -> np.ndarray:
-    """Pair matrix averaged over 15x15 adjoint images ``R``: the mean of ``_extend_identity(R).T @ xi``."""
     xi_flat = np.array(xi_pair, dtype=float).reshape(16)  # entry [a, b] is Pauli string 4a + b
     xi_flat[0] = 0.0
     acc = np.zeros(16)
-    for r in rotations:
-        acc += _extend_identity(r).T @ xi_flat
-    acc /= len(rotations)
+    for r in group.rotations:
+        acc += _extend_identity(r.matrix).T @ xi_flat
+    acc /= group.size
     return acc.reshape(4, 4)
 
 
@@ -270,18 +267,14 @@ def _product_size(per_qubit) -> int:
     return lcm(*map(len, per_qubit))
 
 
-def _product_pulses(per_qubit) -> list[np.ndarray]:
-    """Pulses of the local product of per-qubit pulse lists, qubit 0 first.
+def _product_group(per_qubit, delta_t: float) -> PulseGroup:
+    """The pulse group of the local product of per-qubit pulse lists, qubit 0 first.
 
     Each list is repeated cyclically to the lcm of their lengths, which keeps
     its average; pulse ``k`` is ``per_qubit[0][k] (x) per_qubit[1][k] (x) ...``.
     """
-    return [reduce(_kron, (qubit[k % len(qubit)] for qubit in per_qubit)) for k in range(_product_size(per_qubit))]
-
-
-def _product_group(per_qubit, delta_t: float) -> PulseGroup:
-    """The pulse group of ``_product_pulses(per_qubit)``."""
-    return PulseGroup.from_pulses(_product_pulses(per_qubit), delta_t)
+    pulses = [reduce(_kron, (qubit[k % len(qubit)] for qubit in per_qubit)) for k in range(_product_size(per_qubit))]
+    return PulseGroup.from_pulses(pulses, delta_t)
 
 
 def _kick_pulses(axis) -> list[np.ndarray]:
@@ -316,19 +309,28 @@ def _qubit_xi(generator, qubit) -> tuple[int, np.ndarray]:
     return qubit, np.asarray(vectors[qubit], dtype=float)
 
 
-def _one_qubit_distance(error: np.ndarray) -> float:
-    """``error_report``'s distance of a one-qubit error vector; ``DomainError`` as ``ErrorReport`` raises it unless finite."""
-    distance = float(_hs_norm(np.tensordot(error, build_pauli_basis(1).generators, axes=1)))
-    if not distance <= sys.float_info.max:  # also true for NaN
-        raise DomainError("distances are non-negative and finite")
-    return distance
+@contextmanager
+def _overflow_is_domain_error():
+    """numpy's overflow raised as ``DomainError``, coordinates too large to solve for, not as a warning; also a decorator."""
+    try:
+        with np.errstate(over="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise DomainError(f"coordinates too large to solve for ({exc})") from None
 
 
-def _one_qubit_error(pulses, xi: np.ndarray, w: np.ndarray, bound: float, message: str) -> np.ndarray:
+def _one_qubit_image(pulse: np.ndarray, images: dict) -> np.ndarray:
+    """Identity-extended 4x4 adjoint image of a one-qubit pulse, computed once per ``images`` dict, which keys it by the pulse's bits."""
+    key = pulse.tobytes()
+    if key not in images:
+        images[key] = _extend_identity(adjoint_of(pulse, build_pauli_basis(1)).matrix)
+    return images[key]
+
+
+def _one_qubit_error(pulses, xi: np.ndarray, w: np.ndarray, bound: float, message: str, images: dict) -> np.ndarray:
     """Error vector ``mean_k R(p_k).T @ xi - w`` of one-qubit ``pulses``; ``InfeasibleError`` if its distance exceeds ``bound``."""
-    basis1 = build_pauli_basis(1)
-    error = np.mean([adjoint_of(p, basis1).matrix for p in pulses], axis=0).T @ xi - w
-    distance = _one_qubit_distance(error)
+    error = np.mean([_one_qubit_image(p, images)[1:, 1:] for p in pulses], axis=0).T @ xi - w
+    distance = float(_distance(error, build_pauli_basis(1).normalization))
     if distance > bound:
         raise InfeasibleError(message, best_residual=distance)
     return error
@@ -355,15 +357,18 @@ def solve_storage(generator, qubit: int = 0, max_group_size: int = 8, *, delta_t
     _check_count(max_group_size, "max_group_size", 2)
     qubit, xi = _qubit_xi(generator, qubit)
     _check_time(delta_t, "delta_t", positive=True)
-    return _one_qubit_result(*_storage_pulses(xi), qubit, delta_t)
+    return _one_qubit_result(*_storage_pulses(xi, {}), qubit, delta_t)
 
 
-def _storage_pulses(xi: np.ndarray) -> tuple[list[np.ndarray], np.ndarray, str]:
-    """``solve_storage``'s core: the pulse list, its error vector and the note, or the solver's error."""
-    if np.linalg.norm(xi) <= ROUNDOFF:
+@_overflow_is_domain_error()
+def _storage_pulses(xi: np.ndarray, images: dict) -> tuple[list[np.ndarray], np.ndarray, str]:
+    """``solve_storage``'s core: the pulse list, its error vector and the note, or the solver's error; bounds scale as the gate core's."""
+    norm_xi = np.linalg.norm(xi)
+    if norm_xi <= ROUNDOFF:
         return [np.eye(2, dtype=complex)], xi, "generator already vanishes; no pulses required"
     pulses = _kick_pulses(_unit_axis(axis_orthogonal_to([xi]), np.pi / 2))
-    error = _one_qubit_error(pulses, xi, np.zeros(3), LINEAR_SOLVE, "parity kick failed to annihilate the generator")
+    error = _one_qubit_error(pulses, xi, np.zeros(3), LINEAR_SOLVE * max(1.0, norm_xi),
+                             "parity kick failed to annihilate the generator", images)
     return pulses, error, "kick axis free within the plane orthogonal to the measured generator; sign of the rotation angle free"
 
 
@@ -433,18 +438,19 @@ def solve_single_qubit_gate(generator, target: TargetSpec, qubit: int = 0, max_g
     max_group_size = _check_count(max_group_size, "max_group_size", 2)
     qubit, xi = _qubit_xi(generator, qubit)
     _check_time(delta_t, "delta_t", positive=True)
-    return _one_qubit_result(*_gate_pulses(xi, target.wanted_vector(), max_group_size), qubit, delta_t)
+    return _one_qubit_result(*_gate_pulses(xi, target.wanted_vector(), max_group_size, {}), qubit, delta_t)
 
 
-def _gate_pulses(xi: np.ndarray, w: np.ndarray, max_group_size: int) -> tuple[list[np.ndarray], np.ndarray, str]:
+@_overflow_is_domain_error()
+def _gate_pulses(xi: np.ndarray, w: np.ndarray, max_group_size: int, images: dict) -> tuple[list[np.ndarray], np.ndarray, str]:
     """``solve_single_qubit_gate``'s core: the pulse list, its error vector and the note, or the solver's error."""
     norm_xi, norm_w = np.linalg.norm(xi), np.linalg.norm(w)
     scale = max(norm_xi, norm_w, 1.0)
     if np.linalg.norm(xi - w) <= ROUNDOFF * scale:
-        _one_qubit_distance(xi - w)  # refuses what the public solver's report would
+        _distance(xi - w, build_pauli_basis(1).normalization)  # refuses what the public solver's report would
         return [np.eye(2, dtype=complex)], xi - w, "measured generator already equals the target"
     if norm_w <= ROUNDOFF:
-        return _storage_pulses(xi)
+        return _storage_pulses(xi, images)
     if norm_w > norm_xi + ROUNDOFF:
         gain = f" (would need amplification by {norm_w / norm_xi:.3g})" if norm_xi > 0 else ""
         raise InfeasibleMagnitudeError(
@@ -482,7 +488,7 @@ def _gate_pulses(xi: np.ndarray, w: np.ndarray, max_group_size: int) -> tuple[li
             )
 
     pulses = [np.eye(2, dtype=complex)] + [axis_angle_unitary(axis, angle) for axis, angle in axis_angles]
-    return pulses, _one_qubit_error(pulses, xi, w, LINEAR_SOLVE * max(1.0, scale), "constructed pulse set missed the target"), note
+    return pulses, _one_qubit_error(pulses, xi, w, LINEAR_SOLVE * max(1.0, scale), "constructed pulse set missed the target", images), note
 
 
 # ---------------------------------------------------------------------------
@@ -533,11 +539,12 @@ def _catalogue(num_qubits: int, max_size: int) -> tuple[tuple[tuple[np.ndarray, 
 # ---------------------------------------------------------------------------
 
 
-def _single_qubit_pulse_lists(xi_vec: np.ndarray, w_vec: np.ndarray, max_group_size: int) -> list[Sequence[np.ndarray]]:
+@_overflow_is_domain_error()
+def _single_qubit_pulse_lists(xi_vec: np.ndarray, w_vec: np.ndarray, max_group_size: int, images: dict) -> list[Sequence[np.ndarray]]:
     """Candidate pulse lists for one qubit's margin of the pair problem: ``[I]``, the solver cores' list, the coordinate kicks."""
     lists: list[Sequence[np.ndarray]] = [[np.eye(2, dtype=complex)]]
     with suppress(InfeasibleError):
-        solved = _storage_pulses(xi_vec) if np.linalg.norm(w_vec) <= ROUNDOFF else _gate_pulses(xi_vec, w_vec, max_group_size)
+        solved = _storage_pulses(xi_vec, images) if np.linalg.norm(w_vec) <= ROUNDOFF else _gate_pulses(xi_vec, w_vec, max_group_size, images)
         lists.append(solved[0])
     if np.linalg.norm(xi_vec) > ROUNDOFF:
         paulis = _pauli_pulses()
@@ -545,6 +552,7 @@ def _single_qubit_pulse_lists(xi_vec: np.ndarray, w_vec: np.ndarray, max_group_s
     return lists
 
 
+@_overflow_is_domain_error()
 def solve_two_qubit(generator, target: TargetSpec, pair: tuple[int, int] = (0, 1), ansatz: str = "local_products", *, max_group_size: int = 8, delta_t: float = 0.1) -> SynthesisResult:
     """Solve the pair-matrix averaged-rotation condition for two qubits.
 
@@ -561,10 +569,10 @@ def solve_two_qubit(generator, target: TargetSpec, pair: tuple[int, int] = (0, 1
     is the trivial pair, the products of the margin solutions, the tailored
     kicks, then the catalogue.  The direct mode tries them all before the
     running mode.  The margins' lists come from the one-qubit solvers'
-    cores, which build no group or report.  A candidate is scored from the
-    images of its product pulses, each computed once per solve (once per
-    process for the 16 products of ``I`` and the coordinate kicks) and
-    shared by both modes; only the returned candidate's group is built.
+    cores.  A local product acts on the pair matrix one qubit at a time:
+    candidate ``(a, b)`` scores ``mean_k Ra_k^T X Rb_k`` from one-qubit
+    images, each computed once per solve; the identity entry ``X[0, 0]``
+    is left out, and only the returned candidate's group is built.
     ``ansatz`` accepts only ``'local_products'``, which names that search.
     """
     if target.kind != "two_qubit":
@@ -577,7 +585,6 @@ def solve_two_qubit(generator, target: TargetSpec, pair: tuple[int, int] = (0, 1
         raise ShapeError("pair coefficient matrix must be 4x4")
     _check_time(delta_t, "delta_t", positive=True)
     w_pair = target.wanted_vector()
-    basis2 = build_pauli_basis(2)
 
     modes = []
     if np.linalg.norm(w_pair) <= np.linalg.norm(xi_pair) + ROUNDOFF:
@@ -585,19 +592,21 @@ def solve_two_qubit(generator, target: TargetSpec, pair: tuple[int, int] = (0, 1
     if np.linalg.norm(w_pair) > ROUNDOFF:
         modes.append(("running", xi_pair + w_pair))
 
-    candidates = _two_qubit_candidates(xi_pair, w_pair, max_group_size)
-    images: dict[bytes, np.ndarray] = {}
+    images: dict[bytes, np.ndarray] = {}  # the solve's one-qubit images, margins' checks included
+    candidates = _two_qubit_candidates(xi_pair, w_pair, max_group_size, images)
     best = np.inf
     for mode, source in modes:
+        source = source.copy()
+        source[0, 0] = 0.0  # the identity string is no generator term
         for candidate in candidates:
-            achieved = _pair_average(_pulse_images(_product_pulses(candidate), images), source)
+            achieved = _local_pair_average(candidate, source, images)
             resid = np.linalg.norm(achieved - w_pair)
             best = min(best, resid)
             if resid <= LINEAR_SOLVE:
                 return SynthesisResult(
                     group=_product_group(candidate, delta_t),
                     factors=candidate,
-                    residual=_report(achieved, w_pair, basis2),
+                    residual=_report(achieved, w_pair, build_pauli_basis(2)),
                     free_parameters=_two_qubit_note(mode),
                     pair=tuple(pair),
                     mode=mode,
@@ -609,26 +618,11 @@ def solve_two_qubit(generator, target: TargetSpec, pair: tuple[int, int] = (0, 1
     )
 
 
-def _pulse_images(pulses, images: dict) -> list[np.ndarray]:
-    """Adjoint image matrix of each two-qubit pulse, computed once per solve: ``images`` holds them by pulse bits."""
-    basis2, fixed = build_pauli_basis(2), _fixed_products()
-    keys = [p.tobytes() for p in pulses]
-    for p, key in zip(pulses, keys):
-        if key not in images:
-            images[key] = _fixed_image(key) if key in fixed else adjoint_of(p, basis2).matrix
-    return [images[key] for key in keys]
-
-
-@cache
-def _fixed_products() -> dict[bytes, np.ndarray]:
-    """The 16 two-qubit products of ``I`` and the coordinate kicks, by their bits."""
-    return {p.tobytes(): p for p in (_kron(a, b) for a in _pauli_pulses() for b in _pauli_pulses())}
-
-
-@cache
-def _fixed_image(key: bytes) -> np.ndarray:
-    """Read-only adjoint image of the fixed product with bits ``key``, computed once per process on first use."""
-    return _readonly(adjoint_of(_fixed_products()[key], build_pauli_basis(2)).matrix)
+def _local_pair_average(candidate, xi_pair: np.ndarray, images: dict) -> np.ndarray:
+    """Pair matrix averaged over the local product of ``candidate = (a, b)``: ``mean_k Ra_k^T xi_pair Rb_k``, ``R`` from ``_one_qubit_image``."""
+    ra, rb = ([_one_qubit_image(p, images) for p in pulses] for pulses in candidate)
+    n = _product_size(candidate)
+    return sum(ra[k % len(ra)].T @ xi_pair @ rb[k % len(rb)] for k in range(n)) / n
 
 
 def _two_qubit_note(mode: str) -> str:
@@ -640,7 +634,7 @@ def _two_qubit_note(mode: str) -> str:
     )
 
 
-def _two_qubit_candidates(xi_pair, w_pair, max_group_size) -> list[tuple[Sequence, Sequence]]:
+def _two_qubit_candidates(xi_pair, w_pair, max_group_size, images: dict) -> list[tuple[Sequence, Sequence]]:
     """Distinct per-qubit pulse-list pairs within the size bound, fewest product pulses first.
 
     The margin products come first, headed by the trivial pair
@@ -649,8 +643,8 @@ def _two_qubit_candidates(xi_pair, w_pair, max_group_size) -> list[tuple[Sequenc
     holds among pairs of one size.  A pair whose lists repeat the exact
     bits of an earlier pair's is dropped: it would build the same group.
     """
-    lists_a = _single_qubit_pulse_lists(xi_pair[1:, 0], w_pair[1:, 0], max_group_size)
-    lists_b = _single_qubit_pulse_lists(xi_pair[0, 1:], w_pair[0, 1:], max_group_size)
+    lists_a = _single_qubit_pulse_lists(xi_pair[1:, 0], w_pair[1:, 0], max_group_size, images)
+    lists_b = _single_qubit_pulse_lists(xi_pair[0, 1:], w_pair[0, 1:], max_group_size, images)
     pairs = [(pa, pb) for pa in lists_a for pb in lists_b]
     pairs += [*_tailored_kick_products(xi_pair), *_catalogue(2, max_group_size)]
     bits: dict[int, bytes] = {}  # id of a pulse list -> its pulses' bits, joined once; ``pairs`` holds every list
@@ -696,30 +690,40 @@ def error_report(tilde_chi: CoordinateVector, wanted: CoordinateVector) -> Error
     """Error vector and scalar distance between modified and wanted coordinates.
 
     The scalar distance is the Hilbert-Schmidt norm ``sqrt(Tr[D^dag D])`` of
-    the reconstructed deviation operator ``D = sum_a E_a K_a``.
+    the deviation operator ``D = sum_a E_a K_a``, read off the coordinates:
+    the basis is trace-orthogonal, so it is ``sqrt(M) * ||E||_2`` exactly.
+    Pair-matrix coordinates count every entry but the identity ``[0, 0]``.
     """
     if not isinstance(tilde_chi, CoordinateVector) or not isinstance(wanted, CoordinateVector):
         raise ShapeError("error_report expects CoordinateVector operands")
     if tilde_chi.coords.shape != wanted.coords.shape:
         raise ShapeError("coordinate shapes do not match")
-    e_coords = tilde_chi.coords - wanted.coords
-    e_vec = CoordinateVector(coords=e_coords, basis=tilde_chi.basis)
-    return ErrorReport(error_vector=e_vec, scalar_distance=float(_hs_norm(reconstruct(e_vec))))
+    e_vec = CoordinateVector(coords=tilde_chi.coords - wanted.coords, basis=tilde_chi.basis)
+    return ErrorReport(error_vector=e_vec, scalar_distance=float(_distance(e_vec.as_flat(), e_vec.basis.normalization)))
 
 
-def _hs_norm(delta: np.ndarray) -> np.ndarray:
-    """Hilbert-Schmidt norm ``sqrt(Tr[D^dag D])`` of each ``(d, d)`` slice of ``delta``."""
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite norm is the callers' DomainError
-        return np.sqrt(np.abs(np.trace(delta.conj().swapaxes(-1, -2) @ delta, axis1=-2, axis2=-1).real))
+def _distance(coords, normalization: float) -> np.ndarray:
+    """Hilbert-Schmidt norm ``sqrt(M) * ||e||_2`` of the operator with coordinates ``e``, over the last axis.
+
+    Exact for a trace-orthogonal basis, ``Tr(K_a K_b) = M delta_ab``; a stack and a single vector share
+    one reduction, so they agree bit for bit.  ``DomainError``, not an overflow warning, unless finite.
+    """
+    with np.errstate(over="ignore"):
+        d = np.sqrt(normalization) * np.linalg.norm(coords, axis=-1)
+    if not np.all(d <= sys.float_info.max):  # also false for NaN
+        raise DomainError("distances are non-negative and finite")
+    return d
 
 
 def check_encoded(result_generator: CoordinateVector, target: TargetSpec) -> ErrorReport:
     """Distance of the residual generator from the stabilizer span.
 
-    Reconstructs ``S_tilde - S_w``, projects it onto the real span of the
-    stabilizer generators by least squares in the trace inner product, and
-    reports the length of what remains.  An empty stabilizer reduces to the
-    plain scalar distance.
+    Projects the deviation ``S_tilde - S_w`` onto the real span of the
+    stabilizer generators by least squares in coordinates (the trace inner
+    product, as the basis is trace-orthogonal), and reports the length of
+    what remains.  Each generator's identity part ``Tr(g) / M``, which
+    ``expand`` leaves out, is coordinate 0.  An empty stabilizer reduces to
+    the plain scalar distance.
     """
     wanted = np.zeros_like(result_generator.coords) if target.wanted is None else target.wanted
     if np.shape(wanted) != result_generator.coords.shape:
@@ -729,14 +733,11 @@ def check_encoded(result_generator: CoordinateVector, target: TargetSpec) -> Err
     stab = target.stabilizer
     if stab is None or stab.size == 0:
         return ErrorReport(error_vector=e_vec, scalar_distance=d, stabilizer_distance=d)
-    delta = reconstruct(e_vec)
-    gens = stab.generators
-    gram = np.array([[np.trace(a.conj().T @ b).real for b in gens] for a in gens])
-    rhs = np.array([np.trace(g.conj().T @ delta).real for g in gens])
-    coeffs, *_ = np.linalg.lstsq(gram, rhs, rcond=None)
-    nearest = sum(c * g for c, g in zip(coeffs, gens))
-    resid = delta - nearest
-    stab_d = float(_hs_norm(resid))
+    basis = e_vec.basis
+    gens = np.array([[np.trace(g).real / basis.normalization, *expand(g, basis).coords] for g in stab.generators])
+    error = np.concatenate(([0.0], e_vec.as_flat()))
+    coeffs, *_ = np.linalg.lstsq(gens.T, error, rcond=None)
+    stab_d = float(_distance(error - coeffs @ gens, basis.normalization))
     return ErrorReport(error_vector=e_vec, scalar_distance=d, stabilizer_distance=min(stab_d, d))
 
 

@@ -11,7 +11,6 @@ and wanted generators over a fixed horizon of pulse cycles.
 from __future__ import annotations
 
 import functools
-import sys
 import warnings
 from dataclasses import dataclass
 
@@ -21,7 +20,7 @@ from .bb_synthesis import (
     ErrorReport,
     TargetSpec,
     _catalogue,
-    _hs_norm,
+    _distance,
     _kick_pulses,
     _pauli_pulses,
     _product_group,
@@ -175,7 +174,8 @@ def evaluate_cost(model: SystemBathModel, group: PulseGroup, cost: CostFunction)
     in one pass over one stack of propagators, each node checked for
     linearity and trace preservation.  The generator at node time ``t`` is
     ``Im(chi[1:, 0]) / t`` of chi's Hermitian part, and the integrand is its
-    Hilbert-Schmidt distance to the wanted generator (see ``error_report``),
+    Hilbert-Schmidt distance to the wanted generator, read off the
+    coordinates as ``error_report`` reads it,
     bit for bit what ``run_qpt``, ``chi_from_lambda``, ``extract_generator``
     and ``error_report`` give on each node alone.  Node values below
     ``defaults.EXACT_HIT`` count as exact hits, so a perfect pulse set
@@ -193,9 +193,7 @@ def evaluate_cost(model: SystemBathModel, group: PulseGroup, cost: CostFunction)
     responses = _reduced_channel(model, u)(_probe_inputs(basis.dim)[0])
     chi, _ = _chi_raw(_assemble_lam(responses, basis.dim), basis)
     coords = ((chi[:, 1:, 0] + chi[:, 0, 1:].conj()) / 2.0).imag / np.array(times)[:, None]
-    d = _hs_norm(np.tensordot(coords - w_flat, basis.generators, axes=1))
-    if not np.all(d <= sys.float_info.max):  # also false for NaN
-        raise DomainError("distances are non-negative and finite")
+    d = _distance(coords - w_flat, basis.normalization)
     values = np.where(d < EXACT_HIT, 0.0, d)
     return float(np.trapezoid(np.concatenate((values[:1], values)), [0.0, *times]))
 

@@ -59,8 +59,9 @@ class ChiMatrix:
     """Process matrix in the fixed Hermitian basis, ``rho -> sum chi_ab K_a rho K_b``.
 
     ``skew_norm`` is the Frobenius norm of the skew-Hermitian part removed
-    from the measured chi; ``residual`` is the measured chi's
-    trace-preservation residual ``||sum_ab chi_ab K_b K_a - I||_F``.
+    from the measured chi; ``residual`` is the probed map's
+    trace-preservation residual ``||Tr channel(|m><n|) - delta_mn||_F``,
+    read off ``lam``; it equals ``||sum_ab chi_ab K_b K_a - I||_F``.
     """
 
     entries: np.ndarray
@@ -225,23 +226,19 @@ def _assemble_lam(responses, dim: int) -> np.ndarray:
 def _chi_raw(lam: np.ndarray, basis: OperatorBasis) -> tuple[np.ndarray, np.ndarray]:
     """``chi = A^dag L A / M^2`` of each ``(d^2, d^2)`` slice of ``lam``, and its trace-preservation residual.
 
-    ``InconsistencyError`` if any slice's residual exceeds
-    ``defaults.TRACE_PRESERVATION`` or is not finite.
+    The residual is ``||T - I||_F`` with ``T[m, n] = sum_p lam[(m, n), (p, p)] = Tr channel(|m><n|)``,
+    the transpose of ``sum_ab chi_ab K_b K_a``.  ``InconsistencyError`` if any
+    slice's residual exceeds ``defaults.TRACE_PRESERVATION`` or is not finite.
     """
     d = basis.dim
     lead = lam.shape[:-2]
-    k = basis.elements
-    a = k.transpose(1, 2, 0).reshape(d * d, basis.size)
-    lam = lam.reshape(*lead, d, d, d, d).transpose(*range(len(lead)), -2, -4, -1, -3).reshape(*lead, d * d, d * d)
-    chi = a.conj().T @ lam @ a / basis.normalization**2
-    # sum_ab chi_ab K_b K_a, summed over a first; each slice's norm is taken alone, as a single run takes it
-    tp = (k @ np.tensordot(chi, k, axes=(-2, 0))).sum(axis=-3)
-    residual = np.array([np.linalg.norm(r) for r in (tp - np.eye(d)).reshape(-1, d, d)]).reshape(lead)
+    units = lam.reshape(*lead, d, d, d, d)
+    residual = np.linalg.norm(np.einsum("...mnpp->...mn", units) - np.eye(d), axis=(-2, -1))
     if not np.all(residual <= TRACE_PRESERVATION):
-        raise InconsistencyError(
-            f"trace-preservation residual {np.max(residual):.2e}; channel is not trace preserving"
-        )
-    return chi, residual
+        raise InconsistencyError(f"trace-preservation residual {np.max(residual):.2e}; channel is not trace preserving")
+    a = basis.elements.transpose(1, 2, 0).reshape(d * d, basis.size)
+    lam = units.transpose(*range(len(lead)), -2, -4, -1, -3).reshape(*lead, d * d, d * d)
+    return a.conj().T @ lam @ a / basis.normalization**2, residual
 
 
 def chi_from_lambda(data: TomographyData) -> ChiMatrix:
@@ -257,9 +254,9 @@ def chi_from_lambda(data: TomographyData) -> ChiMatrix:
     Raises
     ------
     InconsistencyError
-        If the trace-preservation residual ``||sum_ab chi_ab K_b K_a - I||_F``
-        exceeds ``defaults.TRACE_PRESERVATION`` or is not finite, i.e. the
-        probed map is not a trace-preserving channel.
+        If the trace-preservation residual ``||sum_p lam[(m, n), (p, p)] -
+        delta_mn||_F`` exceeds ``defaults.TRACE_PRESERVATION`` or is not
+        finite, i.e. the probed map is not a trace-preserving channel.
     """
     chi, residual = _chi_raw(data.lam, data.basis)
     skew = float(np.linalg.norm(chi - chi.conj().T) / 2.0)

@@ -9,12 +9,10 @@ from bbforge import bb_synthesis
 from bbforge.bb_synthesis import (
     ErrorReport,
     _catalogue,
-    _fixed_image,
-    _fixed_products,
-    _pair_average,
+    _distance,
+    _extend_identity,
+    _local_pair_average,
     _product_group,
-    _product_pulses,
-    _pulse_images,
     _single_qubit_pulse_lists,
     _two_qubit_candidates,
     StabilizerSpace,
@@ -46,6 +44,7 @@ from bbforge.operator_algebra import (
     adjoint_of,
     axis_angle_unitary,
     build_pauli_basis,
+    reconstruct,
     unitary_from_rotation,
 )
 from bbforge.tomography import EffectiveGenerator
@@ -216,11 +215,12 @@ class TestOneQubitCores:
 
     @settings(max_examples=300, deadline=None)
     @given(margin=_margins(), bound=st.integers(2, 8))
-    @np.errstate(over="ignore", invalid="ignore")  # np.linalg.norm past 1e154 warns in both
     def test_margin_lists_match_the_public_solvers(self, margin, bound):
         xi, w = margin
+        with np.errstate(over="ignore"):  # the test's own dispatch; the solvers below run unguarded
+            storage, kicks = np.linalg.norm(w) <= ROUNDOFF, 3 if np.linalg.norm(xi) > ROUNDOFF else 0
         try:
-            if np.linalg.norm(w) <= ROUNDOFF:
+            if storage:
                 expected = [solve_storage(xi, 0, bound).factors[0]]
             else:
                 expected = [solve_single_qubit_gate(xi, TargetSpec(kind="single_qubit", wanted=w), 0, bound).factors[0]]
@@ -228,10 +228,9 @@ class TestOneQubitCores:
             expected = []
         except DomainError:
             with pytest.raises(DomainError):
-                _single_qubit_pulse_lists(xi, w, bound)
+                _single_qubit_pulse_lists(xi, w, bound, {})
             return
-        lists = _single_qubit_pulse_lists(xi, w, bound)
-        kicks = 3 if np.linalg.norm(xi) > ROUNDOFF else 0
+        lists = _single_qubit_pulse_lists(xi, w, bound, {})
         solved = lists[1:len(lists) - kicks]
         assert len(solved) == len(expected)  # InfeasibleError in exactly the same cases
         for got, want in zip(solved, expected):
@@ -332,30 +331,28 @@ def test_factors_build_the_group(solve):
 
 
 class TestCandidateBuilds:
-    """``solve_two_qubit`` builds only the group it returns; it images a pulse once per solve, a fixed product once per process."""
+    """``solve_two_qubit`` builds only the group it returns and images only one-qubit pulses, each once per solve."""
 
     @pytest.fixture
     def counted(self, monkeypatch):
         built, imaged, scored = [], [], []
-        post_init, image, average = PulseGroup.__post_init__, bb_synthesis.adjoint_of, bb_synthesis._pair_average
+        post_init, image, average = PulseGroup.__post_init__, bb_synthesis.adjoint_of, bb_synthesis._local_pair_average
 
         def counting_post_init(group):
             post_init(group)
             built.append(group)
 
         def counting_image(pulse, basis):
-            if basis.dim == 4:
-                imaged.append(np.asarray(pulse).tobytes())
+            imaged.append((basis.dim, np.asarray(pulse).tobytes()))
             return image(pulse, basis)
 
-        def counting_average(rotations, xi_pair):
-            scored.append(len(rotations))
-            return average(rotations, xi_pair)
+        def counting_average(candidate, xi_pair, images):
+            scored.append(candidate)
+            return average(candidate, xi_pair, images)
 
         monkeypatch.setattr(PulseGroup, "__post_init__", counting_post_init)
         monkeypatch.setattr(bb_synthesis, "adjoint_of", counting_image)
-        monkeypatch.setattr(bb_synthesis, "_pair_average", counting_average)
-        _fixed_image.cache_clear()  # so this test sees each fixed product imaged on first use
+        monkeypatch.setattr(bb_synthesis, "_local_pair_average", counting_average)
         return built, imaged, scored
 
     def test_success_builds_only_the_returned_group(self, counted):
@@ -363,41 +360,25 @@ class TestCandidateBuilds:
         wanted = TargetSpec(kind="two_qubit", wanted=np.eye(3)).wanted_vector()
         res = solve_two_qubit(HEISENBERG_XI, TargetSpec(kind="two_qubit", wanted=wanted), max_group_size=4)
         assert built == [res.group] and built[0] is res.group  # the margins build no one-qubit group either
-        assert len(imaged) == len(set(imaged))
-        assert {p.tobytes() for p in res.group.pulses} <= set(imaged)
-        assert 0 < len(scored) < len(_two_qubit_candidates(HEISENBERG_XI, wanted, 4))
+        assert {dim for dim, _ in imaged} == {2}  # one-qubit images only
+        assert len(imaged) == len(set(imaged))  # the margins' checks and the scores share them
+        assert {p.tobytes() for pulses in res.factors for p in pulses} <= {bits for _, bits in imaged}
+        assert 0 < len(scored) < len(_two_qubit_candidates(HEISENBERG_XI, wanted, 4, {}))
 
     def test_infeasible_solve_images_each_distinct_pulse_once(self, counted):
         built, imaged, scored = counted
         xi_pair = np.random.default_rng(0).normal(size=(4, 4))
         wanted = TargetSpec(kind="two_qubit", wanted=np.eye(3)).wanted_vector()
-        candidates = _two_qubit_candidates(xi_pair, wanted, 4)
-        pulses = {p.tobytes() for c in candidates for p in _product_pulses(c)}
-        assert pulses & set(_fixed_products()) and pulses - set(_fixed_products())
-        for expected in (pulses, pulses - set(_fixed_products())):
+        candidates = _two_qubit_candidates(xi_pair, wanted, 4, {})
+        pulses = {p.tobytes() for c in candidates for qubit in c for p in qubit}
+        for _ in range(2):  # no image outlives its solve
             imaged.clear()
             scored.clear()
             with pytest.raises(InfeasibleError):
                 solve_two_qubit(xi_pair, TargetSpec(kind="two_qubit", wanted=wanted), max_group_size=4)
             assert built == []
             assert len(scored) == 2 * len(candidates)  # both modes tried every candidate
-            assert len(imaged) == len(set(imaged))
-            assert set(imaged) == expected
-
-    def test_fixed_images_are_the_16_products_read_only_and_exact(self):
-        for seed in range(3):  # solves that reach the fixed products
-            xi_pair = np.random.default_rng(seed).normal(size=(4, 4))
-            with pytest.raises(InfeasibleError):
-                solve_two_qubit(xi_pair, TargetSpec(kind="two_qubit", wanted=np.eye(3)), max_group_size=4)
-        assert _fixed_image.cache_info().currsize <= 16
-        paulis = [I2] + [axis_angle_unitary(e, np.pi / 2) for e in np.eye(3)]
-        fixed = _fixed_products()
-        assert set(fixed) == {_kron(a, b).tobytes() for a in paulis for b in paulis}
-        for key, pulse in fixed.items():
-            image = _fixed_image(key)
-            assert not image.flags.writeable
-            assert image.tobytes() == adjoint_of(pulse, B2).matrix.tobytes()
-        assert _fixed_image.cache_info().currsize == 16
+            assert sorted(imaged) == sorted({(2, bits) for bits in pulses})
 
     @pytest.mark.parametrize("delta_t", [0.0, -1.0, float("nan"), float("inf")], ids=repr)
     def test_bad_spacing_rejected_when_no_candidate_fits(self, delta_t):
@@ -412,21 +393,29 @@ class TestCandidateBuilds:
     def test_every_candidate_list_starts_with_the_identity(self, seed):
         xi_pair = np.random.default_rng(seed).normal(size=(4, 4)) * (seed % 2)
         for wanted in (np.zeros((4, 4)), TargetSpec(kind="two_qubit", wanted=np.eye(3)).wanted_vector()):
-            for candidate in _two_qubit_candidates(xi_pair, wanted, 8):
+            for candidate in _two_qubit_candidates(xi_pair, wanted, 8, {}):
                 assert all(np.array_equal(pulses[0], I2) for pulses in candidate)
 
     @settings(max_examples=40, deadline=None)
     @given(lengths=st.lists(st.integers(1, 4), min_size=2, max_size=2).filter(lambda n: lcm(*n) <= 8),
            seed=st.integers(0, 2**32 - 1))
     def test_images_and_average_match_the_built_group(self, lengths, seed):
+        # reference: the general path, 15x15 images of the built two-qubit products
         rng = np.random.default_rng(seed)
         candidate = [[I2] + [random_unitary(2, rng) for _ in range(n - 1)] for n in lengths]
         group = _product_group(candidate, 0.05)
-        images = _pulse_images(_product_pulses(candidate), {})
-        assert len(images) == group.size
-        assert all(np.array_equal(a, r.matrix) for a, r in zip(images, group.rotations))
         xi_pair = rng.normal(size=(4, 4))
-        assert np.array_equal(_pair_average(images, xi_pair), modified_pair_matrix(group, xi_pair))
+        images = {}
+        zeroed = xi_pair.copy()
+        zeroed[0, 0] = 0.0
+        achieved = _local_pair_average(candidate, zeroed, images)
+        assert np.linalg.norm(achieved - modified_pair_matrix(group, xi_pair)) <= 1e-14 * np.linalg.norm(xi_pair)
+        distinct = {p.tobytes(): p for qubit in candidate for p in qubit}
+        assert images.keys() == distinct.keys()
+        for key, p in distinct.items():
+            assert np.array_equal(images[key], _extend_identity(adjoint_of(p, B1).matrix))
+        assert _local_pair_average(candidate, zeroed, images) is not achieved  # a second call reuses the images
+        assert images.keys() == distinct.keys()
 
     def test_size_bound_below_two_rejected(self):
         xi_pair = np.zeros((4, 4))
@@ -453,7 +442,7 @@ class TestCandidateBuilds:
         xi_pair = np.zeros((4, 4))
         xi_pair[3, 0], xi_pair[0, 3] = margins
         for wanted in (np.zeros((4, 4)), TargetSpec(kind="two_qubit", wanted=np.eye(3)).wanted_vector()):
-            candidates = _two_qubit_candidates(xi_pair, wanted, 8)
+            candidates = _two_qubit_candidates(xi_pair, wanted, 8, {})
             keys = {tuple(np.array(pulses).tobytes() for pulses in pair) for pair in candidates}
             assert len(keys) == len(candidates) == (count or len(candidates))
 
@@ -515,9 +504,9 @@ class TestErrorReport:
         with pytest.raises(DomainError):
             ErrorReport(CoordinateVector(np.zeros(3), B1), float("inf"), stabilizer_distance)
 
-    @pytest.mark.parametrize("scale", [1e200, -3e200])
+    @pytest.mark.parametrize("scale", [1e200, -3e200, float("inf"), float("nan")])
     def test_overflowing_distance_rejected(self, scale):
-        # each coordinate is finite, but the squared norm overflows
+        # each coordinate is finite, but the squared norm overflows; or a coordinate is not finite
         with pytest.raises(DomainError, match="finite"):
             error_report(CoordinateVector(np.full(3, scale), B1), CoordinateVector(np.zeros(3), B1))
 
@@ -526,6 +515,71 @@ class TestErrorReport:
         fields = {"scalar_distance": 1.0, "stabilizer_distance": 0.5, field: float("nan")}
         with pytest.raises(DomainError):
             ErrorReport(error_vector=CoordinateVector(np.zeros(3), B1), **fields)
+
+
+class TestDistance:
+    """``_distance`` reads the Hilbert-Schmidt norm off coordinates; reference: the norm of the rebuilt operator."""
+
+    @pytest.mark.parametrize("num_qubits", [1, 2, 3])
+    def test_matches_the_reconstructed_operator(self, rng, num_qubits):
+        basis = build_pauli_basis(num_qubits)
+        for scale in (1e-9, 1.0, 1e6):
+            coords = scale * rng.normal(size=basis.num_generators)
+            op = reconstruct(CoordinateVector(coords, basis))
+            want = np.sqrt(np.trace(op.conj().T @ op).real)
+            assert abs(_distance(coords, basis.normalization) - want) <= 1e-14 * want
+
+    def test_pair_shaped_coordinates(self, rng):
+        m = rng.normal(size=(4, 4))
+        m[0, 0] = 0.0
+        vec = CoordinateVector(m, B2)
+        op = reconstruct(vec)
+        want = np.sqrt(np.trace(op.conj().T @ op).real)
+        got = error_report(vec, CoordinateVector(np.zeros((4, 4)), B2)).scalar_distance
+        assert got == _distance(vec.as_flat(), B2.normalization) and abs(got - want) <= 1e-14 * want
+
+    def test_stack_equals_each_single_vector_bit_for_bit(self, rng):
+        stack = rng.normal(size=(5, 63)) * np.logspace(-8, 8, 5)[:, None]
+        d = _distance(stack, 8.0)
+        assert d.shape == (5,)
+        assert all(d[i] == _distance(row, 8.0) for i, row in enumerate(stack))
+
+
+class TestLargeGenerators:
+    @pytest.mark.parametrize("norm", [1e7, 1e8, 1e9])
+    def test_storage_bound_scales_with_the_generator(self, rng, norm):
+        for xi in [np.array([3e7, 1e7, 2e7]) * norm / 1e7] + [_scaled(norm, rng.normal(size=3)) for _ in range(20)]:
+            res = solve_storage(xi)
+            assert res.group.size == 2
+            assert res.residual.scalar_distance <= 1e-9 * norm
+            assert np.array_equal(_single_qubit_pulse_lists(xi, np.zeros(3), 8, {})[1][1], res.factors[0][1])  # the margin's kick
+
+    @pytest.mark.parametrize("value", [1e160, -3e200])
+    def test_overflow_raises_domain_error(self, value):
+        xi = np.array([value, 0.5 * value, 0.0])
+        with pytest.raises(DomainError, match="too large"):
+            solve_storage(xi)
+        with pytest.raises(DomainError, match="too large"):
+            solve_single_qubit_gate(xi, TargetSpec(kind="single_qubit", wanted=[0.0, 0.0, 0.1]))
+        with pytest.raises(DomainError, match="too large"):
+            solve_single_qubit_gate(np.array([0.0, 0.0, 0.5]), TargetSpec(kind="single_qubit", wanted=xi))
+        xi_pair = np.zeros((4, 4))
+        xi_pair[1:, 0] = xi
+        for wanted in (np.zeros((4, 4)), np.eye(3)):
+            with pytest.raises(DomainError, match="too large"):
+                solve_two_qubit(xi_pair, TargetSpec(kind="two_qubit", wanted=wanted))
+            with pytest.raises(DomainError, match="too large"):
+                solve_two_qubit(xi_pair.T, TargetSpec(kind="two_qubit", wanted=wanted))
+
+
+@pytest.mark.parametrize("entry", [0.5, -1e-300])
+def test_two_qubit_target_identity_entry_rejected(entry):
+    wanted = np.eye(4)
+    wanted[0, 0] = entry
+    with pytest.raises(DomainError, match=r"\[0, 0\]"):
+        TargetSpec(kind="two_qubit", wanted=wanted)
+    wanted[0, 0] = 0.0
+    assert TargetSpec(kind="two_qubit", wanted=wanted).wanted[0, 0] == 0.0
 
 
 class TestCheckEncoded:
@@ -556,13 +610,23 @@ class TestCheckEncoded:
             vec = CoordinateVector(coords, B2)
             t = TargetSpec(kind="encoded", wanted=np.zeros(15), stabilizer=stab)
             rep = check_encoded(vec, t)
-            from bbforge.operator_algebra import reconstruct
-
             delta = reconstruct(vec)
             c = np.trace(zz @ delta).real / np.trace(zz @ zz).real
             resid = delta - c * zz
             want = np.sqrt(np.trace(resid.conj().T @ resid).real)
             assert abs(rep.stabilizer_distance - want) < 1e-10
+
+    def test_generators_with_a_trace_against_dense_least_squares(self, rng):
+        # oracle: least squares over the flattened operators, identity parts included
+        gens = (np.eye(4) + np.kron(SZ, SZ), np.kron(SX, SX) + 0.5 * np.eye(4))
+        t = TargetSpec(kind="encoded", wanted=np.zeros(15), stabilizer=StabilizerSpace(generators=gens))
+        for _ in range(20):
+            vec = CoordinateVector(rng.normal(size=15), B2)
+            delta = reconstruct(vec)
+            cols = np.array([g.ravel() for g in gens]).T
+            coeffs, *_ = np.linalg.lstsq(cols, delta.ravel(), rcond=None)
+            want = np.linalg.norm(delta.ravel() - cols @ coeffs)
+            assert abs(check_encoded(vec, t).stabilizer_distance - want) < 1e-12
 
     def test_named_example(self):
         # deviation X(x)I + 0.3 ZZ against span{ZZ}: only the X part remains

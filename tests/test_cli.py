@@ -541,6 +541,16 @@ class TestConfigValues:
         assert capsys.readouterr().err.startswith("config error:")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["synthesize", "optimize"])
+    def test_two_qubit_identity_entry_exit_2(self, tmp_path, capsys, command):
+        # entry [0, 0] of a pair target is the identity string, which no pulse set can produce
+        cfg = heisenberg_config()
+        cfg["target"]["wanted"] = np.diag([0.5, 1.0, 1.0, 1.0]).tolist()
+        code = main(["--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "out"), command])
+        assert code == 2
+        assert "[0, 0]" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("text", ["5", '"model"'])
     def test_config_not_an_object_exit_2(self, tmp_path, capsys, text):
         path = tmp_path / "config.json"

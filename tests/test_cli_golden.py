@@ -5,8 +5,14 @@ Heisenberg experiment, each with one bath qubit, run through ``simulate``,
 ``tomography``, ``synthesize``, ``verify`` and ``optimize`` in that order
 (``verify`` reads the group ``synthesize`` wrote).  Artifacts carry floats
 at 17 significant digits, so any change to the pipeline's arithmetic shows
-here.  Float bits depend on the numpy build; the digests were taken with
-numpy 2.4.6 and its bundled OpenBLAS on x86-64.
+here.  Four digests were re-taken when chi's trace-preservation residual
+began to be read off ``lam``, distances off coordinates and two-qubit
+candidates scored from one-qubit images: both ``chi.json`` files (the
+``residual`` field), ``storage-1q``'s ``generations.csv`` (one residual
+distance, last digit) and ``heisenberg-2q``'s ``synthesis.json`` (one
+round-off entry of the error vector).  Every other value, pulse and
+artifact stayed as it was.  Float bits depend on the numpy build; the
+digests were taken with numpy 2.4.6 and its bundled OpenBLAS on x86-64.
 """
 
 import hashlib
@@ -74,17 +80,17 @@ def heisenberg_2q() -> dict:
 GOLDEN = {
     "storage-1q": {
         "best_group.json": "c3096739244cf68a587e75f1622a3f692f74be25be94dabfc9ecf1044c4778aa",
-        "chi.json": "27b2174e5d89b148519e7b6c06e72618e0759f0dbba72c19992e3cbb2dc3d900",
-        "generations.csv": "8d926509d44f6c0e9922fb77449d15266106b6bfc20f4fed946d28c25e4cf48e",
+        "chi.json": "8a1b8eac76d6b5ef286f1e410e53203f2eef0f4baf8aa62457b95c1b86943a92",
+        "generations.csv": "23031c5db894a6243c0d59a96e91e1326d6c0cd11a10b30ee9b299ea244e6cef",
         "synthesis.json": "83aea058e3d79743b11a5ed25934e8a9ca81076a9a6efc9aebfb666f87fdc322",
         "trajectory.csv": "136be6af0d94669ab245f5030421ca6a44df909b3506621c366389b6fc8eb677",
         "verify.json": "bbd5962f9f12d366f416ecfe2b8a988fec50ddc398e24e5af598608903613cb0",
     },
     "heisenberg-2q": {
         "best_group.json": "12e7f9cbb864036101dc9dbd1bb7a7e78a5df144158489697d96b355aeeb1949",
-        "chi.json": "b41e6b58880dc6a47fa8c90b413aa20bddafff053140a7edac081535feb14023",
+        "chi.json": "fa7684b0fdd288a5e890b1f5b12cdd9a6825a0370d73cb33734a712b2fee15b6",
         "generations.csv": "4217c5b1041fc5bbcf35b018813ad79c922a09216eeb0835acd35a7cfe3ee46f",
-        "synthesis.json": "aca48d99e0d97ffa55cd6a913af9e1285c20f451d03f36403f6ae1194d990774",
+        "synthesis.json": "b1477f3cc343b771706abbbca92a92bbe7864b411ee566725230a59f5ccf22e6",
         "trajectory.csv": "f54c1a9885657012ff56fe8acf171758f7c2f530e1a10a4ce3ce132ce8326501",
         "verify.json": "604a6e750d4239402effd2896557dfd02a4e22ec8d6e1c9289f2bad5f2b34600",
     },

@@ -7,7 +7,11 @@ every population member each generation, before scoring became once per
 distinct genome, and both loops must give them.  The ``2q`` digest was
 re-taken when genomes began to be read from per-qubit pulse lists, not
 factored out of built pulses; the factoring had left round-off of up to
-2e-14 in the two-qubit pulses.  Float bits depend on the numpy build; they
+2e-14 in the two-qubit pulses.  All three were re-taken when distances
+began to be read off coordinates as ``sqrt(M) * ||e||_2`` and chi's
+trace-preservation residual off ``lam``: every record kept its best-group
+pulses bit for bit, and costs and residual distances moved by at most
+1.1e-16 relative.  Float bits depend on the numpy build; they
 were taken with numpy 2.4.6 and its bundled OpenBLAS on x86-64, where one
 BLAS thread and the default pool agree.
 """
@@ -56,9 +60,9 @@ def records_digest(best, records) -> str:
 
 # id: (system qubits, bath qubits, population, generations, quadrature, digest)
 GOLDEN = {
-    "1q-quadrature-2": (1, 2, 12, 6, 2, "44f762e3aaba5436fd2bde4532bcdcd792b270759bdeff182488f53453d5c3f2"),
-    "1q": (1, 2, 16, 10, 1, "dbc06f4a3055a12f56b52ab7f730a5a608fda118102b946b2df201346e6789f5"),
-    "2q": (2, 1, 8, 3, 1, "04c957244ba64cb1a2ad75385ca99cc0f2e97fe3549526b979ccf65b1b53cdba"),
+    "1q-quadrature-2": (1, 2, 12, 6, 2, "c37272429a34fd9a43e01f1839914938c81b0bf5d015d0a646a01bc4152336c1"),
+    "1q": (1, 2, 16, 10, 1, "a4b1ec2b1d3230fe945a3ba0f22c5dd51608bd61161eb9a527515abd861751e4"),
+    "2q": (2, 1, 8, 3, 1, "bbebb74c056b81806a6196df648deca8ecb840efba5abb71efc3014074cf2292"),
 }
 
 

@@ -6,7 +6,11 @@ pulses, the residual, and ``best_residual`` when no candidate reaches the
 target.  Any change to the candidates, their order or the mode order shows
 here.  Both digests were computed with the solver that built every
 candidate's pulse group before trying any, and the solver that builds each
-group only when it is tried must give them too.  Float bits depend on the
+group only when it is tried must give them too.  The solver digest was
+re-taken when candidates began to be scored per qubit, as
+``mean_k Ra_k^T X Rb_k`` from one-qubit images, and distances read off
+coordinates: every outcome kept its mode, pulses and accept/reject, and 20
+of the 176 moved by at most 2.3e-16.  Float bits depend on the
 numpy build; they were taken with numpy 2.4.6 and its bundled OpenBLAS on
 x86-64.
 """
@@ -92,7 +96,7 @@ def catalogue_digest() -> str:
     return h.hexdigest()
 
 
-SOLVER_DIGEST = "5aee83bd4777d5707d6e07bec87979a56236164ec33708751f97852bf8e249af"
+SOLVER_DIGEST = "07f49751647f3c8c005964b47830c610e2bf9bae493f34c8bb1622be5c5bedf4"
 CATALOGUE_DIGEST = "96b939076c821da34a51c4f546f55ad538582931ac01c40acc165592e74783b8"
 
 

@@ -173,6 +173,19 @@ class TestStackedKernels:
             chi_i, residual_i = _chi_raw(single.lam, b)
             assert np.array_equal(chi[i], chi_i) and residual[i] == residual_i == chi_from_lambda(single).residual
 
+    @pytest.mark.parametrize("num_qubits", [1, 2, 3])
+    def test_residual_matches_the_chi_side_sum(self, rng, num_qubits):
+        # reference: ||sum_ab chi_ab K_b K_a - I||_F of the same chi
+        b = build_pauli_basis(num_qubits)
+        responses = self.unitary_responses(num_qubits, 3, rng)
+        responses *= 1.0 + np.array([0.0, 1e-9, 3e-7])[:, None, None, None]  # slices 1 and 2 leak trace
+        chi, residual = _chi_raw(_assemble_lam(responses, b.dim), b)
+        k = b.elements
+        for i in range(3):
+            want = np.linalg.norm(np.einsum("ab,bij,ajk->ik", chi[i], k, k) - np.eye(b.dim))
+            assert abs(residual[i] - want) <= 1e-14
+        assert residual[0] < 1e-14 < residual[1] < residual[2] < 1e-6
+
     @pytest.mark.parametrize("bad", [0, 2])
     def test_one_nonlinear_slice_rejected(self, rng, bad):
         responses = self.unitary_responses(1, 3, rng)
