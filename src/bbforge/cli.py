@@ -224,12 +224,12 @@ def _probe_chi(cfg: ExperimentConfig):
     basis = build_pauli_basis(cfg.model.num_qubits)
     kraus = kraus_from_model(cfg.model, cfg.probe_time)
     data = run_qpt(kraus.apply, basis, time_tag=cfg.probe_time)
-    return chi_from_lambda(data), basis
+    return chi_from_lambda(data)
 
 
 def cmd_tomography(args) -> int:
     cfg = ExperimentConfig.load(args.config, args.probe_time)
-    chi, _ = _probe_chi(cfg)
+    chi = _probe_chi(cfg)
     out = _out_dir(args)
     dump_json(chi.to_dict(), out / "chi.json")
     print(
@@ -247,7 +247,7 @@ def cmd_synthesize(args) -> int:
     delta_t = _config_number(synth.get("delta_t", 0.1), "synthesis.delta_t")
     if synth.get("ansatz", "local_products") != "local_products":
         raise ConfigError(f"synthesis.ansatz must be 'local_products', got {synth['ansatz']!r}")
-    chi, basis = _probe_chi(cfg)
+    chi = _probe_chi(cfg)
     gen = extract_generator(chi)
     if target.kind != "two_qubit":
         qubit = _config_number(synth.get("qubit", 0), "synthesis.qubit", 0)

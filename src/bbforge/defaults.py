@@ -18,6 +18,8 @@ PULSE_RECOVERY = 1e-8
 LINEARITY = 1e-8
 # chi's trace-preservation residual above which chi_from_lambda rejects the channel.
 TRACE_PRESERVATION = 1e-6
+# Skew-Hermitian norm ||chi - chi^dag||_F / 2 above which a probed map counts as not Hermiticity preserving.
+HERMITICITY = 1e-6
 # Second Choi eigenvalue above which a two-qubit rotation is not an SU(4) image.
 CHOI_RANK = 1e-6
 # Difference at which two quaternion solutions, or an axis component, count as distinct.

@@ -30,7 +30,7 @@ class InfeasibleMagnitudeError(InfeasibleError):
 
 
 class InconsistencyError(BBForgeError):
-    """Tomography data do not describe a trace-preserving channel."""
+    """Tomography data do not describe a trace- and Hermiticity-preserving channel."""
 
 
 class DegenerateTimeError(BBForgeError):

@@ -433,7 +433,7 @@ def _quaternion_starts() -> np.ndarray:
     return _readonly(np.array(starts))
 
 
-def _solve_constrained_quaternion(target: np.ndarray, mask: np.ndarray, tol: float):
+def _solve_constrained_quaternion(target: np.ndarray, mask: np.ndarray):
     """Gauss-Newton solve of R(q)[mask] = target[mask] on the unit sphere.
 
     Runs from every deterministic start and keeps all distinct solutions,
@@ -463,7 +463,7 @@ def _solve_constrained_quaternion(target: np.ndarray, mask: np.ndarray, tol: flo
         rnorm = np.linalg.norm(residual(q))
         if rnorm < best_r:
             best_q, best_r = q, rnorm
-        if rnorm <= tol:
+        if rnorm <= LINEAR_SOLVE:
             q = _canonical_quaternion(q)
             if all(np.linalg.norm(q - s) > DISTINCT for s in solutions):
                 solutions.append(q)
@@ -505,7 +505,7 @@ def _axis_angle_from_quaternion(q: np.ndarray, free_axis) -> AxisAngle:
     return AxisAngle(axis=axis, angle=angle, free_axis=tuple(bool(f) for f in free_axis))
 
 
-def unitary_from_rotation(rotation, *, tol: float = LINEAR_SOLVE) -> AxisAngle:
+def unitary_from_rotation(rotation) -> AxisAngle:
     """Invert the SO(3) adjoint map back to an axis-angle pulse.
 
     The input is either a fully specified :class:`AdjointRotation` (source
@@ -522,7 +522,7 @@ def unitary_from_rotation(rotation, *, tol: float = LINEAR_SOLVE) -> AxisAngle:
         If an entry is infinite.
     InfeasibleError
         If an entry lies outside [-1, 1] or no pulse satisfies the
-        constraints within ``tol``.
+        constraints within ``defaults.LINEAR_SOLVE``.
     """
     if isinstance(rotation, AdjointRotation):
         if rotation.source_dim != 2:
@@ -536,7 +536,7 @@ def unitary_from_rotation(rotation, *, tol: float = LINEAR_SOLVE) -> AxisAngle:
         raise DomainError("rotation entries must be finite or NaN (free)")
     mask = ~np.isnan(target)
     excess = np.abs(target[mask]).max(initial=0.0) - 1.0
-    if excess > tol:
+    if excess > LINEAR_SOLVE:
         raise InfeasibleError(
             f"rotation entries lie in [-1, 1]; one exceeds it by {excess:.2e}",
             best_residual=excess,
@@ -544,10 +544,10 @@ def unitary_from_rotation(rotation, *, tol: float = LINEAR_SOLVE) -> AxisAngle:
     if not mask.any():
         return AxisAngle(axis=np.array([1.0, 0.0, 0.0]), angle=0.0, free_axis=(True, True, True))
     if mask.all():
-        return _axis_angle_from_full(target, tol)
+        return _axis_angle_from_full(target)
 
-    q, rnorm, solutions, (rows, cols, _) = _solve_constrained_quaternion(target, mask, tol)
-    if not rnorm <= tol:
+    q, rnorm, solutions, (rows, cols, _) = _solve_constrained_quaternion(target, mask)
+    if not rnorm <= LINEAR_SOLVE:
         raise InfeasibleError(
             f"no axis-angle pulse satisfies the constraints (residual {rnorm:.2e})",
             best_residual=rnorm,
@@ -567,11 +567,11 @@ def unitary_from_rotation(rotation, *, tol: float = LINEAR_SOLVE) -> AxisAngle:
         free_axis[:] = True
 
     if free_axis.any() and np.linalg.norm(q[1:]) >= NEGLIGIBLE:
-        q = _snap_to_canonical_axis(q, free_axis, target, mask, tol)
+        q = _snap_to_canonical_axis(q, free_axis, target, mask)
     return _axis_angle_from_quaternion(_canonical_quaternion(q), free_axis)
 
 
-def _axis_angle_from_full(target: np.ndarray, tol: float) -> AxisAngle:
+def _axis_angle_from_full(target: np.ndarray) -> AxisAngle:
     """Closed-form quaternion extraction from a fully specified rotation."""
     tr = np.trace(target)
     w_sq = (tr + 1.0) / 4.0
@@ -599,7 +599,7 @@ def _axis_angle_from_full(target: np.ndarray, tol: float) -> AxisAngle:
         q = np.concatenate([[0.0], v])
     q = q / np.linalg.norm(q)
     rnorm = np.linalg.norm(_rotation_from_quaternion(q) - target)
-    if not rnorm <= tol:
+    if not rnorm <= LINEAR_SOLVE:
         raise InfeasibleError(
             f"matrix is not an SU(2) adjoint rotation (residual {rnorm:.2e})",
             best_residual=rnorm,
@@ -608,7 +608,7 @@ def _axis_angle_from_full(target: np.ndarray, tol: float) -> AxisAngle:
     return _axis_angle_from_quaternion(_canonical_quaternion(q), free)
 
 
-def _snap_to_canonical_axis(q, free_axis, target, mask, tol):
+def _snap_to_canonical_axis(q, free_axis, target, mask):
     """Move a free axis onto the least-index coordinate direction when allowed."""
     rows, cols = np.nonzero(mask)
     wanted = target[rows, cols]
@@ -622,6 +622,6 @@ def _snap_to_canonical_axis(q, free_axis, target, mask, tol):
             cand[k + 1] = sign * vnorm
             cand = cand / np.linalg.norm(cand)
             r = _rotation_from_quaternion(cand)[rows, cols] - wanted
-            if np.linalg.norm(r) <= tol:
+            if np.linalg.norm(r) <= LINEAR_SOLVE:
                 return cand
     return q

@@ -156,28 +156,17 @@ def _target_flat(target: TargetSpec, basis) -> np.ndarray:
     return full[1:]
 
 
-def _probe_generator(channel, basis, t: float):
-    """Process tomography of ``channel`` at time ``t``; the extracted generator.
-
-    The first-order-extraction warning is silenced for every probe the
-    learning loop makes.
-    """
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return extract_generator(chi_from_lambda(run_qpt(channel, basis, time_tag=t)))
-
-
 def evaluate_cost(model: SystemBathModel, group: PulseGroup, cost: CostFunction) -> float:
     """Integrated deviation between achieved and wanted generators.
 
     All ``cycles * quadrature`` nodes are probed by full process tomography
     in one pass over one stack of propagators, each node checked for
-    linearity and trace preservation.  The generator at node time ``t`` is
-    ``Im(chi[1:, 0]) / t`` of chi's Hermitian part, and the integrand is its
-    Hilbert-Schmidt distance to the wanted generator, read off the
-    coordinates as ``error_report`` reads it,
-    bit for bit what ``run_qpt``, ``chi_from_lambda``, ``extract_generator``
-    and ``error_report`` give on each node alone.  Node values below
+    linearity and for preserving trace and Hermiticity.  The generator at
+    node time ``t`` is ``Im(chi[1:, 0]) / t`` of chi's Hermitian part, and
+    the integrand is its Hilbert-Schmidt distance to the wanted generator,
+    read off the coordinates as ``error_report`` reads it, bit for bit what
+    ``run_qpt``, ``chi_from_lambda``, ``extract_generator`` and
+    ``error_report`` give on each node alone.  Node values below
     ``defaults.EXACT_HIT`` count as exact hits, so a perfect pulse set
     reports a cost of exactly zero.
     """
@@ -222,19 +211,18 @@ def enumerate_candidate_groups(dim: int, max_size: int, *, delta_t: float = 0.1)
 
 
 def _measure_generator(model: SystemBathModel, group: PulseGroup | None, probe: float, basis):
-    """QPT of the (optionally pulsed) evolution; returns the extracted generator."""
+    """The generator read by QPT of the unpulsed evolution at ``probe``, or of one cycle of ``group``.
+
+    The first-order-extraction warning is silenced for every probe the learning loop makes.
+    """
     if group is None or group.size == 1:
-        return _probe_generator(kraus_from_model(model, probe).apply, basis, probe)
-    t = group.cycle_time
-    return _probe_generator(_reduced_channel(model, bb_propagator(model, group, t)), basis, t)
-
-
-def _mask_detected(vec: np.ndarray, floor: float) -> np.ndarray:
-    scale = np.abs(vec).max()
-    if scale <= 0:
-        return np.zeros_like(vec)
-    out = np.where(np.abs(vec) >= floor * scale, vec, 0.0)
-    return out
+        channel, t = kraus_from_model(model, probe).apply, probe
+    else:
+        t = group.cycle_time
+        channel = _reduced_channel(model, bb_propagator(model, group, t))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return extract_generator(chi_from_lambda(run_qpt(channel, basis, time_tag=t)))
 
 
 def _analysis_candidate(gen, target, config, history: dict):
@@ -250,19 +238,15 @@ def _analysis_candidate(gen, target, config, history: dict):
     if target.kind == "storage":
         per_qubit = []
         for i in range(gen.num_qubits):
-            detected = _mask_detected(gen.xi[i], config.detection_floor)
+            xi = gen.xi[i]
+            detected = np.where(np.abs(xi) >= config.detection_floor * np.abs(xi).max(), xi, 0.0)
             if np.linalg.norm(detected) > NEGLIGIBLE:
                 history.setdefault(i, []).append(detected)
-            hist = history.get(i, [])
-            if not hist:
+            if i not in history:
                 per_qubit.append(eye)
                 continue
-            axis = axis_orthogonal_to(hist)
-            if axis is None:
-                pulses = _pauli_pulses()
-            else:
-                pulses = _kick_pulses(axis)
-            per_qubit.append(pulses)
+            axis = axis_orthogonal_to(history[i])
+            per_qubit.append(_pauli_pulses() if axis is None else _kick_pulses(axis))
         return per_qubit
     try:
         if target.kind == "single_qubit":
@@ -361,8 +345,11 @@ def learning_loop(model: SystemBathModel, target: TargetSpec, config: LearningLo
     unchanged crossover children reuse the cost found when their exact
     bits were first seen in this loop.  ``GenerationRecord.mean_cost`` is
     still the mean over the full population, repeats included.  The
-    generator under the best group is probed only when that group changes;
-    a record's ``residual`` is the latest probe's.
+    generator is probed and analyzed once per change of the pulses it is
+    measured under: for the unpulsed start and when the best group changes,
+    so a storage target's analysis history holds one detected vector per
+    probe.  A record's ``residual`` is the latest probe's; each generation
+    up to the next probe gets that probe's proposal.
     """
     nq = model.num_qubits
     basis = build_pauli_basis(nq)
@@ -370,10 +357,15 @@ def learning_loop(model: SystemBathModel, target: TargetSpec, config: LearningLo
     cost = CostFunction(target=target, cycles=config.cycles, quadrature=config.quadrature)
     w_flat = _target_flat(target, basis)
     probe = config.probe_time if config.probe_time is not None else _default_probe_time(model)
-
     history: dict = {}
-    analysis = _analysis_candidate(_measure_generator(model, None, probe, basis), target, config, history)
-    genomes = [] if analysis is None else [_genome_of(analysis)]
+
+    def probe_and_analyze(group: PulseGroup | None) -> tuple[ErrorReport, list]:
+        """The residual of the generator measured under ``group``, and the genomes its analysis proposes."""
+        gen = _measure_generator(model, group, probe, basis)
+        per_qubit = _analysis_candidate(gen, target, config, history)
+        return _report(gen.coords, w_flat, basis), [] if per_qubit is None else [_genome_of(per_qubit)]
+
+    _, genomes = probe_and_analyze(None)
     genomes += _catalogue_genomes(nq, config.group_size_bound)[: config.population - len(genomes)]
     while len(genomes) < config.population:
         genomes.append(_random_genome(rng, nq, config.group_size_bound))
@@ -395,8 +387,7 @@ def learning_loop(model: SystemBathModel, target: TargetSpec, config: LearningLo
         if costs[order[0]] < best_cost:  # always taken at generation 0
             best_cost = costs[order[0]]
             best_group = groups[order[0]]
-            gen = _measure_generator(model, best_group, probe, basis)
-            residual = _report(gen.coords, w_flat, basis)
+            residual, proposed = probe_and_analyze(best_group)
         converged = best_cost <= config.tolerance
         records.append(
             GenerationRecord(
@@ -411,10 +402,7 @@ def learning_loop(model: SystemBathModel, target: TargetSpec, config: LearningLo
         if converged:
             break
 
-        next_genomes = [genomes[order[k]] for k in range(min(_ELITE, len(genomes)))]
-        analysis = _analysis_candidate(gen, target, config, history)
-        if analysis is not None:
-            next_genomes.append(_genome_of(analysis))
+        next_genomes = [genomes[order[k]] for k in range(min(_ELITE, len(genomes)))] + proposed
         while len(next_genomes) < config.population:
             picks = rng.integers(0, config.population, size=_TOURNAMENT)
             pa = genomes[min(picks, key=lambda i: costs[i])]

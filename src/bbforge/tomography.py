@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .defaults import LINEARITY, TRACE_PRESERVATION
+from .defaults import HERMITICITY, LINEARITY, TRACE_PRESERVATION
 from .errors import DegenerateTimeError, DomainError, InconsistencyError, ShapeError
 from .open_system_sim import _matrix_to_pairs, _pairs_to_matrix
 from .operator_algebra import OperatorBasis, _check_hermitian, _check_time, _pauli_offsets, _readonly, build_pauli_basis
@@ -228,7 +228,10 @@ def _chi_raw(lam: np.ndarray, basis: OperatorBasis) -> tuple[np.ndarray, np.ndar
 
     The residual is ``||T - I||_F`` with ``T[m, n] = sum_p lam[(m, n), (p, p)] = Tr channel(|m><n|)``,
     the transpose of ``sum_ab chi_ab K_b K_a``.  ``InconsistencyError`` if any
-    slice's residual exceeds ``defaults.TRACE_PRESERVATION`` or is not finite.
+    slice's residual exceeds ``defaults.TRACE_PRESERVATION``, or its chi's
+    skew-Hermitian norm ``||chi - chi^dag||_F / 2`` exceeds
+    ``defaults.HERMITICITY``, or either is not finite: a channel maps
+    Hermitian states to Hermitian states exactly when its chi is Hermitian.
     """
     d = basis.dim
     lead = lam.shape[:-2]
@@ -238,7 +241,11 @@ def _chi_raw(lam: np.ndarray, basis: OperatorBasis) -> tuple[np.ndarray, np.ndar
         raise InconsistencyError(f"trace-preservation residual {np.max(residual):.2e}; channel is not trace preserving")
     a = basis.elements.transpose(1, 2, 0).reshape(d * d, basis.size)
     lam = units.transpose(*range(len(lead)), -2, -4, -1, -3).reshape(*lead, d * d, d * d)
-    return a.conj().T @ lam @ a / basis.normalization**2, residual
+    chi = a.conj().T @ lam @ a / basis.normalization**2
+    skew = np.linalg.norm(chi - chi.conj().swapaxes(-1, -2), axis=(-2, -1)) / 2.0
+    if not np.all(skew <= HERMITICITY):
+        raise InconsistencyError(f"chi skew-Hermitian norm {np.max(skew):.2e}; channel is not Hermiticity preserving")
+    return chi, residual
 
 
 def chi_from_lambda(data: TomographyData) -> ChiMatrix:
@@ -256,7 +263,9 @@ def chi_from_lambda(data: TomographyData) -> ChiMatrix:
     InconsistencyError
         If the trace-preservation residual ``||sum_p lam[(m, n), (p, p)] -
         delta_mn||_F`` exceeds ``defaults.TRACE_PRESERVATION`` or is not
-        finite, i.e. the probed map is not a trace-preserving channel.
+        finite, i.e. the probed map is not a trace-preserving channel; or
+        if the skew-Hermitian norm exceeds ``defaults.HERMITICITY`` or is
+        not finite, i.e. the map does not preserve Hermiticity.
     """
     chi, residual = _chi_raw(data.lam, data.basis)
     skew = float(np.linalg.norm(chi - chi.conj().T) / 2.0)

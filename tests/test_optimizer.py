@@ -49,6 +49,7 @@ from conftest import (
     random_density,
     random_hermitian,
     random_su2,
+    random_unitary,
     three_qubit_dephasing_model,
 )
 
@@ -410,6 +411,106 @@ class TestLearningLoop:
         assert records[-1].converged
         j = evaluate_cost(model, best, storage_cost(cycles=cfg.cycles, quadrature=cfg.quadrature))
         assert j <= cfg.tolerance
+
+
+class TestOneAnalysisPerProbe:
+    @pytest.mark.parametrize("model, target", [
+        (bath_noise_model(), TargetSpec(kind="storage")),
+        (local_dephasing_model(), TargetSpec(kind="two_qubit", wanted=np.eye(3))),
+    ], ids=["storage", "two_qubit"])
+    def test_each_measured_generator_is_analyzed_once(self, monkeypatch, model, target):
+        measured, analyzed = [], []
+        measure, analyze = optimizer_mod._measure_generator, optimizer_mod._analysis_candidate
+
+        def counted_measure(*args):
+            measured.append(measure(*args))
+            return measured[-1]
+
+        def counted_analyze(gen, *args):
+            analyzed.append(gen)
+            return analyze(gen, *args)
+
+        monkeypatch.setattr(optimizer_mod, "_measure_generator", counted_measure)
+        monkeypatch.setattr(optimizer_mod, "_analysis_candidate", counted_analyze)
+        cfg = LearningLoopConfig(population=8, generations=8, tolerance=0.0, seed=1, delta_t=0.02)
+        _, records = learning_loop(model, target, cfg)
+        assert len(analyzed) == len(measured)
+        assert all(a is m for a, m in zip(analyzed, measured))
+        # the best group stayed put in some generation, where nothing is re-probed or re-analyzed
+        assert 2 <= len(measured) < 1 + len(records)
+
+
+class TestCovariance:
+    """Frame changes the learning loop's measurements must follow (Viola, Knill & Lloyd, PRL 82, 2417, 1999).
+
+    Each side is an independent simulation, so the tolerances are round-off
+    of a generator read at probe time ``_T``: chi carries ~1e-16 of error,
+    which reading ``Im(chi) / _T`` turns into ~1e-14 on O(1) coordinates.
+    """
+
+    _T = 0.01
+
+    @staticmethod
+    def parts(seed, num_qubits):
+        """A seeded model's ``(H_S, H_B, [(S, B)], rho_B)``: every local Pauli coupled to one bath qubit."""
+        rng = np.random.default_rng(seed)
+        couplings = [(0.3 * on_qubit(p, q, num_qubits), random_hermitian(2, rng))
+                     for q in range(num_qubits) for p in (SX, SY, SZ)]
+        return 0.5 * random_hermitian(2**num_qubits, rng), random_hermitian(2, rng), couplings, random_density(2, rng)
+
+    @staticmethod
+    def model(hs, hb, couplings, rho_b):
+        return SystemBathModel(hs, hb, tuple(Coupling(system=s, bath=b) for s, b in couplings), rho_b)
+
+    @staticmethod
+    def turned(u, m):
+        return u @ m @ u.conj().T
+
+    @staticmethod
+    def group(rng, num_qubits):
+        return _product_group([[I2] + [random_su2(rng) for _ in range(int(rng.integers(0, 3)))] for _ in range(num_qubits)],
+                              0.02)
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), num_qubits=st.integers(1, 2))
+    def test_bath_unitary_leaves_the_generator_unchanged(self, seed, num_qubits):
+        hs, hb, couplings, rho_b = self.parts(seed, num_qubits)
+        rng = np.random.default_rng(seed + 1)
+        w = random_unitary(2, rng)
+        model = self.model(hs, hb, couplings, rho_b)
+        moved = self.model(hs, self.turned(w, hb), [(s, self.turned(w, b)) for s, b in couplings], self.turned(w, rho_b))
+        basis = build_pauli_basis(num_qubits)
+        for group in (None, self.group(rng, num_qubits)):
+            want = _measure_generator(model, group, self._T, basis).coords
+            got = _measure_generator(moved, group, self._T, basis).coords
+            assert np.abs(got - want).max() <= 1e-11
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), num_qubits=st.integers(1, 2))
+    def test_system_unitary_rotates_the_coordinates(self, seed, num_qubits):
+        # V K_i V^dag = sum_j R_ij K_j with R = adjoint_of(V^dag), so the coordinates of V H V^dag are R^T h
+        hs, hb, couplings, rho_b = self.parts(seed, num_qubits)
+        v = random_unitary(2**num_qubits, np.random.default_rng(seed + 1))
+        basis = build_pauli_basis(num_qubits)
+        coords = _measure_generator(self.model(hs, hb, couplings, rho_b), None, self._T, basis).coords
+        moved = self.model(self.turned(v, hs), hb, [(self.turned(v, s), b) for s, b in couplings], rho_b)
+        got = _measure_generator(moved, None, self._T, basis).coords
+        assert np.abs(got - adjoint_of(v.conj().T, basis).matrix.T @ coords).max() <= 1e-11
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), num_qubits=st.integers(1, 2), cycles=st.integers(1, 2),
+           quadrature=st.integers(1, 2))
+    def test_storage_cost_is_frame_independent(self, seed, num_qubits, cycles, quadrature):
+        # a storage target wants 0, whose distance is the same in every frame
+        hs, hb, couplings, rho_b = self.parts(seed, num_qubits)
+        rng = np.random.default_rng(seed + 1)
+        v = random_unitary(2**num_qubits, rng)
+        group = self.group(rng, num_qubits)
+        cost = storage_cost(cycles=cycles, quadrature=quadrature)
+        want = evaluate_cost(self.model(hs, hb, couplings, rho_b), group, cost)
+        moved = self.model(self.turned(v, hs), hb, [(self.turned(v, s), b) for s, b in couplings], rho_b)
+        got = evaluate_cost(moved, PulseGroup.from_pulses([self.turned(v, g) for g in group.pulses], group.delta_t), cost)
+        assert abs(got - want) <= 1e-12 * max(want, 1.0)
 
 
 class TestScoringOnce:

@@ -202,6 +202,16 @@ class TestStackedKernels:
         with pytest.raises(InconsistencyError, match="not trace preserving"):
             _chi_raw(lam, b)
 
+    @pytest.mark.parametrize("bad", [0, 2])
+    def test_one_non_hermiticity_preserving_slice_rejected(self, rng, bad):
+        b = build_pauli_basis(2)
+        responses = self.unitary_responses(2, 3, rng)
+        _chi_raw(_assemble_lam(responses, b.dim), b)
+        zz = np.kron(SZ, SZ)
+        responses[bad] += 0.005 * (zz @ responses[bad] - responses[bad] @ zz)
+        with pytest.raises(InconsistencyError, match="not Hermiticity preserving"):
+            _chi_raw(_assemble_lam(responses, b.dim), b)
+
     def test_wrong_trailing_shape_rejected(self, rng):
         responses = self.unitary_responses(1, 2, rng)
         for wrong in (responses[..., :1, :1], responses[:, :-1], responses[:, :, None]):
@@ -283,6 +293,15 @@ class TestChiFromLambda:
         b = build_pauli_basis(1)
         with pytest.raises(InconsistencyError):
             chi_from_lambda(run_qpt(channel, b))
+
+    @pytest.mark.parametrize("z", [SZ, np.kron(SZ, SZ)], ids=["1q", "2q"])
+    def test_non_hermiticity_preserving_map_rejected(self, z):
+        # linear and trace preserving, but a Hermitian state goes to a non-Hermitian
+        # one; chi's Hermitian part alone would read as a perfect channel
+        b = build_pauli_basis(int(np.log2(len(z))))
+        data = run_qpt(lambda r: r + 0.005 * (z @ r - r @ z), b, time_tag=0.01)
+        with pytest.raises(InconsistencyError, match="not Hermiticity preserving"):
+            chi_from_lambda(data)
 
     def test_non_finite_response_rejected(self):
         b = build_pauli_basis(2)
