@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 import sys
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from functools import cache, reduce
@@ -41,6 +41,7 @@ from .operator_algebra import (
     OperatorBasis,
     _check_count,
     _check_hermitian,
+    _check_pair,
     _check_time,
     _first_significant,
     _kron,
@@ -306,7 +307,10 @@ def _qubit_xi(generator, qubit) -> tuple[int, np.ndarray]:
     qubit = _check_count(qubit, "qubit", 0)
     if qubit >= len(vectors):
         raise DomainError(f"qubit {qubit} is outside the {len(vectors)}-qubit generator")
-    return qubit, np.asarray(vectors[qubit], dtype=float)
+    xi = np.asarray(vectors[qubit], dtype=float)
+    if not np.isfinite(xi).all():
+        raise DomainError("generator coordinates must be finite")
+    return qubit, xi
 
 
 @contextmanager
@@ -567,12 +571,18 @@ def solve_two_qubit(generator, target: TargetSpec, pair: tuple[int, int] = (0, 1
     Candidates are local products, each a pair of per-qubit pulse lists,
     tried with the fewest product pulses first; among equal sizes the order
     is the trivial pair, the products of the margin solutions, the tailored
-    kicks, then the catalogue.  The direct mode tries them all before the
-    running mode.  The margins' lists come from the one-qubit solvers'
-    cores.  A local product acts on the pair matrix one qubit at a time:
-    candidate ``(a, b)`` scores ``mean_k Ra_k^T X Rb_k`` from one-qubit
-    images, each computed once per solve; the identity entry ``X[0, 0]``
-    is left out, and only the returned candidate's group is built.
+    kicks, then the catalogue.  They are generated lazily in that order:
+    the margins' lists are built when the walk starts, the tailored kicks
+    only when it reaches them, and a solve that accepts early looks at no
+    pair past its winner.  The direct mode tries them all before the
+    running mode, which replays the candidates the direct mode drained.
+    The margins' lists come from the one-qubit solvers' cores.
+    A local product acts on the pair matrix one qubit at a time: candidate
+    ``(a, b)`` scores ``mean_k Ra_k^T X Rb_k`` from one-qubit images, each
+    computed once per solve; the identity entry ``X[0, 0]`` is left out,
+    and only the returned candidate's group is built.  ``pair`` is two
+    qubit indices ``i < j``, below the generator's qubit count when it
+    knows it; a non-finite pair matrix raises ``DomainError``.
     ``ansatz`` accepts only ``'local_products'``, which names that search.
     """
     if target.kind != "two_qubit":
@@ -580,9 +590,12 @@ def solve_two_qubit(generator, target: TargetSpec, pair: tuple[int, int] = (0, 1
     if ansatz != "local_products":
         raise DomainError("ansatz must be local_products")
     max_group_size = _check_count(max_group_size, "max_group_size", 2)
+    pair = _check_pair(pair, getattr(generator, "num_qubits", None))
     xi_pair = np.asarray(generator.pair_matrix(*pair) if hasattr(generator, "pair_matrix") else generator, dtype=float)
     if xi_pair.shape != (4, 4):
         raise ShapeError("pair coefficient matrix must be 4x4")
+    if not np.isfinite(xi_pair).all():
+        raise DomainError("pair matrix coordinates must be finite")
     _check_time(delta_t, "delta_t", positive=True)
     w_pair = target.wanted_vector()
 
@@ -593,9 +606,10 @@ def solve_two_qubit(generator, target: TargetSpec, pair: tuple[int, int] = (0, 1
         modes.append(("running", xi_pair + w_pair))
 
     images: dict[bytes, np.ndarray] = {}  # the solve's one-qubit images, margins' checks included
-    candidates = _two_qubit_candidates(xi_pair, w_pair, max_group_size, images)
+    # one view of the stream per mode: a later mode replays what the first drained, nothing is rebuilt
+    streams = itertools.tee(_two_qubit_candidates(xi_pair, w_pair, max_group_size, images), len(modes))
     best = np.inf
-    for mode, source in modes:
+    for (mode, source), candidates in zip(modes, streams):
         source = source.copy()
         source[0, 0] = 0.0  # the identity string is no generator term
         for candidate in candidates:
@@ -608,7 +622,7 @@ def solve_two_qubit(generator, target: TargetSpec, pair: tuple[int, int] = (0, 1
                     factors=candidate,
                     residual=_report(achieved, w_pair, build_pauli_basis(2)),
                     free_parameters=_two_qubit_note(mode),
-                    pair=tuple(pair),
+                    pair=pair,
                     mode=mode,
                 )
     raise InfeasibleError(
@@ -634,26 +648,60 @@ def _two_qubit_note(mode: str) -> str:
     )
 
 
-def _two_qubit_candidates(xi_pair, w_pair, max_group_size, images: dict) -> list[tuple[Sequence, Sequence]]:
-    """Distinct per-qubit pulse-list pairs within the size bound, fewest product pulses first.
+def _two_qubit_candidates(xi_pair, w_pair, max_group_size, images: dict) -> Iterator[tuple[Sequence, Sequence]]:
+    """Distinct per-qubit pulse-list pairs within the size bound, fewest product pulses first, generated lazily.
 
-    The margin products come first, headed by the trivial pair
+    The walk goes through the product sizes that occur, ascending.  At each
+    size it yields the margin products, headed by the trivial pair
     ``([I], [I])`` since each margin's lists start with ``[I]``, then the
-    tailored kicks, then the catalogue; the sort is stable, so that order
-    holds among pairs of one size.  A pair whose lists repeat the exact
-    bits of an earlier pair's is dropped: it would build the same group.
+    tailored kicks, then the catalogue.  A pair whose lists repeat the exact
+    bits of an earlier pair's is skipped: it would build the same group, and
+    equal bits mean equal size, so the first occurrence is the one kept.
+    Both margins' lists are built when the stream starts; the tailored kicks
+    only when the walk first reaches their part of a size.
     """
-    lists_a = _single_qubit_pulse_lists(xi_pair[1:, 0], w_pair[1:, 0], max_group_size, images)
-    lists_b = _single_qubit_pulse_lists(xi_pair[0, 1:], w_pair[0, 1:], max_group_size, images)
-    pairs = [(pa, pb) for pa in lists_a for pb in lists_b]
-    pairs += [*_tailored_kick_products(xi_pair), *_catalogue(2, max_group_size)]
-    bits: dict[int, bytes] = {}  # id of a pulse list -> its pulses' bits, joined once; ``pairs`` holds every list
-    distinct = {}
-    for pair in (c for c in pairs if _product_size(c) <= max_group_size):
-        for pulses in (p for p in pair if id(p) not in bits):
-            bits[id(pulses)] = b"".join([u.tobytes() for u in pulses])
-        distinct.setdefault(tuple(bits[id(pulses)] for pulses in pair), pair)
-    return sorted(distinct.values(), key=_product_size)
+    lists_a, lists_b = ([(_list_bits(p), p) for p in _single_qubit_pulse_lists(xi, w, max_group_size, images)]
+                        for xi, w in ((xi_pair[1:, 0], w_pair[1:, 0]), (xi_pair[0, 1:], w_pair[0, 1:])))
+    margins = [(_product_size((pa, pb)), (ka, kb), (pa, pb)) for ka, pa in lists_a for kb, pb in lists_b]
+    catalogue = _keyed_catalogue(max_group_size)
+    tailored = None
+    seen: set[tuple[bytes, bytes]] = set()
+
+    def fresh(keyed, size):
+        for n, key, pair in keyed:
+            if n == size and key not in seen:
+                seen.add(key)
+                yield pair
+
+    for size in sorted({n for n, _, _ in (*margins, *catalogue)}.union(_TAILORED_SIZES)):
+        if size > max_group_size:
+            break
+        yield from fresh(margins, size)
+        if size in _TAILORED_SIZES:
+            if tailored is None:
+                tailored = _keyed(_tailored_kick_products(xi_pair))
+            yield from fresh(tailored, size)
+        yield from fresh(catalogue, size)
+
+
+def _list_bits(pulses) -> bytes:
+    """The exact bits of a pulse list, its pulses' bytes joined: equal bits build equal factors."""
+    return b"".join([u.tobytes() for u in pulses])
+
+
+def _keyed(pairs) -> tuple[tuple[int, tuple[bytes, bytes], tuple[Sequence, Sequence]], ...]:
+    """Each pair of per-qubit pulse lists with its product size and the bits of both lists, in order."""
+    return tuple((_product_size(pair), tuple(map(_list_bits, pair)), pair) for pair in pairs)
+
+
+@cache
+def _keyed_catalogue(max_size: int):
+    """``_keyed`` of ``_catalogue(2, max_size)``, whose pairs it shares; built once per size bound."""
+    return _keyed(_catalogue(2, max_size))
+
+
+# Product sizes of ``_tailored_kick_products``'s pairs: the parity kicks, and their four-element full product.
+_TAILORED_SIZES = (2, 4)
 
 
 def _tailored_kick_products(xi_pair) -> list[tuple[list, list]]:

@@ -98,6 +98,18 @@ def _check_count(n, name: str, minimum: int) -> int:
     return count
 
 
+def _check_pair(pair, num_qubits: int | None) -> tuple[int, int]:
+    """``pair`` as two qubit indices ``i < j``, each an integer other than a bool, with ``j < num_qubits`` when it is known."""
+    try:
+        i, j = pair
+    except (TypeError, ValueError):
+        raise DomainError(f"pair must be two qubit indices, got {pair!r}") from None
+    i, j = _check_count(i, "pair qubit", 0), _check_count(j, "pair qubit", 0)
+    if not i < j or (num_qubits is not None and j >= num_qubits):
+        raise DomainError(f"pair needs qubits i < j{'' if num_qubits is None else f' < {num_qubits}'}, got {pair!r}")
+    return i, j
+
+
 def _qubit_count(dim: int) -> int:
     """Qubits of a ``dim``-dimensional system; ``ShapeError`` unless ``dim`` is a power of two, at least 2."""
     dim = _check_count(dim, "dimension", 0)

@@ -22,7 +22,7 @@ import numpy as np
 from .defaults import HERMITICITY, LINEARITY, TRACE_PRESERVATION
 from .errors import DegenerateTimeError, DomainError, InconsistencyError, ShapeError
 from .open_system_sim import _matrix_to_pairs, _pairs_to_matrix
-from .operator_algebra import OperatorBasis, _check_hermitian, _check_time, _pauli_offsets, _readonly, build_pauli_basis
+from .operator_algebra import OperatorBasis, _check_hermitian, _check_pair, _check_time, _pauli_offsets, _readonly, build_pauli_basis
 
 __all__ = [
     "TomographyData",
@@ -131,6 +131,8 @@ class EffectiveGenerator:
         object.__setattr__(self, "coords", coords)
         if coords.shape != (self.basis.num_generators,):
             raise ShapeError("generator coordinates do not match the basis")
+        if not np.isfinite(coords).all():
+            raise DomainError("generator coordinates must be finite")
 
     @property
     def num_qubits(self) -> int:
@@ -145,8 +147,7 @@ class EffectiveGenerator:
         return tuple(self._gather(offsets[1:]) for offsets in _pauli_offsets(self.num_qubits))
 
     def pair_matrix(self, i: int, j: int) -> np.ndarray:
-        if not 0 <= i < j < self.num_qubits:
-            raise DomainError(f"pair needs qubits i < j < {self.num_qubits}, got ({i}, {j})")
+        i, j = _check_pair((i, j), self.num_qubits)
         offsets = _pauli_offsets(self.num_qubits)
         return self._gather(offsets[i][:, None] + offsets[j])
 

@@ -11,9 +11,11 @@ from bbforge.bb_synthesis import (
     _catalogue,
     _distance,
     _extend_identity,
+    _keyed_catalogue,
     _local_pair_average,
     _product_group,
     _single_qubit_pulse_lists,
+    _tailored_kick_products,
     _two_qubit_candidates,
     StabilizerSpace,
     TargetSpec,
@@ -363,13 +365,13 @@ class TestCandidateBuilds:
         assert {dim for dim, _ in imaged} == {2}  # one-qubit images only
         assert len(imaged) == len(set(imaged))  # the margins' checks and the scores share them
         assert {p.tobytes() for pulses in res.factors for p in pulses} <= {bits for _, bits in imaged}
-        assert 0 < len(scored) < len(_two_qubit_candidates(HEISENBERG_XI, wanted, 4, {}))
+        assert 0 < len(scored) < len(list(_two_qubit_candidates(HEISENBERG_XI, wanted, 4, {})))
 
     def test_infeasible_solve_images_each_distinct_pulse_once(self, counted):
         built, imaged, scored = counted
         xi_pair = np.random.default_rng(0).normal(size=(4, 4))
         wanted = TargetSpec(kind="two_qubit", wanted=np.eye(3)).wanted_vector()
-        candidates = _two_qubit_candidates(xi_pair, wanted, 4, {})
+        candidates = list(_two_qubit_candidates(xi_pair, wanted, 4, {}))
         pulses = {p.tobytes() for c in candidates for qubit in c for p in qubit}
         for _ in range(2):  # no image outlives its solve
             imaged.clear()
@@ -442,9 +444,102 @@ class TestCandidateBuilds:
         xi_pair = np.zeros((4, 4))
         xi_pair[3, 0], xi_pair[0, 3] = margins
         for wanted in (np.zeros((4, 4)), TargetSpec(kind="two_qubit", wanted=np.eye(3)).wanted_vector()):
-            candidates = _two_qubit_candidates(xi_pair, wanted, 8, {})
+            candidates = list(_two_qubit_candidates(xi_pair, wanted, 8, {}))
             keys = {tuple(np.array(pulses).tobytes() for pulses in pair) for pair in candidates}
             assert len(keys) == len(candidates) == (count or len(candidates))
+
+
+def _bits(pair):
+    return tuple(b"".join(u.tobytes() for u in pulses) for pulses in pair)
+
+
+def _candidate_list(xi_pair, w_pair, max_group_size):
+    """The candidates as a list, built whole: every raw pair within the bound, deduplicated by bits, stably sorted by size."""
+    lists_a = _single_qubit_pulse_lists(xi_pair[1:, 0], w_pair[1:, 0], max_group_size, {})
+    lists_b = _single_qubit_pulse_lists(xi_pair[0, 1:], w_pair[0, 1:], max_group_size, {})
+    pairs = [(pa, pb) for pa in lists_a for pb in lists_b]
+    pairs += [*_tailored_kick_products(xi_pair), *_catalogue(2, max_group_size)]
+    distinct = {}
+    for pair in pairs:
+        if lcm(*map(len, pair)) <= max_group_size:
+            distinct.setdefault(_bits(pair), pair)
+    return sorted(distinct.values(), key=lambda pair: lcm(*map(len, pair)))
+
+
+@st.composite
+def _pair_problems(draw):
+    """A sparse random pair matrix at scale 1e-3 .. 1e2, a target for it and a size bound 2 .. 8."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.floats(-3.0, 2.0))
+    xi_pair = np.where(rng.random((4, 4)) < draw(st.floats(0.0, 1.0)), scale * rng.normal(size=(4, 4)), 0.0)
+    kind = draw(st.sampled_from(["storage", "heisenberg", "free", "margins"]))
+    w_pair = np.zeros((4, 4))
+    if kind == "heisenberg":
+        w_pair[1:, 1:] = np.eye(3)
+    elif kind == "free":
+        w_pair[1:, 1:] = scale * rng.normal(size=(3, 3))
+    elif kind == "margins":  # gate margins: fans of every length up to the bound
+        w_pair[1:, 0] = rng.uniform(0.0, 1.0) * xi_pair[1:, 0]
+        w_pair[0, 1:] = 0.3 * scale * rng.normal(size=3)
+    return xi_pair, w_pair, draw(st.integers(2, 8))
+
+
+class TestCandidateStream:
+    """``_two_qubit_candidates`` generates the candidates in order, building each source only when the walk needs it."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(problem=_pair_problems())
+    def test_drained_stream_equals_the_whole_list(self, problem):
+        xi_pair, w_pair, bound = problem
+        got = list(_two_qubit_candidates(xi_pair, w_pair, bound, {}))
+        assert [_bits(c) for c in got] == [_bits(c) for c in _candidate_list(xi_pair, w_pair, bound)]
+
+    @pytest.fixture
+    def tailored_calls(self, monkeypatch):
+        calls = []
+
+        def counting(xi_pair):
+            calls.append(xi_pair)
+            return _tailored_kick_products(xi_pair)
+
+        monkeypatch.setattr(bb_synthesis, "_tailored_kick_products", counting)
+        return calls
+
+    def test_acceptance_at_size_two_builds_no_tailored_kick(self, tailored_calls):
+        target = TargetSpec(kind="two_qubit", wanted=np.eye(3))
+        for bound in (2, 4, 8):
+            res = solve_two_qubit(HEISENBERG_XI, target, max_group_size=bound)
+            assert res.group.size == 2 and res.mode == "running"
+        assert tailored_calls == []
+        list(_two_qubit_candidates(HEISENBERG_XI, target.wanted_vector(), 4, {}))  # a drained stream builds them once
+        assert len(tailored_calls) == 1
+
+    def test_running_mode_reuses_what_the_direct_mode_drained(self, monkeypatch, tailored_calls):
+        xi_pair = np.zeros((4, 4))
+        xi_pair[3, 0], xi_pair[0, 3] = 3.0, 2.0  # |xi| > |w|: the direct mode runs first, and no candidate meets it
+        target = TargetSpec(kind="two_qubit", wanted=np.eye(3))
+        scored, streams = [], []
+        average, stream = bb_synthesis._local_pair_average, bb_synthesis._two_qubit_candidates
+
+        def counting_average(candidate, source, images):
+            scored.append(candidate)
+            return average(candidate, source, images)
+
+        def counting_stream(*args):
+            streams.append(args)
+            return stream(*args)
+
+        monkeypatch.setattr(bb_synthesis, "_local_pair_average", counting_average)
+        monkeypatch.setattr(bb_synthesis, "_two_qubit_candidates", counting_stream)
+        res = solve_two_qubit(xi_pair, target, max_group_size=4)
+        assert res.mode == "running" and res.group.size == 2
+        assert len(streams) == 1 and len(tailored_calls) == 1  # built once, for the direct mode's full walk
+        drained = [_bits(c) for c in _candidate_list(xi_pair, target.wanted_vector(), 4)]
+        direct, running = scored[:len(drained)], scored[len(drained):]
+        assert [_bits(c) for c in direct] == drained
+        assert 0 < len(running) < len(direct)
+        assert all(a is b for a, b in zip(running, direct))  # the same objects, in the same order
+        assert res.factors is running[-1]
 
 
 class TestCatalogueCache:
@@ -456,6 +551,14 @@ class TestCatalogueCache:
         assert pulses and not any(p.flags.writeable for p in pulses)
         with pytest.raises(ValueError):
             cached[0][0][1][0, 0] = 0.0
+
+    @pytest.mark.parametrize("max_size", [2, 3, 4, 8])
+    def test_keyed_once_sharing_its_pairs(self, max_size):
+        keyed = _keyed_catalogue(max_size)
+        assert _keyed_catalogue(max_size) is keyed
+        assert [pair for _, _, pair in keyed] == list(_catalogue(2, max_size))
+        assert all(pair is c for (_, _, pair), c in zip(keyed, _catalogue(2, max_size)))
+        assert all(size == lcm(*map(len, pair)) and key == _bits(pair) for size, key, pair in keyed)
 
     def test_catalogue_winner_cannot_corrupt_it(self):
         rng = np.random.default_rng(2)
@@ -781,3 +884,58 @@ def test_non_finite_target_rejected(kind, shape, value):
     wanted.flat[0] = value
     with pytest.raises(DomainError, match="finite"):
         TargetSpec(kind=kind, wanted=wanted)
+
+
+class TestPairChecked:
+    """``pair`` is checked as the one-qubit solvers check ``qubit``."""
+
+    @pytest.mark.parametrize("pair", [(0.0, 1), (1, 0), (0, 0), (-1, 1), (True, 1), (0, False), (0, 2), (0,), (0, 1, 2), 5, "01"],
+                             ids=repr)
+    def test_bad_pair_rejected(self, pair):
+        gen = EffectiveGenerator(coords=np.random.default_rng(0).normal(size=15), basis=B2)
+        target = TargetSpec(kind="two_qubit", wanted=np.eye(3))
+        for generator in (gen, gen.pair_matrix(0, 1)):
+            if generator is not gen and pair == (0, 2):
+                continue  # a bare pair matrix does not know its qubit count
+            with pytest.raises(DomainError, match="pair"):
+                solve_two_qubit(generator, target, pair)
+        if isinstance(pair, tuple) and len(pair) == 2:
+            with pytest.raises(DomainError, match="pair"):
+                gen.pair_matrix(*pair)
+
+    def test_pair_recorded_as_ints(self):
+        gen = EffectiveGenerator(coords=np.random.default_rng(0).normal(size=63), basis=build_pauli_basis(3))
+        target = TargetSpec(kind="two_qubit", wanted=gen.pair_matrix(1, 2))  # met by the trivial pair
+        res = solve_two_qubit(gen, target, (np.int64(1), 2))
+        assert res.pair == (1, 2) and all(type(q) is int for q in res.pair)
+        assert solve_two_qubit(gen.pair_matrix(1, 2), target, [7, 9]).to_dict()["pair"] == [7, 9]  # only the order is known
+        with pytest.raises(DomainError, match="pair"):
+            solve_two_qubit(gen, target, (1, 3))
+
+
+class TestNonFiniteGenerators:
+    """Non-finite coordinates raise ``DomainError`` where they enter, before any arithmetic warns."""
+
+    @NON_FINITE
+    def test_effective_generator_rejects(self, value):
+        coords = np.zeros(15)
+        coords[4] = value
+        with pytest.raises(DomainError, match="finite"):
+            EffectiveGenerator(coords=coords, basis=B2)
+
+    @NON_FINITE
+    def test_one_qubit_solvers_reject(self, value):
+        xi = np.array([value, 0.0, 0.0])
+        with pytest.raises(DomainError, match="finite"):
+            solve_storage(xi)
+        with pytest.raises(DomainError, match="finite"):
+            solve_single_qubit_gate(xi, TargetSpec(kind="single_qubit", wanted=[0.0, 0.0, 0.1]))
+
+    @NON_FINITE
+    @pytest.mark.parametrize("where", ["all", "margin", "block"])
+    def test_two_qubit_solver_rejects(self, value, where):
+        xi_pair = np.full((4, 4), value) if where == "all" else np.zeros((4, 4))
+        xi_pair[(1, 0) if where == "margin" else (2, 3) if where == "block" else (0, 0)] = value
+        for wanted in (np.zeros((4, 4)), np.eye(3)):
+            with pytest.raises(DomainError, match="finite"):
+                solve_two_qubit(xi_pair, TargetSpec(kind="two_qubit", wanted=wanted))

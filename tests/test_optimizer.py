@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bbforge.optimizer as optimizer_mod
-from bbforge.bb_synthesis import TargetSpec, _catalogue, _product_group, error_report, parity_kick_group
-from bbforge.defaults import EXACT_HIT
+from bbforge.bb_synthesis import TargetSpec, _catalogue, _product_group, error_report, parity_kick_group, solve_storage
+from bbforge.defaults import EXACT_HIT, LINEAR_SOLVE
 from bbforge.errors import CapacityError, DomainError, ShapeError
 from bbforge.open_system_sim import Coupling, PulseGroup, SystemBathModel, _reduced_channel, bb_propagator
 from bbforge.operator_algebra import (
@@ -37,7 +37,7 @@ from bbforge.optimizer import (
     _measure_generator,
     _target_flat,
 )
-from bbforge.tomography import chi_from_lambda, extract_generator, run_qpt
+from bbforge.tomography import EffectiveGenerator, chi_from_lambda, extract_generator, run_qpt
 
 from conftest import (
     I2,
@@ -511,6 +511,19 @@ class TestCovariance:
         moved = self.model(self.turned(v, hs), hb, [(self.turned(v, s), b) for s, b in couplings], rho_b)
         got = evaluate_cost(moved, PulseGroup.from_pulses([self.turned(v, g) for g in group.pulses], group.delta_t), cost)
         assert abs(got - want) <= 1e-12 * max(want, 1.0)
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), num_qubits=st.integers(1, 2), scale=st.sampled_from([1e-3, 1.0, 1e3, 1e8]))
+    def test_storage_solve_on_a_rotated_generator_stays_within_its_bound(self, seed, num_qubits, scale):
+        # the kick axis follows the rotated xi = adjoint_of(V^dag)^T . xi; its residual must stay within LINEAR_SOLVE * max(1, |xi|)
+        basis = build_pauli_basis(num_qubits)
+        coords = scale * _measure_generator(self.model(*self.parts(seed, num_qubits)), None, self._T, basis).coords
+        v = random_unitary(2**num_qubits, np.random.default_rng(seed + 1))
+        moved = EffectiveGenerator(coords=adjoint_of(v.conj().T, basis).matrix.T @ coords, basis=basis)
+        for qubit in range(num_qubits):
+            res = solve_storage(moved, qubit)
+            assert res.group.size == 2
+            assert res.residual.scalar_distance <= LINEAR_SOLVE * max(1.0, np.linalg.norm(moved.xi[qubit]))
 
 
 class TestScoringOnce:
