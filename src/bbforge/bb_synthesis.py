@@ -273,8 +273,12 @@ def _product_group(per_qubit, delta_t: float) -> PulseGroup:
 
     Each list is repeated cyclically to the lcm of their lengths, which keeps
     its average; pulse ``k`` is ``per_qubit[0][k] (x) per_qubit[1][k] (x) ...``.
+    Each list is stacked to that length and the stacks are multiplied out
+    with one broadcast kron per qubit.
     """
-    pulses = [reduce(_kron, (qubit[k % len(qubit)] for qubit in per_qubit)) for k in range(_product_size(per_qubit))]
+    size = _product_size(per_qubit)
+    stacks = (np.asarray(qubit) for qubit in per_qubit)
+    pulses = reduce(_kron, (s if len(s) == size else s[np.arange(size) % len(s)] for s in stacks))
     return PulseGroup.from_pulses(pulses, delta_t)
 
 
@@ -758,7 +762,7 @@ def _distance(coords, normalization: float) -> np.ndarray:
     """
     with np.errstate(over="ignore"):
         d = np.sqrt(normalization) * np.linalg.norm(coords, axis=-1)
-    if not np.all(d <= sys.float_info.max):  # also false for NaN
+    if not (d <= sys.float_info.max).all():  # also false for NaN
         raise DomainError("distances are non-negative and finite")
     return d
 

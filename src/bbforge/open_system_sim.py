@@ -13,6 +13,7 @@ factor only and the bath does not evolve while they are applied.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -171,7 +172,10 @@ class PulseGroup:
     """An ordered pulse sequence with its free-evolution spacing.
 
     ``pulses[0]`` is always the identity; ``cycle_time`` is
-    ``len(pulses) * delta_t``.  ``rotations``, the adjoint image of each
+    ``len(pulses) * delta_t``.  The pulses are validated as one ``(P, d, d)``
+    stack, a copy of the input: one shape check, one identity check on pulse
+    0 and one unitarity check of every pulse.  They are stored as a tuple of
+    read-only views of that stack.  ``rotations``, the adjoint image of each
     pulse, is derived from the pulses on first access and cached.
     """
 
@@ -179,23 +183,27 @@ class PulseGroup:
     delta_t: float
 
     def __post_init__(self):
-        pulses = tuple(_readonly(np.asarray(p, dtype=complex)) for p in self.pulses)
-        object.__setattr__(self, "pulses", pulses)
-        if not pulses:
+        if len(self.pulses) == 0:
             raise ShapeError("a pulse group needs at least the identity pulse")
         object.__setattr__(self, "delta_t", _check_time(self.delta_t, "delta_t", positive=True))
-        d = pulses[0].shape[0]
+        try:
+            stack = np.array(self.pulses, dtype=complex)
+        except ValueError:  # pulses of different shapes
+            stack = None
+        if stack is None or stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+            raise ShapeError("all pulses must share one dimension")
+        d = stack.shape[1]
         _qubit_count(d)
-        if not np.linalg.norm(pulses[0] - np.eye(d)) <= ROUNDOFF:
+        if not np.linalg.norm(stack[0] - np.eye(d, dtype=complex)) <= ROUNDOFF:
             raise DomainError("pulse 0 must be the identity")
-        for p in pulses:
-            if p.shape != (d, d):
-                raise ShapeError("all pulses must share one dimension")
-            _check_unitary(p, "pulses must be unitary within tolerance")
+        _check_unitary(stack, "pulses must be unitary within tolerance")
+        stack.setflags(write=False)
+        object.__setattr__(self, "pulses", tuple(stack))
 
     @classmethod
     def from_pulses(cls, pulses, delta_t: float) -> "PulseGroup":
-        return cls(pulses=tuple(pulses), delta_t=delta_t)
+        """The group of a sequence of pulses, or of a ``(P, d, d)`` stack."""
+        return cls(pulses=pulses if isinstance(pulses, np.ndarray) else tuple(pulses), delta_t=delta_t)
 
     def to_dict(self) -> dict:
         pulses = [_matrix_to_pairs(p) for p in self.pulses]
@@ -241,10 +249,6 @@ def partial_trace_bath(rho_full: np.ndarray, system_dim: int, bath_dim: int) -> 
     return np.einsum("...abcb->...ac", r)
 
 
-def _lift(op: np.ndarray, bath_dim: int) -> np.ndarray:
-    return _kron(op, np.eye(bath_dim))
-
-
 def _reduced_channel(model: SystemBathModel, u_full: np.ndarray):
     """Reduced dynamics ``rho -> Tr_B[U (rho (x) rho_B) U^dag]`` under a full propagator.
 
@@ -261,7 +265,7 @@ def _reduced_channel(model: SystemBathModel, u_full: np.ndarray):
         rho = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
         if rho.shape[-2:] != (ns, ns):
             raise ShapeError("initial state dimension does not match the system")
-        u = np.expand_dims(u_full, tuple(range(u_full.ndim - 2, u_full.ndim + rho.ndim - 4)))
+        u = u_full.reshape(*u_full.shape[:-2], *(1,) * (rho.ndim - 2), *u_full.shape[-2:])
         full = u @ _kron(rho, rho_b) @ u.conj().swapaxes(-1, -2)
         return partial_trace_bath(full, ns, nb)
 
@@ -308,14 +312,23 @@ def _cycle(model: SystemBathModel, group: PulseGroup) -> tuple[np.ndarray, np.nd
     if group.dim != model.system_dim:
         raise ShapeError("pulse dimension does not match the system")
     u0 = propagate(model, group.delta_t)
-    return u0, _pulse_segments(u0, group.pulses, model.bath_dim, np.eye(model.total_dim, dtype=complex))
+    return u0, _pulse_segments(u0, group.pulses, np.eye(model.total_dim, dtype=complex))
 
 
-def _pulse_segments(u0: np.ndarray, pulses, bath_dim: int, u: np.ndarray) -> np.ndarray:
-    """``u`` followed by the segments ``g_j^dag U_0 g_j`` of ``pulses``, in order."""
+def _on_system(g: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``(g (x) I_B) u`` for a system operator ``g``: ``g`` times the ``(ns, nb * D)`` reshape of a ``(D, D)`` ``u``."""
+    return (g @ u.reshape(g.shape[0], -1)).reshape(u.shape)
+
+
+def _pulse_segments(u0: np.ndarray, pulses, u: np.ndarray) -> np.ndarray:
+    """``u`` followed by the segments ``g_j^dag U_0 g_j`` of ``pulses``, in order.
+
+    A pulse acts on the system index only, so ``g_j`` and ``g_j^dag`` are
+    applied to the rows of the ``(ns, nb * D)`` reshape, and no lifted
+    ``g_j (x) I_B`` is built; only the product with ``U_0`` is ``D x D``.
+    """
     for g in pulses:
-        g_full = _lift(g, bath_dim)
-        u = g_full.conj().T @ u0 @ g_full @ u
+        u = _on_system(g.conj().T, u0 @ _on_system(g, u))
     return u
 
 
@@ -328,31 +341,37 @@ def bb_propagator(model: SystemBathModel, group: PulseGroup, t: float) -> np.nda
     conjugate has not.
     """
     t = _check_time(t)
-    return _propagator_from_cycle(model, group, t, *_cycle(model, group))
+    u0, cycle = _cycle(model, group)
+    n_cycles, rem = _cycle_split(group, t)
+    return _partial_cycle(model, group, u0, np.linalg.matrix_power(cycle, n_cycles), rem)
 
 
-def _propagator_from_cycle(
-    model: SystemBathModel, group: PulseGroup, t: float, u0: np.ndarray, cycle: np.ndarray
-) -> np.ndarray:
-    """:func:`bb_propagator` from the free segment and cycle ``_cycle`` returns, for a checked ``t``.
-
-    A caller that needs several times under one group builds the cycle once.
-    """
+def _cycle_split(group: PulseGroup, t: float) -> tuple[int, float]:
+    """The whole cycles of ``group`` in a checked time ``t``, and the remainder; a round-off remainder is 0."""
     tc = group.cycle_time
-    n_cycles = int(np.floor(t / tc + ROUNDOFF))
+    n_cycles = math.floor(t / tc + ROUNDOFF)
     rem = t - n_cycles * tc
     if rem < ROUNDOFF * max(tc, 1.0):
         rem = 0.0
-    u = np.linalg.matrix_power(cycle, n_cycles)
+    return n_cycles, rem
+
+
+def _partial_cycle(model: SystemBathModel, group: PulseGroup, u0: np.ndarray, u: np.ndarray, rem: float) -> np.ndarray:
+    """``u`` followed by the first ``rem`` of a cycle: :func:`bb_propagator` from the power of the cycle.
+
+    ``u0`` is the free segment ``_cycle`` returns.  A caller that needs
+    several times under one group builds the cycle and its powers once.
+    """
     if rem == 0.0:
         return u
+    tc = group.cycle_time
     j = 0
     while rem >= group.delta_t - ROUNDOFF * max(tc, 1.0) and j < group.size:
         rem -= group.delta_t
         j += 1
-    u = _pulse_segments(u0, group.pulses[:j], model.bath_dim, u)
+    u = _pulse_segments(u0, group.pulses[:j], u)
     if rem > 0 and j < group.size:
-        u = propagate(model, rem) @ _lift(group.pulses[j], model.bath_dim) @ u
+        u = propagate(model, rem) @ _on_system(group.pulses[j], u)
     return u
 
 

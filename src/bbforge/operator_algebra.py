@@ -74,9 +74,10 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.kron`` of square matrices, broadcast over ``a``'s leading axes: the same products."""
-    n = a.shape[-1] * b.shape[0]
-    return (a[..., :, None, :, None] * b[None, :, None, :]).reshape(*a.shape[:-2], n, n)
+    """``np.kron`` of square matrices, broadcast over both operands' leading axes: the same products."""
+    n = a.shape[-1] * b.shape[-1]
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(*out.shape[:-4], n, n)
 
 
 def _check_time(t, name: str = "propagation time", positive: bool = False) -> float:
@@ -134,9 +135,21 @@ def _check_hermitian(m, name: str) -> np.ndarray:
     return m
 
 
+def _within_frobenius(x: np.ndarray, tol: float) -> bool:
+    """Whether each matrix of a ``(..., m, n)`` stack has Frobenius norm at most ``tol``; false for NaN.
+
+    The norm of the whole stack bounds each matrix's, so the matrices are
+    normed one by one only when it exceeds ``tol``.
+    """
+    if np.linalg.norm(x) <= tol:
+        return True
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing norm fails the check as inf
+        return bool((np.linalg.norm(x, axis=(-2, -1)) <= tol).all())
+
+
 def _check_unitary(u: np.ndarray, message: str) -> None:
-    """``DomainError(message)`` unless ``u^dag u`` is the identity within tolerance."""
-    if not np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0])) <= MATRIX_RESIDUAL:
+    """``DomainError(message)`` unless ``u^dag u`` is the identity within tolerance, for each matrix of a ``(..., d, d)`` stack."""
+    if not _within_frobenius(u.conj().swapaxes(-1, -2) @ u - np.eye(u.shape[-1], dtype=u.dtype), MATRIX_RESIDUAL):
         raise DomainError(message)
 
 
@@ -199,6 +212,13 @@ class OperatorBasis:
     @functools.cached_property
     def num_qubits(self) -> int:
         return _qubit_count(self.dim)
+
+    @functools.cached_property
+    def change_of_basis(self) -> tuple[np.ndarray, np.ndarray]:
+        """``A[(p, m), a] = (K_a)[p, m]``, from matrix units to this basis, and ``A^dag``; built once, read-only."""
+        d = self.dim
+        a = self.elements.transpose(1, 2, 0).reshape(d * d, self.size)
+        return _readonly(a), _readonly(a.conj().T)
 
 
 def build_pauli_basis(num_qubits: int) -> OperatorBasis:
@@ -378,6 +398,33 @@ def axis_angle_unitary(axis, angle: float) -> np.ndarray:
     n = _unit_axis(axis, angle)
     n_sigma = n[0] * _PAULI[1] + n[1] * _PAULI[2] + n[2] * _PAULI[3]
     return np.cos(angle) * np.eye(2) + 1j * np.sin(angle) * n_sigma
+
+
+def _axis_angle_unitaries(axes, angles) -> np.ndarray:
+    """``axis_angle_unitary`` over a ``(..., 3)`` stack of axes and the ``(...)`` stack of their angles, as ``(..., 2, 2)``.
+
+    ``_unit_axis``'s checks apply to the whole stack, with its error types
+    and messages.  Each norm is the dot product ``np.linalg.norm`` takes of
+    one vector, and the products and sums are the same, each real operand
+    cast to complex as numpy casts it in a mixed product, so each matrix is
+    bit for bit what ``axis_angle_unitary`` builds from that axis alone.
+    """
+    try:
+        n, angles = np.asarray(axes, dtype=float), np.asarray(angles, dtype=float)
+    except OverflowError:  # an int past the float range
+        raise DomainError("pulse axis must be finite and non-zero, and its angle finite") from None
+    except ValueError as exc:  # axes of different lengths do not stack
+        raise ShapeError(f"pulse axis must be a 3-vector: {exc}") from None
+    if n.shape != (*angles.shape, 3):
+        raise ShapeError(f"pulse axis must be a 3-vector, got shape {n.shape}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = np.sqrt(np.vecdot(n, n))
+    if not ((0 < norm) & (norm <= sys.float_info.max) & np.isfinite(angles)).all():  # also false for NaN
+        raise DomainError("pulse axis must be finite and non-zero, and its angle finite")
+    n = (n / norm[..., None]).astype(complex)[..., None, None]
+    angles = angles[..., None, None]
+    n_sigma = n[..., 0, :, :] * _PAULI[1] + n[..., 1, :, :] * _PAULI[2] + n[..., 2, :, :] * _PAULI[3]
+    return np.cos(angles).astype(complex) * _PAULI[0] + (1j * np.sin(angles)) * n_sigma
 
 
 def _eps_matrix(v: np.ndarray) -> np.ndarray:

@@ -37,18 +37,19 @@ from .open_system_sim import (
     PulseGroup,
     SystemBathModel,
     _cycle,
-    _propagator_from_cycle,
+    _cycle_split,
+    _partial_cycle,
     _reduced_channel,
     bb_propagator,
     kraus_from_model,
 )
 from .operator_algebra import (
+    _axis_angle_unitaries,
     _check_count,
     _check_time,
     _pauli_offsets,
     _qubit_count,
     adjoint_of,
-    axis_angle_unitary,
     build_pauli_basis,
     unitary_from_rotation,
 )
@@ -161,11 +162,16 @@ def evaluate_cost(model: SystemBathModel, group: PulseGroup, cost: CostFunction)
 
     All ``cycles * quadrature`` nodes are probed by full process tomography
     in one pass over one stack of propagators, each node checked for
-    linearity and for preserving trace and Hermiticity.  The generator at
-    node time ``t`` is ``Im(chi[1:, 0]) / t`` of chi's Hermitian part, and
-    the integrand is its Hilbert-Schmidt distance to the wanted generator,
-    read off the coordinates as ``error_report`` reads it, bit for bit what
-    ``run_qpt``, ``chi_from_lambda``, ``extract_generator`` and
+    linearity and for preserving trace and Hermiticity.  The cycle is built
+    once; a node at ``m`` whole cycles is its ``m``-th power, taken as
+    ``bb_propagator`` takes it, and a node inside cycle ``m`` runs the
+    partial segments from the ``(m - 1)``-th.  The generator at node time
+    ``t`` is ``Im(chi[1:, 0]) / t`` of chi's Hermitian part, and the
+    integrand is its Hilbert-Schmidt distance to the wanted generator, read
+    off the coordinates as ``error_report`` reads it.  The integral is the
+    trapezoid rule from 0 with the first node's value held at ``t = 0``,
+    written out with ``np.trapezoid``'s arithmetic.  All of this is bit for
+    bit what ``run_qpt``, ``chi_from_lambda``, ``extract_generator`` and
     ``error_report`` give on each node alone.  Node values below
     ``defaults.EXACT_HIT`` count as exact hits, so a perfect pulse set
     reports a cost of exactly zero.
@@ -177,14 +183,22 @@ def evaluate_cost(model: SystemBathModel, group: PulseGroup, cost: CostFunction)
     _check_time(cost.cycles * tc)  # the latest node, checked as bb_propagator would check it
     w_flat = _target_flat(cost.target, basis)
     u0, cycle = _cycle(model, group)
-    times = [(m - 1 + sub / cost.quadrature) * tc for m in range(1, cost.cycles + 1) for sub in range(1, cost.quadrature + 1)]
-    u = np.array([_propagator_from_cycle(model, group, t, u0, cycle) for t in times])
+    nodes = [(m - 1 + sub / cost.quadrature) * tc for m in range(1, cost.cycles + 1) for sub in range(1, cost.quadrature + 1)]
+    u = np.empty((len(nodes), *cycle.shape), dtype=complex)
+    powers = {}
+    for k, t in enumerate(nodes):
+        n_cycles, rem = _cycle_split(group, t)
+        if n_cycles not in powers:
+            powers[n_cycles] = np.linalg.matrix_power(cycle, n_cycles)
+        u[k] = _partial_cycle(model, group, u0, powers[n_cycles], rem)
     responses = _reduced_channel(model, u)(_probe_inputs(basis.dim)[0])
     chi, _ = _chi_raw(_assemble_lam(responses, basis.dim), basis)
-    coords = ((chi[:, 1:, 0] + chi[:, 0, 1:].conj()) / 2.0).imag / np.array(times)[:, None]
+    times, steps = np.array([nodes, [t - s for s, t in zip([0.0, *nodes], nodes)]])
+    coords = (chi[:, 1:, 0].imag - chi[:, 0, 1:].imag) / 2.0 / times[:, None]  # Im of chi's Hermitian part, as extract_generator reads it
     d = _distance(coords - w_flat, basis.normalization)
-    values = np.where(d < EXACT_HIT, 0.0, d)
-    return float(np.trapezoid(np.concatenate((values[:1], values)), [0.0, *times]))
+    y = np.where(d < EXACT_HIT, 0.0, d)
+    y = np.concatenate((y[:1], y))
+    return float((steps * (y[1:] + y[:-1]) / 2.0).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -289,12 +303,20 @@ def _catalogue_genomes(num_qubits: int, max_size: int) -> tuple:
 
 
 def _genome_group(genome, num_qubits: int, delta_t: float) -> PulseGroup:
-    """The local-product pulse group a genome encodes; an empty genome is the identity."""
-    per_qubit = [
-        [np.eye(2, dtype=complex)] + [axis_angle_unitary(*entry[q]) for entry in genome]
-        for q in range(num_qubits)
-    ]
-    return _product_group(per_qubit, delta_t)
+    """The local-product pulse group a genome encodes; an empty genome is the identity.
+
+    Every factor is built in one axis-angle step over the genome's
+    ``(pulses, qubits)`` stack of axes and angles, checked as a whole; each
+    qubit's list is the identity followed by its factors, and
+    ``_product_group`` multiplies the lists out.  The pulses are bit for bit
+    those of ``axis_angle_unitary``'s factors built one at a time.
+    """
+    factors = np.empty((1 + len(genome), num_qubits, 2, 2), dtype=complex)
+    factors[0] = np.eye(2)
+    if genome:
+        angles = [[angle for _, angle in entry] for entry in genome]
+        factors[1:] = _axis_angle_unitaries([[axis for axis, _ in entry] for entry in genome], angles)
+    return _product_group(factors.swapaxes(0, 1), delta_t)
 
 
 def _mutate_genome(genome, rng):
@@ -345,11 +367,13 @@ def learning_loop(model: SystemBathModel, target: TargetSpec, config: LearningLo
     unchanged crossover children reuse the cost found when their exact
     bits were first seen in this loop.  ``GenerationRecord.mean_cost`` is
     still the mean over the full population, repeats included.  The
-    generator is probed and analyzed once per change of the pulses it is
-    measured under: for the unpulsed start and when the best group changes,
-    so a storage target's analysis history holds one detected vector per
-    probe.  A record's ``residual`` is the latest probe's; each generation
-    up to the next probe gets that probe's proposal.
+    generator is probed once per change of the pulses it is measured under:
+    for the unpulsed start and when the best group changes.  Each probe is
+    analyzed once, unless its generation converges and so has no next
+    generation to take the proposal; a storage target's analysis history
+    holds one detected vector per analyzed probe.  A record's ``residual``
+    is the latest probe's; each generation up to the next probe gets that
+    probe's proposal.
     """
     nq = model.num_qubits
     basis = build_pauli_basis(nq)
@@ -359,13 +383,12 @@ def learning_loop(model: SystemBathModel, target: TargetSpec, config: LearningLo
     probe = config.probe_time if config.probe_time is not None else _default_probe_time(model)
     history: dict = {}
 
-    def probe_and_analyze(group: PulseGroup | None) -> tuple[ErrorReport, list]:
-        """The residual of the generator measured under ``group``, and the genomes its analysis proposes."""
-        gen = _measure_generator(model, group, probe, basis)
+    def propose(gen) -> list:
+        """The genomes the analysis of a measured generator proposes: one, or none."""
         per_qubit = _analysis_candidate(gen, target, config, history)
-        return _report(gen.coords, w_flat, basis), [] if per_qubit is None else [_genome_of(per_qubit)]
+        return [] if per_qubit is None else [_genome_of(per_qubit)]
 
-    _, genomes = probe_and_analyze(None)
+    genomes = propose(_measure_generator(model, None, probe, basis))
     genomes += _catalogue_genomes(nq, config.group_size_bound)[: config.population - len(genomes)]
     while len(genomes) < config.population:
         genomes.append(_random_genome(rng, nq, config.group_size_bound))
@@ -384,11 +407,14 @@ def learning_loop(model: SystemBathModel, target: TargetSpec, config: LearningLo
     for generation in range(config.generations):
         costs, groups = zip(*(score(g) for g in genomes))
         order = np.argsort(costs, kind="stable")
-        if costs[order[0]] < best_cost:  # always taken at generation 0
+        if costs[order[0]] < best_cost:  # always taken at generation 0; otherwise nothing below changes
             best_cost = costs[order[0]]
             best_group = groups[order[0]]
-            residual, proposed = probe_and_analyze(best_group)
-        converged = best_cost <= config.tolerance
+            converged = best_cost <= config.tolerance
+            gen = _measure_generator(model, best_group, probe, basis)
+            residual = _report(gen.coords, w_flat, basis)
+            if not converged:  # a converging generation has no next one to take a proposal
+                proposed = propose(gen)
         records.append(
             GenerationRecord(
                 generation=generation,

@@ -22,7 +22,7 @@ import numpy as np
 from .defaults import HERMITICITY, LINEARITY, TRACE_PRESERVATION
 from .errors import DegenerateTimeError, DomainError, InconsistencyError, ShapeError
 from .open_system_sim import _matrix_to_pairs, _pairs_to_matrix
-from .operator_algebra import OperatorBasis, _check_hermitian, _check_pair, _check_time, _pauli_offsets, _readonly, build_pauli_basis
+from .operator_algebra import OperatorBasis, _check_hermitian, _check_pair, _check_time, _pauli_offsets, _readonly, _within_frobenius, build_pauli_basis
 
 __all__ = [
     "TomographyData",
@@ -154,14 +154,17 @@ class EffectiveGenerator:
 
 @functools.cache
 def _probe_inputs(dim: int):
-    """One read-only stack of channel inputs, and the tables that recombine its responses.
+    """One read-only stack of channel inputs, and the matrix that recombines its responses.
 
     The stack holds ``|m><m|`` for every ``m``, then ``|+><+|`` and
     ``|+i><+i|`` of every pair ``m < n``, then the superposition-test states
     ``|0><0|``, ``I / dim`` and their 0.37 : 0.63 mixture.  Row ``m * dim + n``
     of the ``(dim^2, 4)`` tables ``index`` and ``coeff`` holds the stack
     indices and coefficients whose responses sum to the response to
-    ``|m><n|``; a diagonal row is padded with coefficient 0.
+    ``|m><n|``; a diagonal row is padded with coefficient 0.  The tables are
+    returned as the read-only ``(dim^2, dim^2)`` recombination matrix ``R``
+    over the first ``dim^2`` states, ``R[m * dim + n, index] += coeff``, so
+    the matrix-unit responses are ``R`` times the flattened responses.
     """
     c = 1.0 / np.sqrt(2.0)
     eye = np.eye(dim, dtype=complex)
@@ -179,7 +182,9 @@ def _probe_inputs(dim: int):
             coeff[n * dim + m] = 1.0, -1.0j, -0.5 + 0.5j, -0.5 + 0.5j
     states = [np.outer(k, k.conj()) for k in kets]
     states += [states[0], eye / dim, 0.37 * states[0] + 0.63 * (eye / dim)]
-    return _readonly(np.array(states)), _readonly(index), _readonly(coeff)
+    recombine = np.zeros((dim * dim, dim * dim), dtype=complex)
+    np.add.at(recombine, (np.arange(dim * dim)[:, None], index), coeff)
+    return _readonly(np.array(states)), _readonly(recombine)
 
 
 def run_qpt(channel, basis: OperatorBasis, *, time_tag: float | None = None) -> TomographyData:
@@ -207,21 +212,19 @@ def _assemble_lam(responses, dim: int) -> np.ndarray:
     """``lam`` from a channel's responses to ``_probe_inputs(dim)``, over any leading axes.
 
     ``responses`` has shape ``(..., dim^2 + 3, dim, dim)``; ``DomainError``
-    if any slice fails the superposition test.
+    if any slice fails the superposition test.  The matrix-unit responses
+    are one matmul: the recombination matrix times the ``(dim^2, dim^2)``
+    flattened responses to the first ``dim^2`` states.
     """
-    states, index, coeff = _probe_inputs(dim)
+    states, recombine = _probe_inputs(dim)
     responses = np.asarray(responses, dtype=complex)
     if responses.shape[-3:] != states.shape:
         raise ShapeError("channel output dimension does not match its input")
-    r_a, r_b, direct = np.moveaxis(responses[..., -3:, :, :], -3, 0)
-    if not np.all(np.linalg.norm(direct - (0.37 * r_a + 0.63 * r_b), axis=(-2, -1)) <= LINEARITY):
+    r_a, r_b, direct = responses[..., -3, :, :], responses[..., -2, :, :], responses[..., -1, :, :]
+    if not _within_frobenius(direct - (0.37 * r_a + 0.63 * r_b), LINEARITY):
         raise DomainError("channel failed the superposition test; tomography needs a linear map")
     # expansion over matrix units is just the entries themselves
-    flat = responses.reshape(*responses.shape[:-2], dim * dim)
-    lam = np.zeros((*responses.shape[:-3], dim * dim, dim * dim), dtype=complex)
-    for part in range(4):
-        lam += coeff[:, part, None] * flat[..., index[:, part], :]
-    return lam
+    return recombine @ responses[..., : dim * dim, :, :].reshape(*responses.shape[:-3], dim * dim, dim * dim)
 
 
 def _chi_raw(lam: np.ndarray, basis: OperatorBasis) -> tuple[np.ndarray, np.ndarray]:
@@ -233,19 +236,22 @@ def _chi_raw(lam: np.ndarray, basis: OperatorBasis) -> tuple[np.ndarray, np.ndar
     skew-Hermitian norm ``||chi - chi^dag||_F / 2`` exceeds
     ``defaults.HERMITICITY``, or either is not finite: a channel maps
     Hermitian states to Hermitian states exactly when its chi is Hermitian.
+    ``A`` and ``A^dag`` are the basis's ``change_of_basis``, built once per
+    basis; the per-call work is the reorder of ``lam`` and two products.
     """
     d = basis.dim
     lead = lam.shape[:-2]
     units = lam.reshape(*lead, d, d, d, d)
     residual = np.linalg.norm(np.einsum("...mnpp->...mn", units) - np.eye(d), axis=(-2, -1))
-    if not np.all(residual <= TRACE_PRESERVATION):
+    if not (residual <= TRACE_PRESERVATION).all():
         raise InconsistencyError(f"trace-preservation residual {np.max(residual):.2e}; channel is not trace preserving")
-    a = basis.elements.transpose(1, 2, 0).reshape(d * d, basis.size)
+    a, a_dag = basis.change_of_basis
     lam = units.transpose(*range(len(lead)), -2, -4, -1, -3).reshape(*lead, d * d, d * d)
-    chi = a.conj().T @ lam @ a / basis.normalization**2
-    skew = np.linalg.norm(chi - chi.conj().swapaxes(-1, -2), axis=(-2, -1)) / 2.0
-    if not np.all(skew <= HERMITICITY):
-        raise InconsistencyError(f"chi skew-Hermitian norm {np.max(skew):.2e}; channel is not Hermiticity preserving")
+    chi = a_dag @ lam @ a / basis.normalization**2
+    skew = chi - chi.conj().swapaxes(-1, -2)
+    if not _within_frobenius(skew, 2.0 * HERMITICITY):
+        worst = np.max(np.linalg.norm(skew, axis=(-2, -1))) / 2.0
+        raise InconsistencyError(f"chi skew-Hermitian norm {worst:.2e}; channel is not Hermiticity preserving")
     return chi, residual
 
 

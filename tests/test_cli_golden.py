@@ -11,7 +11,13 @@ candidates scored from one-qubit images: both ``chi.json`` files (the
 ``residual`` field), ``storage-1q``'s ``generations.csv`` (one residual
 distance, last digit) and ``heisenberg-2q``'s ``synthesis.json`` (one
 round-off entry of the error vector).  Every other value, pulse and
-artifact stayed as it was.  Float bits depend on the numpy build; the
+artifact stayed as it was.  Three were re-taken when the matrix-unit
+responses began to be recombined by one matmul and the cycle propagator
+stopped building ``g (x) I_B``: both ``chi.json`` files (``storage-1q``'s
+``skew_norm`` 0 -> 6.4e-20, ``heisenberg-2q``'s ``skew_norm`` and
+``residual`` in their last digits; every chi entry bit for bit) and
+``storage-1q``'s ``generations.csv`` (``mean_J`` in the last two digits;
+``best_J`` bit for bit).  Float bits depend on the numpy build; the
 digests were taken with numpy 2.4.6 and its bundled OpenBLAS on x86-64.
 """
 
@@ -80,15 +86,15 @@ def heisenberg_2q() -> dict:
 GOLDEN = {
     "storage-1q": {
         "best_group.json": "c3096739244cf68a587e75f1622a3f692f74be25be94dabfc9ecf1044c4778aa",
-        "chi.json": "8a1b8eac76d6b5ef286f1e410e53203f2eef0f4baf8aa62457b95c1b86943a92",
-        "generations.csv": "23031c5db894a6243c0d59a96e91e1326d6c0cd11a10b30ee9b299ea244e6cef",
+        "chi.json": "907ce90ebbcd1abd3e36830ac0ae953427574d278b9bef842ba89f236a0c70e7",
+        "generations.csv": "cc6cbb26fc64412d36646373756c74984fee7e4cdc7f4b42f842d4e98d734289",
         "synthesis.json": "83aea058e3d79743b11a5ed25934e8a9ca81076a9a6efc9aebfb666f87fdc322",
         "trajectory.csv": "136be6af0d94669ab245f5030421ca6a44df909b3506621c366389b6fc8eb677",
         "verify.json": "bbd5962f9f12d366f416ecfe2b8a988fec50ddc398e24e5af598608903613cb0",
     },
     "heisenberg-2q": {
         "best_group.json": "12e7f9cbb864036101dc9dbd1bb7a7e78a5df144158489697d96b355aeeb1949",
-        "chi.json": "fa7684b0fdd288a5e890b1f5b12cdd9a6825a0370d73cb33734a712b2fee15b6",
+        "chi.json": "bed5d5ecae1e8ba1f3e01c4d7040b57332864d1ef397de43f0529c03c7f2fcc6",
         "generations.csv": "4217c5b1041fc5bbcf35b018813ad79c922a09216eeb0835acd35a7cfe3ee46f",
         "synthesis.json": "b1477f3cc343b771706abbbca92a92bbe7864b411ee566725230a59f5ccf22e6",
         "trajectory.csv": "f54c1a9885657012ff56fe8acf171758f7c2f530e1a10a4ce3ce132ce8326501",

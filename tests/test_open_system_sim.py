@@ -21,12 +21,13 @@ from bbforge.open_system_sim import (
     model_to_dict,
     propagate,
     reduced_state,
+    _cycle,
     _reduced_channel,
     symmetrize_hamiltonian,
 )
 from bbforge.operator_algebra import axis_angle_unitary
 
-from conftest import I2, NON_FINITE, SX, SY, SZ, random_density, random_hermitian, trace_distance, with_corner
+from conftest import I2, NON_FINITE, SX, SY, SZ, random_density, random_hermitian, random_unitary, trace_distance, with_corner
 
 
 def dephasing_model(g=0.5, omega=1.0):
@@ -261,6 +262,119 @@ class TestPulseGroup:
     def test_dimension_not_power_of_two_rejected_at_construction(self, dim):
         with pytest.raises(ShapeError):
             PulseGroup(pulses=(np.eye(dim),), delta_t=0.1)
+
+
+class TestPulseGroupStack:
+    """The pulses are validated as one stack: each check keeps its error type and message."""
+
+    @staticmethod
+    def pulses(rng, count=5, dim=4):
+        return [np.eye(dim)] + [random_unitary(dim, rng) for _ in range(count - 1)]
+
+    @pytest.mark.parametrize("pulses", [(), [], np.zeros((0, 2, 2))], ids=["tuple", "list", "array"])
+    def test_empty_rejected(self, pulses):
+        with pytest.raises(ShapeError, match="at least the identity"):
+            PulseGroup.from_pulses(pulses, 0.1)
+
+    @pytest.mark.parametrize("odd", [1, 4], ids=["second", "last"])
+    @pytest.mark.parametrize("shape", [(2, 2), (4, 2), (4,), (4, 4, 1)], ids=repr)
+    def test_mixed_shapes_rejected(self, rng, odd, shape):
+        pulses = self.pulses(rng)
+        pulses[odd] = np.ones(shape)
+        with pytest.raises(ShapeError, match="share one dimension"):
+            PulseGroup.from_pulses(pulses, 0.1)
+
+    @pytest.mark.parametrize("dim", [3, 6])
+    def test_dimension_not_power_of_two_rejected(self, rng, dim):
+        with pytest.raises(ShapeError, match="power of two"):
+            PulseGroup.from_pulses([np.eye(dim), random_unitary(dim, rng)], 0.1)
+
+    def test_non_identity_first_pulse_rejected(self, rng):
+        pulses = self.pulses(rng)
+        pulses[0] = with_corner(pulses[0], 1e-11)  # unitary enough, but not the identity within round-off
+        with pytest.raises(DomainError, match="^pulse 0 must be the identity$"):
+            PulseGroup.from_pulses(pulses, 0.1)
+
+    @pytest.mark.parametrize("bad", [1, 2, 4])
+    def test_one_non_unitary_pulse_of_many_rejected(self, rng, bad):
+        pulses = self.pulses(rng)
+        pulses[bad] = 1.001 * pulses[bad]
+        with pytest.raises(DomainError, match="^pulses must be unitary within tolerance$"):
+            PulseGroup.from_pulses(pulses, 0.1)
+
+    def test_each_pulse_checked_alone_not_the_stack_as_a_whole(self):
+        # every pulse's residual ||g^dag g - I||_F is 7.1e-11, within MATRIX_RESIDUAL (1e-10);
+        # over the 8 pulses together it is 2.0e-10, which must not count against any one of them
+        g = np.diag([1.0 + 2.5e-11, 1.0 + 2.5e-11]).astype(complex)
+        assert 5e-11 < np.linalg.norm(g.conj().T @ g - I2) < 1e-10
+        group = PulseGroup.from_pulses([I2] + [g] * 7, 0.1)
+        assert group.size == 8
+
+    @pytest.mark.parametrize("as_array", [False, True], ids=["list", "array"])
+    def test_pulses_read_only_copies_bit_equal_to_the_input(self, rng, as_array):
+        pulses = self.pulses(rng)
+        given = np.array(pulses) if as_array else pulses
+        group = PulseGroup.from_pulses(given, 0.1)
+        assert isinstance(group.pulses, tuple) and len(group.pulses) == len(pulses)
+        for stored, original in zip(group.pulses, pulses):
+            assert stored.dtype == complex and not stored.flags.writeable
+            assert stored.tobytes() == np.asarray(original, dtype=complex).tobytes()
+            with pytest.raises(ValueError):
+                stored[0, 0] = 2.0
+        before = group.pulses[1].tobytes()
+        given[1][0, 0] = 7.0  # the caller's array changes afterwards; the group keeps its own copy
+        assert group.pulses[1].tobytes() == before
+
+
+def lifted_propagator(model, group, n_cycles, segments, fraction):
+    """Reference: ``n_cycles`` cycles, ``segments`` more segments and ``fraction`` of the next, every pulse lifted to ``g (x) I_B``."""
+    lift = [np.kron(g, np.eye(model.bath_dim)) for g in group.pulses]
+    u0 = propagate(model, group.delta_t)
+    cycle = np.eye(model.total_dim)
+    for g in lift:
+        cycle = g.conj().T @ u0 @ g @ cycle
+    u = np.linalg.matrix_power(cycle, n_cycles)
+    for g in lift[:segments]:
+        u = g.conj().T @ u0 @ g @ u
+    if fraction:
+        u = propagate(model, fraction * group.delta_t) @ lift[segments] @ u
+    return cycle, u
+
+
+class TestLiftFreePropagation:
+    """Pulses applied to the system index of the reshaped product agree with lifted ``g (x) I_B`` products."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        num_qubits=st.integers(1, 3),
+        bath_dim=st.sampled_from([1, 2, 4]),
+        size=st.integers(1, 4),
+        n_cycles=st.integers(0, 3),
+        segment=st.integers(0, 3),
+        fraction=st.one_of(st.just(0.0), st.floats(0.1, 0.9)),
+    )
+    def test_cycle_and_bb_propagator_match_the_lifted_product(self, seed, num_qubits, bath_dim, size, n_cycles, segment, fraction):
+        rng = np.random.default_rng(seed)
+        ns = 2**num_qubits
+        model = SystemBathModel(
+            system_hamiltonian=random_hermitian(ns, rng),
+            bath_hamiltonian=random_hermitian(bath_dim, rng),
+            couplings=(Coupling(system=0.4 * random_hermitian(ns, rng), bath=random_hermitian(bath_dim, rng)),),
+            bath_initial=random_density(bath_dim, rng),
+        )
+        group = PulseGroup.from_pulses([np.eye(ns)] + [random_unitary(ns, rng) for _ in range(size - 1)], float(rng.uniform(0.02, 0.2)))
+        # whole cycles, or a time inside a segment: at a boundary inside a cycle the remainder's
+        # round-off decides whether the next opening pulse is applied
+        segment = segment % size if fraction else 0
+        t = (n_cycles + (segment + fraction) / size) * group.cycle_time
+        want_cycle, want = lifted_propagator(model, group, n_cycles, segment, fraction)
+        u0, cycle = _cycle(model, group)
+        assert np.array_equal(u0, propagate(model, group.delta_t))
+        scale = np.sqrt(model.total_dim)  # the Frobenius norm of a unitary
+        assert np.linalg.norm(cycle - want_cycle) <= 1e-13 * scale
+        assert np.array_equal(bb_cycle_propagator(model, group), cycle)
+        assert np.linalg.norm(bb_propagator(model, group, t) - want) <= 1e-13 * scale
 
 
 class TestApplyBBCycle:

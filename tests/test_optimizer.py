@@ -35,9 +35,12 @@ from bbforge.optimizer import (
     _genome_key,
     _genome_of,
     _measure_generator,
+    _random_genome,
     _target_flat,
 )
 from bbforge.tomography import EffectiveGenerator, chi_from_lambda, extract_generator, run_qpt
+
+from test_loop_golden import seeded_model
 
 from conftest import (
     I2,
@@ -619,6 +622,86 @@ class TestGenome:
         assert back.size == group.size and back.delta_t == group.delta_t
         for got, want in zip(back.pulses, group.pulses):
             assert phase_aligned_distance(np.asarray(got), want) < 1e-10
+
+
+class TestGenomeStack:
+    """A genome's factors are built in one stacked axis-angle step, bit for bit the one-at-a-time build."""
+
+    @staticmethod
+    def one_at_a_time(genome, num_qubits, delta_t):
+        per_qubit = [[I2] + [axis_angle_unitary(*entry[q]) for entry in genome] for q in range(num_qubits)]
+        return _product_group(per_qubit, delta_t)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), num_qubits=st.integers(1, 3), count=st.integers(0, 4), snap=st.booleans())
+    def test_bit_for_bit_the_one_at_a_time_build(self, seed, num_qubits, count, snap):
+        rng = np.random.default_rng(seed)
+        genome = _random_genome(rng, num_qubits, count + 1)[:count] if count else []
+        if snap:  # catalogue-like entries: signed coordinate axes and quarter turns, where zero signs matter
+            genome = [tuple((np.eye(3)[rng.integers(3)] * rng.choice([-1.0, 1.0]), float(rng.choice([np.pi / 2, -np.pi / 2, np.pi])))
+                            for _ in range(num_qubits)) for _ in genome]
+        got = _genome_group(genome, num_qubits, 0.05)
+        want = self.one_at_a_time(genome, num_qubits, 0.05)
+        assert got.size == want.size == len(genome) + 1
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got.pulses, want.pulses))
+
+    @pytest.mark.parametrize("num_qubits, max_size", [(1, 4), (2, 4), (3, 2)])
+    def test_catalogue_genomes_bit_for_bit(self, num_qubits, max_size):
+        for genome in _catalogue_genomes(num_qubits, max_size):
+            got = _genome_group(genome, num_qubits, 0.05)
+            want = self.one_at_a_time(genome, num_qubits, 0.05)
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(got.pulses, want.pulses))
+
+    @pytest.mark.parametrize("axis, angle, error, match", [
+        (np.zeros(3), 0.3, DomainError, "finite and non-zero"),
+        (np.array([np.nan, 0.0, 1.0]), 0.3, DomainError, "finite and non-zero"),
+        (np.array([np.inf, 0.0, 1.0]), 0.3, DomainError, "finite and non-zero"),
+        (np.array([0.0, 0.0, 1.0]), np.inf, DomainError, "finite and non-zero"),
+        (np.array([0.0, 0.0, 1.0]), np.nan, DomainError, "finite and non-zero"),
+        (np.array([0.0, 1.0]), 0.3, ShapeError, "3-vector"),
+    ], ids=["zero", "nan-axis", "inf-axis", "inf-angle", "nan-angle", "2-vector"])
+    def test_one_bad_entry_of_many_rejected_as_the_single_check_rejects_it(self, rng, axis, angle, error, match):
+        with pytest.raises(error, match=match):
+            axis_angle_unitary(axis, angle)
+        genome = _random_genome(rng, 2, 4)
+        genome[-1] = (genome[-1][0], (axis, angle))
+        with pytest.raises(error, match=match):
+            _genome_group(genome, 2, 0.05)
+
+
+class TestConvergedGeneration:
+    """A generation that converges is probed for its residual but not analyzed: no next generation takes a proposal."""
+
+    @pytest.mark.parametrize("model, target, cfg", [
+        (seeded_model(2, 2, 1), TargetSpec(kind="storage"), dict(population=8, generations=3, seed=3)),
+        (local_dephasing_model(), TargetSpec(kind="two_qubit", wanted=np.eye(3)), dict(population=8, generations=8, seed=0, delta_t=0.02)),
+    ], ids=["storage", "two_qubit"])
+    def test_converging_generation_runs_no_analysis_and_keeps_its_records(self, monkeypatch, model, target, cfg):
+        _, full = learning_loop(model, target, LearningLoopConfig(tolerance=0.0, **cfg))
+        # the last generation that lowers the best cost, so the loop below converges there and not before
+        stop = max(k for k in range(1, len(full)) if full[k].best_cost < full[k - 1].best_cost)
+        measured, analyzed = [], []
+        measure, analyze = optimizer_mod._measure_generator, optimizer_mod._analysis_candidate
+
+        def counted_measure(*args):
+            measured.append(measure(*args))
+            return measured[-1]
+
+        def counted_analyze(gen, *args):
+            analyzed.append(gen)
+            return analyze(gen, *args)
+
+        monkeypatch.setattr(optimizer_mod, "_measure_generator", counted_measure)
+        monkeypatch.setattr(optimizer_mod, "_analysis_candidate", counted_analyze)
+        _, records = learning_loop(model, target, LearningLoopConfig(tolerance=full[stop].best_cost, **cfg))
+        assert len(records) == stop + 1 and records[-1].converged and not any(r.converged for r in records[:-1])
+        # every probe but the converging generation's is analyzed, once
+        assert len(analyzed) == len(measured) - 1 and all(a is m for a, m in zip(analyzed, measured))
+        for got, want in zip(records, full):
+            assert (got.generation, got.best_cost, got.mean_cost) == (want.generation, want.best_cost, want.mean_cost)
+            assert got.residual.error_vector.coords.tobytes() == want.residual.error_vector.coords.tobytes()
+            assert got.residual.scalar_distance == want.residual.scalar_distance
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(got.best_group.pulses, want.best_group.pulses))
 
 
 class TestTwoPassAnalysis:

@@ -219,6 +219,50 @@ class TestStackedKernels:
                 _assemble_lam(wrong, 2)
 
 
+class TestRecombination:
+    """``_assemble_lam``'s one matmul gives the channel's responses to the matrix units themselves."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), num_qubits=st.integers(1, 3), count=st.integers(1, 4))
+    def test_lam_equals_the_responses_to_matrix_units(self, seed, num_qubits, count):
+        rng = np.random.default_rng(seed)
+        d = 2**num_qubits
+        kraus = np.array(normalized_kraus(d, count, rng))
+
+        def channel(rho):
+            return np.einsum("kab,...bc,kdc->...ad", kraus, rho, kraus.conj())
+
+        units = np.eye(d * d, dtype=complex).reshape(d * d, d, d)  # |m><n| at row m * d + n
+        want = channel(units).reshape(d * d, d * d)  # lam[(m, n), (p, q)] = channel(|m><n|)[p, q]
+        lam = _assemble_lam(channel(_probe_inputs(d)[0]), d)
+        assert np.max(np.abs(lam - want)) <= 1e-14
+        assert np.array_equal(run_qpt(channel, build_pauli_basis(num_qubits)).lam, lam)
+
+    @pytest.mark.parametrize("dim", [2, 4, 8])
+    def test_recombination_matrix_built_once_and_read_only(self, dim):
+        states, recombine = _probe_inputs(dim)
+        assert _probe_inputs(dim)[1] is recombine
+        assert recombine.shape == (dim * dim, dim * dim) and not recombine.flags.writeable
+        assert states.shape == (dim * dim + 3, dim, dim)
+        # each off-diagonal unit takes four responses, each diagonal unit one
+        assert np.count_nonzero(recombine) == 4 * dim * (dim - 1) + dim
+
+    @pytest.mark.parametrize("make", [lambda: build_pauli_basis(1), lambda: build_pauli_basis(3), gell_mann_basis],
+                             ids=["pauli-1", "pauli-3", "gell-mann"])
+    def test_change_of_basis_cached_on_each_basis(self, make):
+        basis = make()
+        a, a_dag = basis.change_of_basis
+        assert basis.change_of_basis[0] is a and basis.change_of_basis[1] is a_dag
+        assert not a.flags.writeable and not a_dag.flags.writeable
+        d = basis.dim
+        assert np.array_equal(a, basis.elements.transpose(1, 2, 0).reshape(d * d, basis.size))
+        assert np.array_equal(a_dag, a.conj().T)
+        assert np.allclose(a_dag @ a, basis.normalization * np.eye(basis.size), atol=1e-12)
+        # a basis that is not the Pauli one still goes through chi_from_lambda on its own matrix
+        chi = chi_from_lambda(run_qpt(lambda r: r, basis))
+        assert abs(chi.entries[0, 0] - 1.0) < 1e-12
+
+
 class TestChiFromLambda:
     def test_identity_channel(self):
         b = build_pauli_basis(1)
