@@ -361,16 +361,18 @@ def _partial_cycle(model: SystemBathModel, group: PulseGroup, u0: np.ndarray, u:
 
     ``u0`` is the free segment ``_cycle`` returns.  A caller that needs
     several times under one group builds the cycle and its powers once.
+    A remainder within round-off of a segment boundary ends there, as the
+    whole-cycle remainder does in ``_cycle_split``: it opens no segment.
     """
     if rem == 0.0:
         return u
-    tc = group.cycle_time
+    snap = ROUNDOFF * max(group.cycle_time, 1.0)
     j = 0
-    while rem >= group.delta_t - ROUNDOFF * max(tc, 1.0) and j < group.size:
+    while rem >= group.delta_t - snap and j < group.size:
         rem -= group.delta_t
         j += 1
     u = _pulse_segments(u0, group.pulses[:j], u)
-    if rem > 0 and j < group.size:
+    if rem >= snap and j < group.size:
         u = propagate(model, rem) @ _on_system(group.pulses[j], u)
     return u
 

@@ -400,33 +400,6 @@ def axis_angle_unitary(axis, angle: float) -> np.ndarray:
     return np.cos(angle) * np.eye(2) + 1j * np.sin(angle) * n_sigma
 
 
-def _axis_angle_unitaries(axes, angles) -> np.ndarray:
-    """``axis_angle_unitary`` over a ``(..., 3)`` stack of axes and the ``(...)`` stack of their angles, as ``(..., 2, 2)``.
-
-    ``_unit_axis``'s checks apply to the whole stack, with its error types
-    and messages.  Each norm is the dot product ``np.linalg.norm`` takes of
-    one vector, and the products and sums are the same, each real operand
-    cast to complex as numpy casts it in a mixed product, so each matrix is
-    bit for bit what ``axis_angle_unitary`` builds from that axis alone.
-    """
-    try:
-        n, angles = np.asarray(axes, dtype=float), np.asarray(angles, dtype=float)
-    except OverflowError:  # an int past the float range
-        raise DomainError("pulse axis must be finite and non-zero, and its angle finite") from None
-    except ValueError as exc:  # axes of different lengths do not stack
-        raise ShapeError(f"pulse axis must be a 3-vector: {exc}") from None
-    if n.shape != (*angles.shape, 3):
-        raise ShapeError(f"pulse axis must be a 3-vector, got shape {n.shape}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        norm = np.sqrt(np.vecdot(n, n))
-    if not ((0 < norm) & (norm <= sys.float_info.max) & np.isfinite(angles)).all():  # also false for NaN
-        raise DomainError("pulse axis must be finite and non-zero, and its angle finite")
-    n = (n / norm[..., None]).astype(complex)[..., None, None]
-    angles = angles[..., None, None]
-    n_sigma = n[..., 0, :, :] * _PAULI[1] + n[..., 1, :, :] * _PAULI[2] + n[..., 2, :, :] * _PAULI[3]
-    return np.cos(angles).astype(complex) * _PAULI[0] + (1j * np.sin(angles)) * n_sigma
-
-
 def _eps_matrix(v: np.ndarray) -> np.ndarray:
     """E[a, b] = sum_c eps_abc v_c."""
     return np.array(

@@ -44,12 +44,12 @@ from .open_system_sim import (
     kraus_from_model,
 )
 from .operator_algebra import (
-    _axis_angle_unitaries,
     _check_count,
     _check_time,
     _pauli_offsets,
     _qubit_count,
     adjoint_of,
+    axis_angle_unitary,
     build_pauli_basis,
     unitary_from_rotation,
 )
@@ -303,20 +303,12 @@ def _catalogue_genomes(num_qubits: int, max_size: int) -> tuple:
 
 
 def _genome_group(genome, num_qubits: int, delta_t: float) -> PulseGroup:
-    """The local-product pulse group a genome encodes; an empty genome is the identity.
-
-    Every factor is built in one axis-angle step over the genome's
-    ``(pulses, qubits)`` stack of axes and angles, checked as a whole; each
-    qubit's list is the identity followed by its factors, and
-    ``_product_group`` multiplies the lists out.  The pulses are bit for bit
-    those of ``axis_angle_unitary``'s factors built one at a time.
-    """
-    factors = np.empty((1 + len(genome), num_qubits, 2, 2), dtype=complex)
-    factors[0] = np.eye(2)
-    if genome:
-        angles = [[angle for _, angle in entry] for entry in genome]
-        factors[1:] = _axis_angle_unitaries([[axis for axis, _ in entry] for entry in genome], angles)
-    return _product_group(factors.swapaxes(0, 1), delta_t)
+    """The local-product pulse group a genome encodes; an empty genome is the identity."""
+    per_qubit = [
+        [np.eye(2, dtype=complex)] + [axis_angle_unitary(*entry[q]) for entry in genome]
+        for q in range(num_qubits)
+    ]
+    return _product_group(per_qubit, delta_t)
 
 
 def _mutate_genome(genome, rng):

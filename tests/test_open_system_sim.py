@@ -364,9 +364,8 @@ class TestLiftFreePropagation:
             bath_initial=random_density(bath_dim, rng),
         )
         group = PulseGroup.from_pulses([np.eye(ns)] + [random_unitary(ns, rng) for _ in range(size - 1)], float(rng.uniform(0.02, 0.2)))
-        # whole cycles, or a time inside a segment: at a boundary inside a cycle the remainder's
-        # round-off decides whether the next opening pulse is applied
-        segment = segment % size if fraction else 0
+        # whole cycles, a segment boundary inside a cycle (fraction 0), or a time inside a segment
+        segment = segment % size
         t = (n_cycles + (segment + fraction) / size) * group.cycle_time
         want_cycle, want = lifted_propagator(model, group, n_cycles, segment, fraction)
         u0, cycle = _cycle(model, group)
@@ -375,6 +374,16 @@ class TestLiftFreePropagation:
         assert np.linalg.norm(cycle - want_cycle) <= 1e-13 * scale
         assert np.array_equal(bb_cycle_propagator(model, group), cycle)
         assert np.linalg.norm(bb_propagator(model, group, t) - want) <= 1e-13 * scale
+
+    def test_round_off_at_a_segment_boundary_opens_no_segment(self, rng):
+        # 0.75 of a 4-pulse cycle leaves a remainder of about 1e-17 after three segments,
+        # which must not apply the fourth pulse ahead of its free evolution
+        model = dephasing_model()
+        group = PulseGroup.from_pulses([I2] + [random_unitary(2, rng) for _ in range(3)], 0.1)
+        t = 0.75 * group.cycle_time
+        assert t - group.delta_t - group.delta_t - group.delta_t > 0.0  # the remainder the segments leave
+        _, want = lifted_propagator(model, group, 0, 3, 0.0)
+        assert np.linalg.norm(bb_propagator(model, group, t) - want) <= 1e-13 * 2
 
 
 class TestApplyBBCycle:

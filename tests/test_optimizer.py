@@ -1,5 +1,6 @@
 import sys
 import warnings
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -624,49 +625,33 @@ class TestGenome:
             assert phase_aligned_distance(np.asarray(got), want) < 1e-10
 
 
-class TestGenomeStack:
-    """A genome's factors are built in one stacked axis-angle step, bit for bit the one-at-a-time build."""
+class TestGenomeGroup:
+    """A genome's pulses are the products of its factors, multiplied out with one broadcast kron per qubit."""
 
     @staticmethod
-    def one_at_a_time(genome, num_qubits, delta_t):
+    def kron_products(genome, num_qubits):
         per_qubit = [[I2] + [axis_angle_unitary(*entry[q]) for entry in genome] for q in range(num_qubits)]
-        return _product_group(per_qubit, delta_t)
+        return [reduce(np.kron, (qubit[k] for qubit in per_qubit)) for k in range(len(genome) + 1)]
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), num_qubits=st.integers(1, 3), count=st.integers(0, 4), snap=st.booleans())
-    def test_bit_for_bit_the_one_at_a_time_build(self, seed, num_qubits, count, snap):
+    def test_bit_for_bit_the_np_kron_products(self, seed, num_qubits, count, snap):
         rng = np.random.default_rng(seed)
         genome = _random_genome(rng, num_qubits, count + 1)[:count] if count else []
         if snap:  # catalogue-like entries: signed coordinate axes and quarter turns, where zero signs matter
             genome = [tuple((np.eye(3)[rng.integers(3)] * rng.choice([-1.0, 1.0]), float(rng.choice([np.pi / 2, -np.pi / 2, np.pi])))
                             for _ in range(num_qubits)) for _ in genome]
         got = _genome_group(genome, num_qubits, 0.05)
-        want = self.one_at_a_time(genome, num_qubits, 0.05)
-        assert got.size == want.size == len(genome) + 1
-        assert all(a.tobytes() == b.tobytes() for a, b in zip(got.pulses, want.pulses))
+        want = self.kron_products(genome, num_qubits)
+        assert got.size == len(want) == len(genome) + 1
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got.pulses, want))
 
     @pytest.mark.parametrize("num_qubits, max_size", [(1, 4), (2, 4), (3, 2)])
     def test_catalogue_genomes_bit_for_bit(self, num_qubits, max_size):
         for genome in _catalogue_genomes(num_qubits, max_size):
             got = _genome_group(genome, num_qubits, 0.05)
-            want = self.one_at_a_time(genome, num_qubits, 0.05)
-            assert all(a.tobytes() == b.tobytes() for a, b in zip(got.pulses, want.pulses))
-
-    @pytest.mark.parametrize("axis, angle, error, match", [
-        (np.zeros(3), 0.3, DomainError, "finite and non-zero"),
-        (np.array([np.nan, 0.0, 1.0]), 0.3, DomainError, "finite and non-zero"),
-        (np.array([np.inf, 0.0, 1.0]), 0.3, DomainError, "finite and non-zero"),
-        (np.array([0.0, 0.0, 1.0]), np.inf, DomainError, "finite and non-zero"),
-        (np.array([0.0, 0.0, 1.0]), np.nan, DomainError, "finite and non-zero"),
-        (np.array([0.0, 1.0]), 0.3, ShapeError, "3-vector"),
-    ], ids=["zero", "nan-axis", "inf-axis", "inf-angle", "nan-angle", "2-vector"])
-    def test_one_bad_entry_of_many_rejected_as_the_single_check_rejects_it(self, rng, axis, angle, error, match):
-        with pytest.raises(error, match=match):
-            axis_angle_unitary(axis, angle)
-        genome = _random_genome(rng, 2, 4)
-        genome[-1] = (genome[-1][0], (axis, angle))
-        with pytest.raises(error, match=match):
-            _genome_group(genome, 2, 0.05)
+            want = self.kron_products(genome, num_qubits)
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(got.pulses, want))
 
 
 class TestConvergedGeneration:
