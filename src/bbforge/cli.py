@@ -37,7 +37,7 @@ from .open_system_sim import (
     model_from_dict,
     reduced_state,
 )
-from .operator_algebra import CoordinateVector, _check_count, _check_time, build_pauli_basis
+from .operator_algebra import CoordinateVector, _check_count, _check_pair, _check_time, build_pauli_basis
 from .optimizer import LearningLoopConfig, _default_probe_time, learning_loop
 from .serialization import dump_json, write_csv
 from .tomography import chi_from_lambda, extract_generator, run_qpt
@@ -98,16 +98,6 @@ def _config_number(value, name: str, minimum: int | None = None):
     if minimum is None:
         return _config_check(_check_time, value, name, True)
     return _config_check(_check_count, value, name, minimum)
-
-
-def _config_pair(pair, name: str, num_qubits: int) -> tuple[int, int]:
-    """The qubits ``i < j < num_qubits`` a two-qubit target acts on, from a two-element list."""
-    if not (isinstance(pair, list) and len(pair) == 2):
-        raise ConfigError(f"{name} must be a list of two qubit indices, got {pair!r}")
-    i, j = (_config_number(q, name, 0) for q in pair)
-    if not i < j < num_qubits:
-        raise ConfigError(f"{name} needs qubits i < j < {num_qubits}, got {pair!r}")
-    return i, j
 
 
 _CONFIG_KEYS = frozenset({"model", "model_path", "probe_time", "initial_state", "target", "simulate", "synthesis", "verify", "loop"})
@@ -262,7 +252,7 @@ def cmd_synthesize(args) -> int:
     elif target.kind == "single_qubit":
         result = solve_single_qubit_gate(gen, target, qubit, max_size, delta_t=delta_t)
     else:
-        pair = _config_pair(synth.get("pair", [0, 1]), "synthesis.pair", gen.num_qubits)
+        pair = _config_check(_check_pair, synth.get("pair", [0, 1]), gen.num_qubits, "synthesis.pair")
         result = solve_two_qubit(gen, target, pair, max_group_size=max_size, delta_t=delta_t)
     payload = result.to_dict()
     if target.stabilizer is not None and target.kind != "two_qubit":
@@ -333,7 +323,7 @@ def cmd_optimize(args) -> int:
     cfg = ExperimentConfig.load(args.config, args.probe_time)
     target = cfg.target()
     if target.kind == "two_qubit":
-        _config_pair([0, 1], "the loop's two-qubit target", cfg.model.num_qubits)  # the loop solves on qubits 0 and 1
+        _config_check(_check_pair, (0, 1), cfg.model.num_qubits, "the loop's two-qubit target")  # the loop solves on qubits 0 and 1
     loop_cfg = cfg.loop_config(args.seed)
     best, records = learning_loop(cfg.model, target, loop_cfg)
     out = _out_dir(args)

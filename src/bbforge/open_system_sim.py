@@ -332,60 +332,51 @@ def _pulse_segments(u0: np.ndarray, pulses, u: np.ndarray) -> np.ndarray:
     return u
 
 
-def bb_propagator(model: SystemBathModel, group: PulseGroup, t: float) -> np.ndarray:
-    """Pulsed propagator up to an arbitrary time ``t``.
+def bb_propagator(model: SystemBathModel, group: PulseGroup, t) -> np.ndarray:
+    """Pulsed propagator up to time ``t``, or the ``(T, D, D)`` stack of them over a 1-D sequence of times.
 
     Whole cycles are applied first; a partial cycle runs through complete
     pulse/delay segments and a final fractional free evolution.  Inside an
     unfinished segment the opening pulse has been applied but its closing
-    conjugate has not.
+    conjugate has not.  A remainder below ``ROUNDOFF * max(cycle_time, 1)``
+    counts as 0, and one within that of a segment boundary ends there: it
+    opens no segment.  The cycle is built once per call and each distinct
+    whole-cycle power once; a single time is the batch of one.
     """
-    t = _check_time(t)
+    scalar = np.ndim(t) == 0
+    times = [_check_time(s) for s in ((t,) if scalar else t)]
     u0, cycle = _cycle(model, group)
-    n_cycles, rem = _cycle_split(group, t)
-    return _partial_cycle(model, group, u0, np.linalg.matrix_power(cycle, n_cycles), rem)
-
-
-def _cycle_split(group: PulseGroup, t: float) -> tuple[int, float]:
-    """The whole cycles of ``group`` in a checked time ``t``, and the remainder; a round-off remainder is 0."""
-    tc = group.cycle_time
-    n_cycles = math.floor(t / tc + ROUNDOFF)
-    rem = t - n_cycles * tc
-    if rem < ROUNDOFF * max(tc, 1.0):
-        rem = 0.0
-    return n_cycles, rem
-
-
-def _partial_cycle(model: SystemBathModel, group: PulseGroup, u0: np.ndarray, u: np.ndarray, rem: float) -> np.ndarray:
-    """``u`` followed by the first ``rem`` of a cycle: :func:`bb_propagator` from the power of the cycle.
-
-    ``u0`` is the free segment ``_cycle`` returns.  A caller that needs
-    several times under one group builds the cycle and its powers once.
-    A remainder within round-off of a segment boundary ends there, as the
-    whole-cycle remainder does in ``_cycle_split``: it opens no segment.
-    """
-    if rem == 0.0:
-        return u
-    snap = ROUNDOFF * max(group.cycle_time, 1.0)
-    j = 0
-    while rem >= group.delta_t - snap and j < group.size:
-        rem -= group.delta_t
-        j += 1
-    u = _pulse_segments(u0, group.pulses[:j], u)
-    if rem >= snap and j < group.size:
-        u = propagate(model, rem) @ _on_system(group.pulses[j], u)
-    return u
+    tc, dt = group.cycle_time, group.delta_t
+    snap = ROUNDOFF * max(tc, 1.0)
+    out = np.empty((len(times), *cycle.shape), dtype=complex)
+    powers = {}
+    for k, s in enumerate(times):
+        n_cycles = math.floor(s / tc + ROUNDOFF)
+        if n_cycles not in powers:
+            powers[n_cycles] = np.linalg.matrix_power(cycle, n_cycles)
+        u, rem = powers[n_cycles], s - n_cycles * tc
+        if rem >= snap:
+            j = 0
+            while rem >= dt - snap and j < group.size:
+                rem -= dt
+                j += 1
+            u = _pulse_segments(u0, group.pulses[:j], u)
+            if rem >= snap and j < group.size:
+                u = propagate(model, rem) @ _on_system(group.pulses[j], u)
+        out[k] = u
+    return out[0] if scalar else out
 
 
 def apply_bb_cycle(model: SystemBathModel, group: PulseGroup, num_cycles: int, rho_system_0) -> DensityMatrix:
     """Reduced state after ``num_cycles`` pulse cycles.
 
+    The propagator is ``bb_propagator`` at ``num_cycles`` cycle times.
     Pulses are instantaneous, so the bath only evolves during the free
     segments; with the trivial group this is exactly ``reduced_state`` at
     ``num_cycles * delta_t``.
     """
     num_cycles = _check_count(num_cycles, "num_cycles", 1)
-    u = np.linalg.matrix_power(bb_cycle_propagator(model, group), num_cycles)
+    u = bb_propagator(model, group, num_cycles * group.cycle_time)
     return DensityMatrix(_reduced_channel(model, u)(rho_system_0))
 
 

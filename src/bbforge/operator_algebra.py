@@ -99,15 +99,15 @@ def _check_count(n, name: str, minimum: int) -> int:
     return count
 
 
-def _check_pair(pair, num_qubits: int | None) -> tuple[int, int]:
+def _check_pair(pair, num_qubits: int | None, name: str = "pair") -> tuple[int, int]:
     """``pair`` as two qubit indices ``i < j``, each an integer other than a bool, with ``j < num_qubits`` when it is known."""
     try:
         i, j = pair
     except (TypeError, ValueError):
-        raise DomainError(f"pair must be two qubit indices, got {pair!r}") from None
-    i, j = _check_count(i, "pair qubit", 0), _check_count(j, "pair qubit", 0)
+        raise DomainError(f"{name} must be two qubit indices, got {pair!r}") from None
+    i, j = _check_count(i, f"{name} qubit", 0), _check_count(j, f"{name} qubit", 0)
     if not i < j or (num_qubits is not None and j >= num_qubits):
-        raise DomainError(f"pair needs qubits i < j{'' if num_qubits is None else f' < {num_qubits}'}, got {pair!r}")
+        raise DomainError(f"{name} needs qubits i < j{'' if num_qubits is None else f' < {num_qubits}'}, got {pair!r}")
     return i, j
 
 
@@ -147,6 +147,7 @@ def _within_frobenius(x: np.ndarray, tol: float) -> bool:
         return bool((np.linalg.norm(x, axis=(-2, -1)) <= tol).all())
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a product or norm that overflows fails the check as inf or NaN
 def _check_unitary(u: np.ndarray, message: str) -> None:
     """``DomainError(message)`` unless ``u^dag u`` is the identity within tolerance, for each matrix of a ``(..., d, d)`` stack."""
     if not _within_frobenius(u.conj().swapaxes(-1, -2) @ u - np.eye(u.shape[-1], dtype=u.dtype), MATRIX_RESIDUAL):

@@ -33,16 +33,7 @@ from .bb_synthesis import (
 )
 from .defaults import EXACT_HIT, NEGLIGIBLE
 from .errors import DomainError, InfeasibleError, ShapeError
-from .open_system_sim import (
-    PulseGroup,
-    SystemBathModel,
-    _cycle,
-    _cycle_split,
-    _partial_cycle,
-    _reduced_channel,
-    bb_propagator,
-    kraus_from_model,
-)
+from .open_system_sim import PulseGroup, SystemBathModel, _reduced_channel, bb_propagator, kraus_from_model
 from .operator_algebra import (
     _check_count,
     _check_time,
@@ -53,7 +44,7 @@ from .operator_algebra import (
     build_pauli_basis,
     unitary_from_rotation,
 )
-from .tomography import _assemble_lam, _chi_raw, _probe_inputs, chi_from_lambda, extract_generator, run_qpt
+from .tomography import EffectiveGenerator, _assemble_lam, _chi_raw, _probe_inputs, chi_from_lambda, extract_generator, run_qpt
 
 __all__ = [
     "CostFunction",
@@ -157,44 +148,45 @@ def _target_flat(target: TargetSpec, basis) -> np.ndarray:
     return full[1:]
 
 
+def _generator_coords(model: SystemBathModel, group: PulseGroup, times: np.ndarray, basis) -> np.ndarray:
+    """Generator coordinates read by process tomography of the pulsed evolution at each of a 1-D array of times.
+
+    The stack of ``bb_propagator`` at ``times`` goes through one
+    ``_reduced_channel``, one ``_assemble_lam`` and one ``_chi_raw``, so
+    each node is checked for linearity and for preserving trace and
+    Hermiticity.  The coordinates at time ``t`` are ``Im(chi[1:, 0]) / t``
+    of chi's Hermitian part: bit for bit what ``run_qpt``,
+    ``chi_from_lambda`` and ``extract_generator`` give on each node alone,
+    without the first-order-extraction warning.
+    """
+    responses = _reduced_channel(model, bb_propagator(model, group, times))(_probe_inputs(basis.dim)[0])
+    chi, _ = _chi_raw(_assemble_lam(responses, basis.dim), basis)
+    return (chi[:, 1:, 0].imag - chi[:, 0, 1:].imag) / 2.0 / times[:, None]
+
+
 def evaluate_cost(model: SystemBathModel, group: PulseGroup, cost: CostFunction) -> float:
     """Integrated deviation between achieved and wanted generators.
 
     All ``cycles * quadrature`` nodes are probed by full process tomography
-    in one pass over one stack of propagators, each node checked for
-    linearity and for preserving trace and Hermiticity.  The cycle is built
-    once; a node at ``m`` whole cycles is its ``m``-th power, taken as
-    ``bb_propagator`` takes it, and a node inside cycle ``m`` runs the
-    partial segments from the ``(m - 1)``-th.  The generator at node time
-    ``t`` is ``Im(chi[1:, 0]) / t`` of chi's Hermitian part, and the
-    integrand is its Hilbert-Schmidt distance to the wanted generator, read
-    off the coordinates as ``error_report`` reads it.  The integral is the
-    trapezoid rule from 0 with the first node's value held at ``t = 0``,
-    written out with ``np.trapezoid``'s arithmetic.  All of this is bit for
-    bit what ``run_qpt``, ``chi_from_lambda``, ``extract_generator`` and
-    ``error_report`` give on each node alone.  Node values below
-    ``defaults.EXACT_HIT`` count as exact hits, so a perfect pulse set
-    reports a cost of exactly zero.
+    in one pass over the stack ``bb_propagator`` gives for the node times
+    (``_generator_coords``).  The integrand is the Hilbert-Schmidt distance
+    of each node's generator to the wanted one, read off the coordinates as
+    ``error_report`` reads it.  The integral is the trapezoid rule from 0
+    with the first node's value held at ``t = 0``, written out with
+    ``np.trapezoid``'s arithmetic.  All of this is bit for bit what
+    ``bb_propagator``, ``run_qpt``, ``chi_from_lambda``,
+    ``extract_generator`` and ``error_report`` give on each node alone.
+    Node values below ``defaults.EXACT_HIT`` count as exact hits, so a
+    perfect pulse set reports a cost of exactly zero.
     """
     if group.dim != model.system_dim:
         raise ShapeError("pulse dimension does not match the model")
     basis = build_pauli_basis(model.num_qubits)
-    tc = group.cycle_time
-    _check_time(cost.cycles * tc)  # the latest node, checked as bb_propagator would check it
     w_flat = _target_flat(cost.target, basis)
-    u0, cycle = _cycle(model, group)
+    tc = group.cycle_time
     nodes = [(m - 1 + sub / cost.quadrature) * tc for m in range(1, cost.cycles + 1) for sub in range(1, cost.quadrature + 1)]
-    u = np.empty((len(nodes), *cycle.shape), dtype=complex)
-    powers = {}
-    for k, t in enumerate(nodes):
-        n_cycles, rem = _cycle_split(group, t)
-        if n_cycles not in powers:
-            powers[n_cycles] = np.linalg.matrix_power(cycle, n_cycles)
-        u[k] = _partial_cycle(model, group, u0, powers[n_cycles], rem)
-    responses = _reduced_channel(model, u)(_probe_inputs(basis.dim)[0])
-    chi, _ = _chi_raw(_assemble_lam(responses, basis.dim), basis)
     times, steps = np.array([nodes, [t - s for s, t in zip([0.0, *nodes], nodes)]])
-    coords = (chi[:, 1:, 0].imag - chi[:, 0, 1:].imag) / 2.0 / times[:, None]  # Im of chi's Hermitian part, as extract_generator reads it
+    coords = _generator_coords(model, group, times, basis)
     d = _distance(coords - w_flat, basis.normalization)
     y = np.where(d < EXACT_HIT, 0.0, d)
     y = np.concatenate((y[:1], y))
@@ -224,19 +216,18 @@ def enumerate_candidate_groups(dim: int, max_size: int, *, delta_t: float = 0.1)
 # ---------------------------------------------------------------------------
 
 
-def _measure_generator(model: SystemBathModel, group: PulseGroup | None, probe: float, basis):
+def _measure_generator(model: SystemBathModel, group: PulseGroup | None, probe: float, basis) -> EffectiveGenerator:
     """The generator read by QPT of the unpulsed evolution at ``probe``, or of one cycle of ``group``.
 
-    The first-order-extraction warning is silenced for every probe the learning loop makes.
+    The unpulsed probe runs the public chain on ``kraus_from_model``, with
+    the first-order-extraction warning silenced; one cycle is the scoring
+    kernel ``_generator_coords`` at the cycle time.
     """
     if group is None or group.size == 1:
-        channel, t = kraus_from_model(model, probe).apply, probe
-    else:
-        t = group.cycle_time
-        channel = _reduced_channel(model, bb_propagator(model, group, t))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return extract_generator(chi_from_lambda(run_qpt(channel, basis, time_tag=t)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            return extract_generator(chi_from_lambda(run_qpt(kraus_from_model(model, probe).apply, basis, time_tag=probe)))
+    return EffectiveGenerator(_generator_coords(model, group, np.array([group.cycle_time]), basis)[0], basis)
 
 
 def _analysis_candidate(gen, target, config, history: dict):

@@ -158,32 +158,29 @@ def _probe_inputs(dim: int):
 
     The stack holds ``|m><m|`` for every ``m``, then ``|+><+|`` and
     ``|+i><+i|`` of every pair ``m < n``, then the superposition-test states
-    ``|0><0|``, ``I / dim`` and their 0.37 : 0.63 mixture.  Row ``m * dim + n``
-    of the ``(dim^2, 4)`` tables ``index`` and ``coeff`` holds the stack
-    indices and coefficients whose responses sum to the response to
-    ``|m><n|``; a diagonal row is padded with coefficient 0.  The tables are
-    returned as the read-only ``(dim^2, dim^2)`` recombination matrix ``R``
-    over the first ``dim^2`` states, ``R[m * dim + n, index] += coeff``, so
-    the matrix-unit responses are ``R`` times the flattened responses.
+    ``|0><0|``, ``I / dim`` and their 0.37 : 0.63 mixture.  Row
+    ``m * dim + n`` of the read-only ``(dim^2, dim^2)`` recombination matrix
+    ``R`` holds the coefficients, over the first ``dim^2`` states, whose
+    responses sum to the response to ``|m><n|``: 1 at ``|m><m|`` on the
+    diagonal, and off it ``|+><+| + i |+i><+i| - (1 + i) (|m><m| + |n><n|) / 2``,
+    conjugated for ``m > n``.  So the matrix-unit responses are ``R`` times
+    the flattened responses.
     """
     c = 1.0 / np.sqrt(2.0)
     eye = np.eye(dim, dtype=complex)
     kets = list(eye)
-    index = np.empty((dim * dim, 4), dtype=int)
-    coeff = np.zeros((dim * dim, 4), dtype=complex)
+    # coefficients of |+><+|, |+i><+i|, |m><m| and |n><n| for m < n, then for m > n; ``0 - 1j`` has a +0.0 real part
+    upper, lower = (1.0, 1.0j, -0.5 - 0.5j, -0.5 - 0.5j), (1.0, 0 - 1j, -0.5 + 0.5j, -0.5 + 0.5j)
+    recombine = np.zeros((dim * dim, dim * dim), dtype=complex)
     for m in range(dim):
-        index[m * dim + m], coeff[m * dim + m, 0] = m, 1.0
+        recombine[m * dim + m, m] = 1.0
         for n in range(m + 1, dim):
             p = len(kets)
             kets += [(eye[m] + eye[n]) * c, (eye[m] + 1j * eye[n]) * c]
-            index[m * dim + n] = p, p + 1, m, n
-            coeff[m * dim + n] = 1.0, 1.0j, -0.5 - 0.5j, -0.5 - 0.5j
-            index[n * dim + m] = p, p + 1, n, m
-            coeff[n * dim + m] = 1.0, -1.0j, -0.5 + 0.5j, -0.5 + 0.5j
+            recombine[m * dim + n, [p, p + 1, m, n]] = upper
+            recombine[n * dim + m, [p, p + 1, n, m]] = lower
     states = [np.outer(k, k.conj()) for k in kets]
     states += [states[0], eye / dim, 0.37 * states[0] + 0.63 * (eye / dim)]
-    recombine = np.zeros((dim * dim, dim * dim), dtype=complex)
-    np.add.at(recombine, (np.arange(dim * dim)[:, None], index), coeff)
     return _readonly(np.array(states)), _readonly(recombine)
 
 

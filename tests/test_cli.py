@@ -314,7 +314,7 @@ class TestOptimize:
         cfg = {**dephasing_config(), "target": heisenberg_config()["target"]}
         code = main(["--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "out"), "optimize"])
         assert code == 2
-        assert capsys.readouterr().err.startswith("config error:")
+        assert capsys.readouterr().err.startswith("config error: the loop's two-qubit target needs qubits i < j < 1")
         assert not (tmp_path / "out").exists()
 
     def test_single_qubit_target_on_two_qubits(self, tmp_path):
@@ -538,7 +538,7 @@ class TestConfigValues:
         cfg["synthesis"]["pair"] = pair
         code = main(["--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "out"), "synthesize"])
         assert code == 2
-        assert capsys.readouterr().err.startswith("config error:")
+        assert capsys.readouterr().err.startswith("config error: synthesis.pair ")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["synthesize", "optimize"])

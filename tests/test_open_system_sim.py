@@ -302,6 +302,12 @@ class TestPulseGroupStack:
         with pytest.raises(DomainError, match="^pulses must be unitary within tolerance$"):
             PulseGroup.from_pulses(pulses, 0.1)
 
+    @pytest.mark.parametrize("scale", [1e100, 1e200])
+    def test_overflowing_pulse_rejected(self, scale):
+        # g^dag g or its norm overflows, which must fail the check, not warn
+        with pytest.raises(DomainError, match="^pulses must be unitary within tolerance$"):
+            PulseGroup.from_pulses([I2, scale * I2], 0.1)
+
     def test_each_pulse_checked_alone_not_the_stack_as_a_whole(self):
         # every pulse's residual ||g^dag g - I||_F is 7.1e-11, within MATRIX_RESIDUAL (1e-10);
         # over the 8 pulses together it is 2.0e-10, which must not count against any one of them
@@ -374,6 +380,9 @@ class TestLiftFreePropagation:
         assert np.linalg.norm(cycle - want_cycle) <= 1e-13 * scale
         assert np.array_equal(bb_cycle_propagator(model, group), cycle)
         assert np.linalg.norm(bb_propagator(model, group, t) - want) <= 1e-13 * scale
+        # a stack of times, repeats and a shared whole-cycle power included, is the per-time calls bit for bit
+        times = [t, 0.0, (n_cycles + 1) * group.cycle_time, t, (n_cycles + 0.5) * group.cycle_time]
+        assert np.array_equal(bb_propagator(model, group, times), [bb_propagator(model, group, s) for s in times])
 
     def test_round_off_at_a_segment_boundary_opens_no_segment(self, rng):
         # 0.75 of a 4-pulse cycle leaves a remainder of about 1e-17 after three segments,
@@ -384,6 +393,41 @@ class TestLiftFreePropagation:
         assert t - group.delta_t - group.delta_t - group.delta_t > 0.0  # the remainder the segments leave
         _, want = lifted_propagator(model, group, 0, 3, 0.0)
         assert np.linalg.norm(bb_propagator(model, group, t) - want) <= 1e-13 * 2
+        times = [0.5 * group.cycle_time, t, group.cycle_time, t]
+        assert np.array_equal(bb_propagator(model, group, times), [bb_propagator(model, group, s) for s in times])
+
+
+class TestBBPropagatorTimes:
+    """One time gives a ``(D, D)`` propagator, a 1-D sequence of times the ``(T, D, D)`` stack."""
+
+    @staticmethod
+    def group():
+        return PulseGroup.from_pulses([I2, axis_angle_unitary([1, 0, 0], np.pi / 2)], 0.1)
+
+    @pytest.mark.parametrize("t", [0.3, np.float64(0.3), 3], ids=repr)
+    def test_one_time_is_a_matrix(self, t):
+        assert bb_propagator(dephasing_model(), self.group(), t).shape == (4, 4)
+
+    @pytest.mark.parametrize("times", [[0.3], (0.1, 0.2, 0.45), np.array([0.0, 0.2, 0.2, 0.5])], ids=repr)
+    def test_sequence_is_a_stack(self, times):
+        u = bb_propagator(dephasing_model(), self.group(), times)
+        assert u.shape == (len(times), 4, 4)
+
+    @NON_FINITE
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_non_finite_time_anywhere_rejected(self, value, position):
+        times = [0.1, 0.2, 0.3]
+        times[position] = value
+        with pytest.raises(DomainError, match="propagation time"):
+            bb_propagator(dephasing_model(), self.group(), times)
+
+    def test_whole_cycles_are_the_power_of_the_cycle(self):
+        # so apply_bb_cycle, which takes bb_propagator at its cycle count, keeps the power's bits
+        model, group = dephasing_model(), self.group()
+        want = np.linalg.matrix_power(bb_cycle_propagator(model, group), 7)
+        assert np.array_equal(bb_propagator(model, group, 7 * group.cycle_time), want)
+        rho = DensityMatrix.from_state_vector([1, 1])
+        assert np.array_equal(apply_bb_cycle(model, group, 7, rho).matrix, _reduced_channel(model, want)(rho))
 
 
 class TestApplyBBCycle:

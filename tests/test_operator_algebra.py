@@ -241,6 +241,12 @@ class TestAdjoint:
         with pytest.raises(DomainError):
             adjoint_of(np.array([[1, 0], [0, 2]], dtype=complex), b)
 
+    @pytest.mark.parametrize("scale", [1e100, 1e200])
+    def test_overflowing_input_rejected(self, scale):
+        # u^dag u or its norm overflows, which must fail the check, not warn
+        with pytest.raises(DomainError, match="not unitary"):
+            adjoint_of(scale * I2, build_pauli_basis(1))
+
     def test_two_qubit_adjoint_is_15_dimensional(self, rng):
         b = build_pauli_basis(2)
         from conftest import random_unitary

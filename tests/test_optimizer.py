@@ -159,6 +159,30 @@ class TestEvaluateCost:
         cost = CostFunction(target=target, cycles=cycles, quadrature=quadrature)
         assert evaluate_cost(model, group, cost) == node_chain_cost(model, group, cost)
 
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), num_qubits=st.integers(1, 3), size=st.integers(2, 4))
+    def test_pulsed_probe_equals_the_public_chain_bit_for_bit(self, seed, num_qubits, size):
+        # one cycle probed through the scoring kernel reads what run_qpt, chi_from_lambda and extract_generator read
+        rng = np.random.default_rng(seed)
+        model = SystemBathModel(
+            system_hamiltonian=0.5 * random_hermitian(2**num_qubits, rng),
+            bath_hamiltonian=random_hermitian(2, rng),
+            couplings=tuple(Coupling(system=0.3 * on_qubit(p, q, num_qubits), bath=random_hermitian(2, rng))
+                            for q in range(num_qubits) for p in (SX, SY, SZ)),
+            bath_initial=random_density(2, rng),
+        )
+        group = _product_group([[I2] + [random_su2(rng) for _ in range(size - 1)] for _ in range(num_qubits)],
+                               float(rng.uniform(0.01, 0.1)))
+        basis = build_pauli_basis(num_qubits)
+        tc = group.cycle_time
+        channel = _reduced_channel(model, bb_propagator(model, group, tc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            want = extract_generator(chi_from_lambda(run_qpt(channel, basis, time_tag=tc)))
+        got = _measure_generator(model, group, 0.01, basis)
+        assert isinstance(got, EffectiveGenerator) and got.basis is basis
+        assert got.coords.tobytes() == want.coords.tobytes()
+
     def test_exact_solution_gives_zero(self):
         model = pure_dephasing_model()
         kick = parity_kick_group([1, 0, 0], delta_t=0.05)
