@@ -338,23 +338,25 @@ def bb_propagator(model: SystemBathModel, group: PulseGroup, t) -> np.ndarray:
     Whole cycles are applied first; a partial cycle runs through complete
     pulse/delay segments and a final fractional free evolution.  Inside an
     unfinished segment the opening pulse has been applied but its closing
-    conjugate has not.  A remainder below ``ROUNDOFF * max(cycle_time, 1)``
-    counts as 0, and one within that of a segment boundary ends there: it
-    opens no segment.  The cycle is built once per call and each distinct
-    whole-cycle power once; a single time is the batch of one.
+    conjugate has not.  Round-off in ``t`` grows with ``t``, so the
+    tolerances do too: ``t`` within ``ROUNDOFF * max(1, t / cycle_time)``
+    cycles below a whole count reads as that count, a remainder below
+    ``ROUNDOFF * max(cycle_time, 1, t)`` counts as 0, and one within that of
+    a segment boundary ends there: it opens no segment.  The cycle is built
+    once per call and each distinct whole-cycle power once; a single time is
+    the batch of one.
     """
     scalar = np.ndim(t) == 0
-    times = [_check_time(s) for s in ((t,) if scalar else t)]
+    times = [_check_time(t)] if scalar else [_check_time(s) for s in t]
     u0, cycle = _cycle(model, group)
     tc, dt = group.cycle_time, group.delta_t
-    snap = ROUNDOFF * max(tc, 1.0)
-    out = np.empty((len(times), *cycle.shape), dtype=complex)
-    powers = {}
-    for k, s in enumerate(times):
-        n_cycles = math.floor(s / tc + ROUNDOFF)
+    out, powers = [], {}
+    for s in times:
+        x = s / tc
+        n_cycles = math.floor(x + ROUNDOFF * max(1.0, x))
         if n_cycles not in powers:
             powers[n_cycles] = np.linalg.matrix_power(cycle, n_cycles)
-        u, rem = powers[n_cycles], s - n_cycles * tc
+        u, rem, snap = powers[n_cycles], s - n_cycles * tc, ROUNDOFF * max(tc, 1.0, s)
         if rem >= snap:
             j = 0
             while rem >= dt - snap and j < group.size:
@@ -363,8 +365,8 @@ def bb_propagator(model: SystemBathModel, group: PulseGroup, t) -> np.ndarray:
             u = _pulse_segments(u0, group.pulses[:j], u)
             if rem >= snap and j < group.size:
                 u = propagate(model, rem) @ _on_system(group.pulses[j], u)
-        out[k] = u
-    return out[0] if scalar else out
+        out.append(u)
+    return out[0] if scalar else np.array(out, dtype=complex).reshape(-1, *cycle.shape)
 
 
 def apply_bb_cycle(model: SystemBathModel, group: PulseGroup, num_cycles: int, rho_system_0) -> DensityMatrix:

@@ -421,13 +421,30 @@ class TestBBPropagatorTimes:
         with pytest.raises(DomainError, match="propagation time"):
             bb_propagator(dephasing_model(), self.group(), times)
 
-    def test_whole_cycles_are_the_power_of_the_cycle(self):
-        # so apply_bb_cycle, which takes bb_propagator at its cycle count, keeps the power's bits
-        model, group = dephasing_model(), self.group()
-        want = np.linalg.matrix_power(bb_cycle_propagator(model, group), 7)
-        assert np.array_equal(bb_propagator(model, group, 7 * group.cycle_time), want)
+    # past about 16000 cycles n * tc / tc can round below n by more than 1e-12 (at 24576 and 27309
+    # for these cycle times); it must still read as n whole cycles
+    @pytest.mark.parametrize("cycle_time", [0.3, 0.6, 1.2, 3.3])
+    @pytest.mark.parametrize("cycles", [7, 16384, 24576, 27309, 65536])
+    def test_whole_cycles_are_the_power_of_the_cycle(self, cycle_time, cycles):
+        # so apply_bb_cycle, which takes bb_propagator at its cycle count, keeps the power's bits;
+        # the last pulse is not the identity, so a cycle read one short would leave it unclosed
+        model = dephasing_model()
+        group = PulseGroup.from_pulses([I2, axis_angle_unitary([1, 0, 0], np.pi / 2)], cycle_time / 2)
+        want = np.linalg.matrix_power(bb_cycle_propagator(model, group), cycles)
+        assert np.array_equal(bb_propagator(model, group, cycles * group.cycle_time), want)
         rho = DensityMatrix.from_state_vector([1, 1])
-        assert np.array_equal(apply_bb_cycle(model, group, 7, rho).matrix, _reduced_channel(model, want)(rho))
+        assert np.array_equal(apply_bb_cycle(model, group, cycles, rho).matrix, _reduced_channel(model, want)(rho))
+
+    @pytest.mark.parametrize("cycle_time", [0.3, 1.2, 3.3])
+    @pytest.mark.parametrize("cycles", [16384, 27309, 65535])
+    def test_segment_boundary_after_many_cycles_opens_no_segment(self, cycle_time, cycles):
+        # the round-off in n * tc + 2 * dt grows with n past 1e-12; the second segment must still close
+        model = dephasing_model()
+        group = PulseGroup.from_pulses([I2, 1j * SX, 1j * SY, 1j * SZ], cycle_time / 4)
+        two = bb_propagator(model, group, 2 * group.delta_t)
+        want = two @ np.linalg.matrix_power(bb_cycle_propagator(model, group), cycles)
+        got = bb_propagator(model, group, cycles * group.cycle_time + 2 * group.delta_t)
+        assert np.linalg.norm(got - want) <= 1e-8
 
 
 class TestApplyBBCycle:
