@@ -48,6 +48,7 @@ from .operator_algebra import (
     _polar,
     _qubit_count,
     _readonly,
+    _square,
     _unit_axis,
     adjoint_of,
     axis_angle_unitary,
@@ -112,20 +113,19 @@ class TargetSpec:
             raise DomainError(f"unknown target kind {self.kind!r}")
         w = self.wanted
         if w is not None:
-            w = np.asarray(w, dtype=float)
+            if self.kind == "two_qubit":
+                w = _square(w, "two-qubit target pair matrix", dtype=float)
+                if w.shape == (3, 3):  # the generator block: the identity row and column are 0
+                    w = np.pad(w, ((1, 0), (1, 0)))
+                w = _square(w, "two-qubit target pair matrix", 4, dtype=float)
+            else:
+                w = np.asarray(w, dtype=float)
             if not np.isfinite(w).all():
                 raise DomainError("target coordinates must be finite")
             if self.kind == "single_qubit" and w.shape != (3,):
                 raise ShapeError("single-qubit target needs a 3-vector")
-            if self.kind == "two_qubit":
-                if w.shape == (3, 3):
-                    full = np.zeros((4, 4))
-                    full[1:, 1:] = w
-                    w = full
-                if w.shape != (4, 4):
-                    raise ShapeError("two-qubit target needs a 4x4 pair matrix")
-                if w[0, 0] != 0.0:
-                    raise DomainError("a two-qubit target's entry [0, 0] is the identity string, not a generator term; it must be 0")
+            if self.kind == "two_qubit" and w[0, 0] != 0.0:
+                raise DomainError("a two-qubit target's entry [0, 0] is the identity string, not a generator term; it must be 0")
             object.__setattr__(self, "wanted", _readonly(w))
         elif self.kind == "storage":
             object.__setattr__(self, "wanted", _readonly(np.zeros(3)))
@@ -216,9 +216,7 @@ def modified_pair_matrix(group: PulseGroup, xi_pair: np.ndarray) -> np.ndarray:
     """Pair coefficient matrix after averaging a two-qubit pulse set."""
     if group.dim != 4:
         raise ShapeError("pair transforms need two-qubit pulses")
-    if np.shape(xi_pair) != (4, 4):
-        raise ShapeError("pair coefficient matrix must be 4x4")
-    xi_flat = np.array(xi_pair, dtype=float).reshape(16)  # entry [a, b] is Pauli string 4a + b
+    xi_flat = _square(xi_pair, "pair coefficient matrix", 4, dtype=float).flatten()  # entry [a, b] is Pauli string 4a + b
     xi_flat[0] = 0.0
     acc = np.zeros(16)
     for r in group.rotations:
@@ -595,9 +593,7 @@ def solve_two_qubit(generator, target: TargetSpec, pair: tuple[int, int] = (0, 1
         raise DomainError("ansatz must be local_products")
     max_group_size = _check_count(max_group_size, "max_group_size", 2)
     pair = _check_pair(pair, getattr(generator, "num_qubits", None))
-    xi_pair = np.asarray(generator.pair_matrix(*pair) if hasattr(generator, "pair_matrix") else generator, dtype=float)
-    if xi_pair.shape != (4, 4):
-        raise ShapeError("pair coefficient matrix must be 4x4")
+    xi_pair = _square(generator.pair_matrix(*pair) if hasattr(generator, "pair_matrix") else generator, "pair coefficient matrix", 4, dtype=float)
     if not np.isfinite(xi_pair).all():
         raise DomainError("pair matrix coordinates must be finite")
     _check_time(delta_t, "delta_t", positive=True)
@@ -816,10 +812,10 @@ def group_to_pulses(rotations, dim: int) -> list[np.ndarray]:
     vecs = basis.elements.reshape(d2, d2)
     out = []
     for rot in rotations:
-        r = rot.matrix if isinstance(rot, AdjointRotation) else np.asarray(rot, dtype=float)
-        if r.shape != (n, n):
-            raise ShapeError(f"rotation must be {n}x{n} for dim {dim}")
-        if not (np.linalg.norm(r.T @ r - np.eye(n)) <= PULSE_RECOVERY and np.linalg.det(r) > 0):
+        r = _square(rot.matrix if isinstance(rot, AdjointRotation) else rot, "rotation", n, dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):  # an infinite entry fails the check as inf or NaN
+            orthogonal = np.linalg.norm(r.T @ r - np.eye(n)) <= PULSE_RECOVERY
+        if not (orthogonal and np.linalg.det(r) > 0):
             raise DomainError("rotations must be orthogonal with determinant +1")
         s = vecs.T @ _extend_identity(r).T @ vecs.conj() / basis.normalization
         choi = s.reshape(dim, dim, dim, dim).transpose(0, 2, 1, 3).reshape(d2, d2)

@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .defaults import BATH_EIGENVALUE_CUTOFF, LINEAR_SOLVE, MATRIX_RESIDUAL, ROUNDOFF
 from .errors import DomainError, ShapeError
-from .operator_algebra import AdjointRotation, _check_count, _check_hermitian, _check_time, _check_unitary, _kron, _qubit_count, _readonly, adjoint_of, build_pauli_basis
+from .operator_algebra import AdjointRotation, _check_count, _check_hermitian, _check_time, _check_unitary, _kron, _qubit_count, _readonly, _square, adjoint_of, build_pauli_basis
 
 __all__ = [
     "Coupling",
@@ -41,8 +42,9 @@ __all__ = [
 ]
 
 
-def _check_density(m: np.ndarray, name: str) -> np.ndarray:
-    m = _check_hermitian(m, name)
+def _check_density(m, name: str, dim: int | None = None) -> np.ndarray:
+    """``m`` through ``_check_hermitian``; ``DomainError`` unless it has unit trace and is positive semidefinite."""
+    m = _check_hermitian(m, name, dim)
     if not abs(np.trace(m).real - 1.0) <= MATRIX_RESIDUAL:
         raise DomainError(f"{name} must have unit trace")
     if np.linalg.eigvalsh(m).min() < -MATRIX_RESIDUAL:
@@ -65,8 +67,18 @@ class DensityMatrix:
 
     @classmethod
     def from_state_vector(cls, psi) -> "DensityMatrix":
-        psi = np.asarray(psi, dtype=complex)
-        psi = psi / np.linalg.norm(psi)
+        """``|psi><psi|`` of ``psi`` normalized; ``ShapeError`` unless ``psi`` is a non-empty 1-D vector, ``DomainError`` for a zero or non-finite norm."""
+        try:
+            psi = np.asarray(psi, dtype=complex)
+        except (TypeError, ValueError):  # ragged or non-numeric
+            psi = None
+        if psi is None or psi.ndim != 1 or not psi.size:
+            raise ShapeError("state vector must be a non-empty 1-D vector")
+        with np.errstate(over="ignore"):  # an overflowing norm fails the check as inf
+            norm = np.linalg.norm(psi)
+        if not 0 < norm <= sys.float_info.max:  # also false for NaN
+            raise DomainError("state vector must have a finite, non-zero norm")
+        psi = psi / norm
         return cls(np.outer(psi, psi.conj()))
 
 
@@ -102,16 +114,11 @@ class SystemBathModel:
         if rho_b is None:
             rho_b = np.zeros_like(hb)
             rho_b[0, 0] = 1.0
-        rho_b = _check_density(rho_b, "bath_initial")
-        if rho_b.shape != hb.shape:
-            raise ShapeError("bath_initial dimension must match bath_hamiltonian")
-        object.__setattr__(self, "bath_initial", _readonly(rho_b))
         ns, nb = hs.shape[0], hb.shape[0]
+        object.__setattr__(self, "bath_initial", _readonly(_check_density(rho_b, "bath_initial", nb)))
         for c in self.couplings:
-            if c.system.shape != (ns, ns):
-                raise ShapeError(f"coupling {c.name!r} system operator has wrong dimension")
-            if c.bath.shape != (nb, nb):
-                raise ShapeError(f"coupling {c.name!r} bath operator has wrong dimension")
+            _square(c.system, f"coupling {c.name!r} system operator", ns)
+            _square(c.bath, f"coupling {c.name!r} bath operator", nb)
 
     @property
     def system_dim(self) -> int:
@@ -151,11 +158,12 @@ class KrausSet:
     operators: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        ops = tuple(_readonly(np.asarray(a, dtype=complex)) for a in self.operators)
+        ops = tuple(_readonly(_square(self.operators, "Kraus operators", stack=True)))
         object.__setattr__(self, "operators", ops)
-        d = ops[0].shape[0]
-        total = sum(a.conj().T @ a for a in ops)
-        if not np.linalg.norm(total - np.eye(d)) <= MATRIX_RESIDUAL:
+        with np.errstate(over="ignore", invalid="ignore"):  # an infinite entry fails the check as inf or NaN
+            total = sum(a.conj().T @ a for a in ops)
+            complete = np.linalg.norm(total - np.eye(ops[0].shape[0])) <= MATRIX_RESIDUAL
+        if not complete:
             raise DomainError("Kraus set does not satisfy the completeness relation")
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
@@ -186,12 +194,9 @@ class PulseGroup:
         if len(self.pulses) == 0:
             raise ShapeError("a pulse group needs at least the identity pulse")
         object.__setattr__(self, "delta_t", _check_time(self.delta_t, "delta_t", positive=True))
-        try:
-            stack = np.array(self.pulses, dtype=complex)
-        except ValueError:  # pulses of different shapes
-            stack = None
-        if stack is None or stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
-            raise ShapeError("all pulses must share one dimension")
+        stack = _square(self.pulses, "pulses", stack=True)
+        if isinstance(self.pulses, np.ndarray):  # the caller's array, not a fresh one: the group owns a copy
+            stack = stack.copy()
         d = stack.shape[1]
         _qubit_count(d)
         if not np.linalg.norm(stack[0] - np.eye(d, dtype=complex)) <= ROUNDOFF:
@@ -300,19 +305,11 @@ def kraus_from_model(model: SystemBathModel, t: float) -> KrausSet:
 
 
 def bb_cycle_propagator(model: SystemBathModel, group: PulseGroup) -> np.ndarray:
-    """Propagator for one pulse cycle, ``prod_j g_j^dag U_0(dt) g_j``.
+    """Propagator for one pulse cycle, ``prod_j g_j^dag U_0(dt) g_j``: ``bb_propagator`` at ``group.cycle_time``.
 
     The product is taken with ascending ``j`` acting first on the state.
     """
-    return _cycle(model, group)[1]
-
-
-def _cycle(model: SystemBathModel, group: PulseGroup) -> tuple[np.ndarray, np.ndarray]:
-    """The free segment ``U_0(dt)`` and the one-cycle propagator built from it."""
-    if group.dim != model.system_dim:
-        raise ShapeError("pulse dimension does not match the system")
-    u0 = propagate(model, group.delta_t)
-    return u0, _pulse_segments(u0, group.pulses, np.eye(model.total_dim, dtype=complex))
+    return bb_propagator(model, group, group.cycle_time)
 
 
 def _on_system(g: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -348,7 +345,10 @@ def bb_propagator(model: SystemBathModel, group: PulseGroup, t) -> np.ndarray:
     """
     scalar = np.ndim(t) == 0
     times = [_check_time(t)] if scalar else [_check_time(s) for s in t]
-    u0, cycle = _cycle(model, group)
+    if group.dim != model.system_dim:
+        raise ShapeError("pulse dimension does not match the system")
+    u0 = propagate(model, group.delta_t)
+    cycle = _pulse_segments(u0, group.pulses, np.eye(model.total_dim, dtype=complex))
     tc, dt = group.cycle_time, group.delta_t
     out, powers = [], {}
     for s in times:
@@ -389,9 +389,7 @@ def symmetrize_hamiltonian(hamiltonian: np.ndarray, group: PulseGroup, check_cen
     centralizer of the group; ``check_centralizer=True`` verifies that the
     result commutes with every pulse.
     """
-    h = _check_hermitian(hamiltonian, "hamiltonian")
-    if h.shape != (group.dim, group.dim):
-        raise ShapeError("hamiltonian dimension does not match the pulses")
+    h = _check_hermitian(hamiltonian, "hamiltonian", group.dim)
     out = np.zeros_like(h)
     for g in group.pulses:
         out += g.conj().T @ h @ g

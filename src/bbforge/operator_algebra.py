@@ -125,11 +125,28 @@ def _polar(a: np.ndarray) -> np.ndarray:
     return w @ v
 
 
-def _check_hermitian(m, name: str) -> np.ndarray:
-    """``m`` as a complex square matrix; ``DomainError`` unless it is Hermitian within tolerance."""
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ShapeError(f"{name} must be a square matrix")
+def _square(m, name: str, dim: int | None = None, *, stack: bool = False, dtype=complex) -> np.ndarray:
+    """``m`` as an array of ``dtype``, if it is one square matrix, or with ``stack`` a non-empty ``(P, d, d)`` stack.
+
+    ``ShapeError`` for any other shape, for ragged or non-numeric input, for
+    ``d = 0`` and, when ``dim`` is given, for ``d != dim``.  Every matrix
+    argument of the package is converted here.
+    """
+    try:
+        a = np.asarray(m, dtype=dtype)
+    except (TypeError, ValueError):  # ragged or non-numeric
+        a = None
+    if a is None or a.ndim != 2 + stack or a.shape[-1] != a.shape[-2] or not a.size or (dim is not None and a.shape[-1] != dim):
+        what = "a non-empty stack of square matrices that share one dimension" if stack else "a non-empty square matrix"
+        got = "ragged or non-numeric input" if a is None else f"shape {a.shape}"
+        raise ShapeError(f"{name} must be {what}{'' if dim is None else f' of dimension {dim}'}, got {got}")
+    return a
+
+
+@np.errstate(over="ignore", invalid="ignore")  # an infinite entry fails the check as NaN
+def _check_hermitian(m, name: str, dim: int | None = None) -> np.ndarray:
+    """``m`` through ``_square``; ``DomainError`` unless it is Hermitian within tolerance."""
+    m = _square(m, name, dim)
     if not np.linalg.norm(m - m.conj().T) <= MATRIX_RESIDUAL:
         raise DomainError(f"{name} is not Hermitian within tolerance")
     return m
@@ -178,14 +195,13 @@ class OperatorBasis:
     labels: tuple[str, ...] = ()
 
     def __post_init__(self):
-        elements = _readonly(np.asarray(self.elements, dtype=complex))
+        elements = _readonly(_square(self.elements, "basis elements", stack=True))
         object.__setattr__(self, "elements", elements)
-        size, d1, d2 = elements.shape
-        if d1 != d2:
-            raise ShapeError("basis elements must be square matrices")
+        size, d1, _ = elements.shape
         if not np.allclose(elements[0], np.eye(d1), atol=ROUNDOFF):
             raise DomainError("basis element 0 must be the identity")
-        gram = elements.reshape(size, d1 * d1) @ elements.transpose(0, 2, 1).reshape(size, d1 * d1).T
+        with np.errstate(over="ignore", invalid="ignore"):  # an infinite entry fails the check as inf or NaN
+            gram = elements.reshape(size, d1 * d1) @ elements.transpose(0, 2, 1).reshape(size, d1 * d1).T
         if not np.allclose(gram, d1 * np.eye(size), atol=ROUNDOFF * d1):
             raise DomainError("basis is not trace-orthogonal with normalization dim")
 
@@ -291,11 +307,8 @@ class AdjointRotation:
     source_dim: int
 
     def __post_init__(self):
-        m = _readonly(np.asarray(self.matrix, dtype=float))
+        m = _readonly(_square(self.matrix, "adjoint rotation", self.source_dim**2 - 1, dtype=float))
         object.__setattr__(self, "matrix", m)
-        n = m.shape[0]
-        if m.shape != (n, n) or n != self.source_dim**2 - 1:
-            raise ShapeError("adjoint rotation must be (n^2-1) x (n^2-1)")
         _check_unitary(m, "adjoint rotation is not orthogonal")
         if not abs(np.linalg.det(m) - 1.0) <= MATRIX_RESIDUAL:
             raise DomainError("adjoint rotation must have determinant +1")
@@ -343,10 +356,7 @@ def expand(operator: np.ndarray, basis: OperatorBasis) -> CoordinateVector:
     DomainError
         If the operator is not Hermitian within tolerance.
     """
-    a = np.asarray(operator, dtype=complex)
-    if a.shape != (basis.dim, basis.dim):
-        raise ShapeError(f"operator shape {a.shape} does not match basis dim {basis.dim}")
-    _check_hermitian(a, "operator")
+    a = _check_hermitian(operator, "operator", basis.dim)
     coords = np.einsum("kij,ji->k", basis.generators, a) / basis.normalization
     return CoordinateVector(coords=coords.real, basis=basis)
 
@@ -370,9 +380,7 @@ def adjoint_of(unitary: np.ndarray, basis: OperatorBasis) -> AdjointRotation:
     DomainError
         If the input is not unitary within tolerance.
     """
-    u = np.asarray(unitary, dtype=complex)
-    if u.shape != (basis.dim, basis.dim):
-        raise ShapeError(f"unitary shape {u.shape} does not match basis dim {basis.dim}")
+    u = _square(unitary, "unitary", basis.dim)
     _check_unitary(u, "input is not unitary within tolerance")
     rotated = np.einsum("ab,kbc,cd->kad", u.conj().T, basis.generators, u)
     r = np.einsum("kad,jda->kj", rotated, basis.generators) / basis.normalization
@@ -557,14 +565,8 @@ def unitary_from_rotation(rotation) -> AxisAngle:
         If an entry lies outside [-1, 1] or no pulse satisfies the
         constraints within ``defaults.LINEAR_SOLVE``.
     """
-    if isinstance(rotation, AdjointRotation):
-        if rotation.source_dim != 2:
-            raise ShapeError("axis-angle inversion requires a single-qubit rotation")
-        target = np.asarray(rotation.matrix, dtype=float)
-    else:
-        target = np.asarray(rotation, dtype=float)
-    if target.shape != (3, 3):
-        raise ShapeError("rotation must be a 3x3 matrix (NaN marks free entries)")
+    matrix = rotation.matrix if isinstance(rotation, AdjointRotation) else rotation
+    target = _square(matrix, "rotation (NaN marks free entries)", 3, dtype=float)
     if np.isinf(target).any():
         raise DomainError("rotation entries must be finite or NaN (free)")
     mask = ~np.isnan(target)

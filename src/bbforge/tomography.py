@@ -22,7 +22,7 @@ import numpy as np
 from .defaults import HERMITICITY, LINEARITY, TRACE_PRESERVATION
 from .errors import DegenerateTimeError, DomainError, InconsistencyError, ShapeError
 from .open_system_sim import _matrix_to_pairs, _pairs_to_matrix
-from .operator_algebra import OperatorBasis, _check_hermitian, _check_pair, _check_time, _pauli_offsets, _readonly, _within_frobenius, build_pauli_basis
+from .operator_algebra import OperatorBasis, _check_hermitian, _check_pair, _check_time, _pauli_offsets, _readonly, _square, _within_frobenius, build_pauli_basis
 
 __all__ = [
     "TomographyData",
@@ -48,10 +48,7 @@ class TomographyData:
     time_tag: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "lam", _readonly(np.asarray(self.lam, dtype=complex)))
-        d2 = self.basis.dim**2
-        if self.lam.shape != (d2, d2):
-            raise ShapeError("lambda matrix has wrong shape")
+        object.__setattr__(self, "lam", _readonly(_square(self.lam, "lambda matrix", self.basis.dim**2)))
 
 
 @dataclass(frozen=True)
@@ -71,12 +68,7 @@ class ChiMatrix:
     residual: float = 0.0
 
     def __post_init__(self):
-        e = _readonly(np.asarray(self.entries, dtype=complex))
-        object.__setattr__(self, "entries", e)
-        nb = self.basis.size
-        if e.shape != (nb, nb):
-            raise ShapeError("chi matrix shape does not match the basis")
-        _check_hermitian(e, "chi matrix")
+        object.__setattr__(self, "entries", _readonly(_check_hermitian(self.entries, "chi matrix", self.basis.size)))
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         """Channel action reconstructed from the process matrix, on a ``(..., d, d)`` stack."""

@@ -512,6 +512,11 @@ BAD_CONFIG_VALUES = [
     ("simulate", ("initial_state",), [[[10**400, 0]]]),
     ("synthesize", ("target", "wanted"), [10**400, 0, 0]),
     ("simulate", ("simulate", "steps"), 10**400),
+    # a ragged matrix: one row of its [re, im] pair grid short
+    ("simulate", ("model", "system_hamiltonian"), [[[0.5, 0], [0, 0]], [[0, 0]]]),
+    ("synthesize", ("target",), {"kind": "two_qubit", "wanted": [[1, 0, 0], [0, 1, 0], [0, 0]]}),
+    ("synthesize", ("target", "stabilizer"), [[[[1, 0], [0, 0]], [[0, 0]]]]),
+    ("verify", ("verify", "group", "pulses"), [_matrix_to_pairs(I2), [[[0, 0], [1, 0]], [[1, 0]]]]),
 ]
 
 
