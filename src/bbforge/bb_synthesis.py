@@ -116,7 +116,9 @@ class TargetSpec:
             if self.kind == "two_qubit":
                 w = _square(w, "two-qubit target pair matrix", dtype=float)
                 if w.shape == (3, 3):  # the generator block: the identity row and column are 0
-                    w = np.pad(w, ((1, 0), (1, 0)))
+                    full = np.zeros((4, 4))
+                    full[1:, 1:] = w
+                    w = full
                 w = _square(w, "two-qubit target pair matrix", 4, dtype=float)
             else:
                 w = np.asarray(w, dtype=float)
