@@ -158,13 +158,10 @@ class KrausSet:
     operators: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        ops = tuple(_readonly(_square(self.operators, "Kraus operators", stack=True)))
-        object.__setattr__(self, "operators", ops)
-        with np.errstate(over="ignore", invalid="ignore"):  # an infinite entry fails the check as inf or NaN
-            total = sum(a.conj().T @ a for a in ops)
-            complete = np.linalg.norm(total - np.eye(ops[0].shape[0])) <= MATRIX_RESIDUAL
-        if not complete:
-            raise DomainError("Kraus set does not satisfy the completeness relation")
+        stack = _readonly(_square(self.operators, "Kraus operators", stack=True))
+        object.__setattr__(self, "operators", tuple(stack))
+        # sum_k A_k^dag A_k = I exactly when the operators stacked as one (K d, d) block form an isometry
+        _check_unitary(stack.reshape(-1, stack.shape[-1]), "Kraus set does not satisfy the completeness relation")
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         """``sum_k A_k rho A_k^dag``, state by state on a ``(..., d, d)`` stack."""

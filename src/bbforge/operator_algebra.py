@@ -136,7 +136,8 @@ def _square(m, name: str, dim: int | None = None, *, stack: bool = False, dtype=
         a = np.asarray(m, dtype=dtype)
     except (TypeError, ValueError):  # ragged or non-numeric
         a = None
-    if a is None or a.ndim != 2 + stack or a.shape[-1] != a.shape[-2] or not a.size or (dim is not None and a.shape[-1] != dim):
+    shape = () if a is None else a.shape
+    if len(shape) != 2 + stack or shape[-2] != shape[-1] or not a.size or (dim is not None and shape[-1] != dim):
         what = "a non-empty stack of square matrices that share one dimension" if stack else "a non-empty square matrix"
         got = "ragged or non-numeric input" if a is None else f"shape {a.shape}"
         raise ShapeError(f"{name} must be {what}{'' if dim is None else f' of dimension {dim}'}, got {got}")
