@@ -50,6 +50,7 @@ from .operator_algebra import (
     _readonly,
     _square,
     _unit_axis,
+    _vector,
     adjoint_of,
     axis_angle_unitary,
     build_pauli_basis,
@@ -120,12 +121,12 @@ class TargetSpec:
                     full[1:, 1:] = w
                     w = full
                 w = _square(w, "two-qubit target pair matrix", 4, dtype=float)
+            elif self.kind == "single_qubit":
+                w = _vector(w, "single-qubit target", 3)
             else:
                 w = np.asarray(w, dtype=float)
             if not np.isfinite(w).all():
                 raise DomainError("target coordinates must be finite")
-            if self.kind == "single_qubit" and w.shape != (3,):
-                raise ShapeError("single-qubit target needs a 3-vector")
             if self.kind == "two_qubit" and w[0, 0] != 0.0:
                 raise DomainError("a two-qubit target's entry [0, 0] is the identity string, not a generator term; it must be 0")
             object.__setattr__(self, "wanted", _readonly(w))

@@ -256,9 +256,7 @@ def _reduced_channel(model: SystemBathModel, u_full: np.ndarray):
 
     The returned channel accepts a :class:`DensityMatrix` or a
     ``(..., ns, ns)`` stack of system states and returns the stack of
-    reduced states, each equal to the channel applied to it alone.  Given
-    a ``(P..., D, D)`` stack of propagators it returns ``(P..., ..., ns, ns)``:
-    every state under every propagator.
+    reduced states, each equal to the channel applied to it alone.
     """
     ns, nb = model.system_dim, model.bath_dim
     rho_b = model.bath_initial
@@ -267,8 +265,7 @@ def _reduced_channel(model: SystemBathModel, u_full: np.ndarray):
         rho = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
         if rho.shape[-2:] != (ns, ns):
             raise ShapeError("initial state dimension does not match the system")
-        u = u_full.reshape(*u_full.shape[:-2], *(1,) * (rho.ndim - 2), *u_full.shape[-2:])
-        full = u @ _kron(rho, rho_b) @ u.conj().swapaxes(-1, -2)
+        full = u_full @ _kron(rho, rho_b) @ u_full.conj().T
         return partial_trace_bath(full, ns, nb)
 
     return channel

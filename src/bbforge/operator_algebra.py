@@ -144,6 +144,24 @@ def _square(m, name: str, dim: int | None = None, *, stack: bool = False, dtype=
     return a
 
 
+def _vector(v, name: str, length: int | None = None) -> np.ndarray:
+    """``v`` as a float array, if it is one 1-D vector, of ``length`` entries when given.
+
+    ``ShapeError`` for any other shape and for ragged or non-numeric input.
+    Pulse axes, single-qubit targets and generator coordinates are converted
+    here; valid input costs no numpy call beyond the conversion.
+    """
+    try:
+        a = np.asarray(v, dtype=float)
+    except (TypeError, ValueError):  # ragged or non-numeric
+        a = None
+    if a is None or a.ndim != 1 or (length is not None and len(a) != length):
+        what = "a 1-D vector" if length is None else f"a {length}-vector"
+        got = "ragged or non-numeric input" if a is None else f"shape {a.shape}"
+        raise ShapeError(f"{name} must be {what}, got {got}")
+    return a
+
+
 @np.errstate(over="ignore", invalid="ignore")  # an infinite entry fails the check as NaN
 def _check_hermitian(m, name: str, dim: int | None = None) -> np.ndarray:
     """``m`` through ``_square``; ``DomainError`` unless it is Hermitian within tolerance."""
@@ -328,10 +346,8 @@ class AxisAngle:
     free_axis: tuple[bool, bool, bool] = (False, False, False)
 
     def __post_init__(self):
-        axis = _readonly(np.asarray(self.axis, dtype=float))
+        axis = _readonly(_vector(self.axis, "axis", 3))
         object.__setattr__(self, "axis", axis)
-        if axis.shape != (3,):
-            raise ShapeError("axis must be a 3-vector")
         if not abs(np.linalg.norm(axis) - 1.0) <= NEGLIGIBLE:
             raise DomainError("axis must be a unit vector")
         if not (-np.pi < self.angle <= np.pi):
@@ -394,9 +410,7 @@ def _unit_axis(axis, angle: float) -> np.ndarray:
     ``ShapeError`` unless ``axis`` is a 3-vector; ``DomainError`` for a zero
     or non-finite axis or a non-finite angle.
     """
-    n = np.asarray(axis, dtype=float)
-    if n.shape != (3,):
-        raise ShapeError(f"pulse axis must be a 3-vector, got shape {n.shape}")
+    n = _vector(axis, "pulse axis", 3)
     norm = np.linalg.norm(n)
     if not (0 < norm <= sys.float_info.max and abs(angle) <= sys.float_info.max):  # also false for NaN
         raise DomainError("pulse axis must be finite and non-zero, and its angle finite")

@@ -33,7 +33,7 @@ from .bb_synthesis import (
 )
 from .defaults import EXACT_HIT, NEGLIGIBLE
 from .errors import DomainError, InfeasibleError, ShapeError
-from .open_system_sim import PulseGroup, SystemBathModel, _reduced_channel, bb_propagator, kraus_from_model
+from .open_system_sim import PulseGroup, SystemBathModel, bb_propagator, kraus_from_model
 from .operator_algebra import (
     _check_count,
     _check_time,
@@ -44,7 +44,7 @@ from .operator_algebra import (
     build_pauli_basis,
     unitary_from_rotation,
 )
-from .tomography import EffectiveGenerator, _assemble_lam, _chi_raw, _probe_inputs, chi_from_lambda, extract_generator, run_qpt
+from .tomography import EffectiveGenerator, _trace_residual, chi_from_lambda, extract_generator, run_qpt
 
 __all__ = [
     "CostFunction",
@@ -149,35 +149,46 @@ def _target_flat(target: TargetSpec, basis) -> np.ndarray:
 
 
 def _generator_coords(model: SystemBathModel, group: PulseGroup, times: np.ndarray, basis) -> np.ndarray:
-    """Generator coordinates read by process tomography of the pulsed evolution at each of a 1-D array of times.
+    """Generator coordinates ``Im(chi[1:, 0]) / t`` of the pulsed evolution at each of a 1-D array of times.
 
-    The stack of ``bb_propagator`` at ``times`` goes through one
-    ``_reduced_channel``, one ``_assemble_lam`` and one ``_chi_raw``, so
-    each node is checked for linearity and for preserving trace and
-    Hermiticity.  The coordinates at time ``t`` are ``Im(chi[1:, 0]) / t``
-    of chi's Hermitian part: bit for bit what ``run_qpt``,
-    ``chi_from_lambda`` and ``extract_generator`` give on each node alone,
-    without the first-order-extraction warning.
+    Chi's column 0 in closed form from the ``bb_propagator`` stack
+    ``U[t, p, b, m, c]`` (system ``p, m``, bath ``b, c``), with no probe
+    states, ``lam`` or full chi: with ``X = rho_B (Tr_S U)^dag``,
+    ``Y = Tr_B[U (I (x) X)]`` is ``sum_q channel(|m><q|)[p, q] = L vec(I)``,
+    so ``chi[:, 0] = A^dag vec(Y) / M^2`` (Wood, Biamonte & Cory,
+    arXiv:1111.6950).  ``rho_B`` is Hermitian, so row 0 is this column's
+    conjugate and this is the chain's Hermitian part.  Trace preservation,
+    ``Tr channel(|m><n|) = sum_cc' rho_B[c, c'] (U^dag U)[(n, c'), (m, c)]``,
+    is checked by ``_trace_residual``: a non-unitary ``U`` raises
+    ``InconsistencyError``.  The chain's other two checks cannot fire here:
+    the form is linear by construction and keeps Hermiticity for any ``U``.
+    Agrees with ``run_qpt``, ``chi_from_lambda`` and ``extract_generator``
+    on each node within 6e-13 relative, with no first-order warning.
     """
-    responses = _reduced_channel(model, bb_propagator(model, group, times))(_probe_inputs(basis.dim)[0])
-    chi, _ = _chi_raw(_assemble_lam(responses, basis.dim), basis)
-    return (chi[:, 1:, 0].imag - chi[:, 0, 1:].imag) / 2.0 / times[:, None]
+    ns, nb, rho_b = model.system_dim, model.bath_dim, model.bath_initial
+    u = bb_propagator(model, group, times)
+    blocks = u.reshape(-1, ns, nb, ns, nb)
+    gram = (u.conj().swapaxes(-1, -2) @ u).reshape(blocks.shape)
+    _trace_residual(np.einsum("tnamb,ba->tmn", gram, rho_b))
+    x = rho_b @ np.trace(blocks, axis1=1, axis2=3).conj().swapaxes(-1, -2)
+    y = np.einsum("tpbmc,tcb->tpm", blocks, x).reshape(len(times), ns * ns)
+    return (y @ basis.change_of_basis[1][1:].T).imag / (basis.normalization**2 * times[:, None])
 
 
 def evaluate_cost(model: SystemBathModel, group: PulseGroup, cost: CostFunction) -> float:
     """Integrated deviation between achieved and wanted generators.
 
-    All ``cycles * quadrature`` nodes are probed by full process tomography
-    in one pass over the stack ``bb_propagator`` gives for the node times
-    (``_generator_coords``).  The integrand is the Hilbert-Schmidt distance
-    of each node's generator to the wanted one, read off the coordinates as
-    ``error_report`` reads it.  The integral is the trapezoid rule from 0
-    with the first node's value held at ``t = 0``, written out with
-    ``np.trapezoid``'s arithmetic.  All of this is bit for bit what
-    ``bb_propagator``, ``run_qpt``, ``chi_from_lambda``,
-    ``extract_generator`` and ``error_report`` give on each node alone.
-    Node values below ``defaults.EXACT_HIT`` count as exact hits, so a
-    perfect pulse set reports a cost of exactly zero.
+    All ``cycles * quadrature`` nodes are read in one pass over the stack
+    ``bb_propagator`` gives for the node times: chi's column 0 in closed
+    form, each node checked for trace preservation (``_generator_coords``).
+    The integrand is the Hilbert-Schmidt distance of each node's generator
+    to the wanted one, read off the coordinates as ``error_report`` reads
+    it.  The integral is the trapezoid rule from 0 with the first node's
+    value held at ``t = 0``, written out with ``np.trapezoid``'s arithmetic.
+    This agrees with ``run_qpt``, ``chi_from_lambda``, ``extract_generator``
+    and ``error_report`` on each node alone within 6e-13 relative.  Node
+    values below ``defaults.EXACT_HIT`` count as exact hits, so a perfect
+    pulse set reports a cost of exactly zero.
     """
     if group.dim != model.system_dim:
         raise ShapeError("pulse dimension does not match the model")
@@ -220,8 +231,10 @@ def _measure_generator(model: SystemBathModel, group: PulseGroup | None, probe: 
     """The generator read by QPT of the unpulsed evolution at ``probe``, or of one cycle of ``group``.
 
     The unpulsed probe runs the public chain on ``kraus_from_model``, with
-    the first-order-extraction warning silenced; one cycle is the scoring
-    kernel ``_generator_coords`` at the cycle time.
+    the first-order-extraction warning silenced.  One cycle is the scoring
+    kernel ``_generator_coords`` at the cycle time: chi's column 0 in closed
+    form from the propagator, trace preservation checked, and within 6e-13
+    relative of what the public chain reads from that cycle's channel.
     """
     if group is None or group.size == 1:
         with warnings.catch_warnings():

@@ -22,7 +22,7 @@ import numpy as np
 from .defaults import HERMITICITY, LINEARITY, TRACE_PRESERVATION
 from .errors import DegenerateTimeError, DomainError, InconsistencyError, ShapeError
 from .open_system_sim import _matrix_to_pairs, _pairs_to_matrix
-from .operator_algebra import OperatorBasis, _check_hermitian, _check_pair, _check_time, _pauli_offsets, _readonly, _square, _within_frobenius, build_pauli_basis
+from .operator_algebra import OperatorBasis, _check_hermitian, _check_pair, _check_time, _pauli_offsets, _readonly, _square, _vector, _within_frobenius, build_pauli_basis
 
 __all__ = [
     "TomographyData",
@@ -48,7 +48,10 @@ class TomographyData:
     time_tag: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "lam", _readonly(_square(self.lam, "lambda matrix", self.basis.dim**2)))
+        lam = _square(self.lam, "lambda matrix", self.basis.dim**2)
+        if not np.isfinite(lam).all():
+            raise DomainError("lambda matrix must be finite")
+        object.__setattr__(self, "lam", _readonly(lam))
 
 
 @dataclass(frozen=True)
@@ -119,10 +122,8 @@ class EffectiveGenerator:
     basis: OperatorBasis
 
     def __post_init__(self):
-        coords = _readonly(np.asarray(self.coords, dtype=float))
+        coords = _readonly(_vector(self.coords, "generator coordinates", self.basis.num_generators))
         object.__setattr__(self, "coords", coords)
-        if coords.shape != (self.basis.num_generators,):
-            raise ShapeError("generator coordinates do not match the basis")
         if not np.isfinite(coords).all():
             raise DomainError("generator coordinates must be finite")
 
@@ -198,50 +199,56 @@ def run_qpt(channel, basis: OperatorBasis, *, time_tag: float | None = None) -> 
 
 
 def _assemble_lam(responses, dim: int) -> np.ndarray:
-    """``lam`` from a channel's responses to ``_probe_inputs(dim)``, over any leading axes.
+    """``lam`` from a channel's responses to ``_probe_inputs(dim)``.
 
-    ``responses`` has shape ``(..., dim^2 + 3, dim, dim)``; ``DomainError``
-    if any slice fails the superposition test.  The matrix-unit responses
-    are one matmul: the recombination matrix times the ``(dim^2, dim^2)``
-    flattened responses to the first ``dim^2`` states.
+    ``responses`` has shape ``(dim^2 + 3, dim, dim)``; ``DomainError`` if
+    it fails the superposition test.  The matrix-unit responses are one
+    matmul: the recombination matrix times the ``(dim^2, dim^2)`` flattened
+    responses to the first ``dim^2`` states.
     """
     states, recombine = _probe_inputs(dim)
     responses = np.asarray(responses, dtype=complex)
-    if responses.shape[-3:] != states.shape:
+    if responses.shape != states.shape:
         raise ShapeError("channel output dimension does not match its input")
-    r_a, r_b, direct = responses[..., -3, :, :], responses[..., -2, :, :], responses[..., -1, :, :]
+    r_a, r_b, direct = responses[-3:]
     if not _within_frobenius(direct - (0.37 * r_a + 0.63 * r_b), LINEARITY):
         raise DomainError("channel failed the superposition test; tomography needs a linear map")
     # expansion over matrix units is just the entries themselves
-    return recombine @ responses[..., : dim * dim, :, :].reshape(*responses.shape[:-3], dim * dim, dim * dim)
+    return recombine @ responses[: dim * dim].reshape(dim * dim, dim * dim)
 
 
-def _chi_raw(lam: np.ndarray, basis: OperatorBasis) -> tuple[np.ndarray, np.ndarray]:
-    """``chi = A^dag L A / M^2`` of each ``(d^2, d^2)`` slice of ``lam``, and its trace-preservation residual.
+def _trace_residual(traces: np.ndarray) -> np.ndarray:
+    """``||T - I||_F`` of each matrix of a ``(..., d, d)`` stack ``T[m, n] = Tr channel(|m><n|)``.
 
-    The residual is ``||T - I||_F`` with ``T[m, n] = sum_p lam[(m, n), (p, p)] = Tr channel(|m><n|)``,
-    the transpose of ``sum_ab chi_ab K_b K_a``.  ``InconsistencyError`` if any
-    slice's residual exceeds ``defaults.TRACE_PRESERVATION``, or its chi's
-    skew-Hermitian norm ``||chi - chi^dag||_F / 2`` exceeds
-    ``defaults.HERMITICITY``, or either is not finite: a channel maps
-    Hermitian states to Hermitian states exactly when its chi is Hermitian.
-    ``A`` and ``A^dag`` are the basis's ``change_of_basis``, built once per
-    basis; the per-call work is the reorder of ``lam`` and two products.
+    ``InconsistencyError`` if any residual exceeds
+    ``defaults.TRACE_PRESERVATION`` or is not finite: the probed map is not
+    a trace-preserving channel.
     """
-    d = basis.dim
-    lead = lam.shape[:-2]
-    units = lam.reshape(*lead, d, d, d, d)
-    residual = np.linalg.norm(np.einsum("...mnpp->...mn", units) - np.eye(d), axis=(-2, -1))
+    residual = np.linalg.norm(traces - np.eye(traces.shape[-1]), axis=(-2, -1))
     if not (residual <= TRACE_PRESERVATION).all():
         raise InconsistencyError(f"trace-preservation residual {np.max(residual):.2e}; channel is not trace preserving")
+    return residual
+
+
+def _chi_raw(lam: np.ndarray, basis: OperatorBasis) -> tuple[np.ndarray, float]:
+    """``chi = A^dag L A / M^2`` of a ``(d^2, d^2)`` ``lam``, and its trace-preservation residual.
+
+    The residual is ``_trace_residual`` of ``T[m, n] = sum_p lam[(m, n), (p, p)]``,
+    the transpose of ``sum_ab chi_ab K_b K_a``.  ``InconsistencyError`` also
+    if chi's skew-Hermitian norm ``||chi - chi^dag||_F / 2`` exceeds
+    ``defaults.HERMITICITY`` or is not finite: a channel maps Hermitian
+    states to Hermitian states exactly when its chi is Hermitian.  ``A`` and
+    ``A^dag`` are the basis's ``change_of_basis``, built once per basis.
+    """
+    d = basis.dim
+    units = lam.reshape(d, d, d, d)
+    residual = _trace_residual(np.einsum("mnpp->mn", units))
     a, a_dag = basis.change_of_basis
-    lam = units.transpose(*range(len(lead)), -2, -4, -1, -3).reshape(*lead, d * d, d * d)
-    chi = a_dag @ lam @ a / basis.normalization**2
-    skew = chi - chi.conj().swapaxes(-1, -2)
+    chi = a_dag @ units.transpose(2, 0, 3, 1).reshape(d * d, d * d) @ a / basis.normalization**2
+    skew = chi - chi.conj().T
     if not _within_frobenius(skew, 2.0 * HERMITICITY):
-        worst = np.max(np.linalg.norm(skew, axis=(-2, -1))) / 2.0
-        raise InconsistencyError(f"chi skew-Hermitian norm {worst:.2e}; channel is not Hermiticity preserving")
-    return chi, residual
+        raise InconsistencyError(f"chi skew-Hermitian norm {np.linalg.norm(skew) / 2.0:.2e}; channel is not Hermiticity preserving")
+    return chi, float(residual)
 
 
 def chi_from_lambda(data: TomographyData) -> ChiMatrix:
@@ -265,7 +272,7 @@ def chi_from_lambda(data: TomographyData) -> ChiMatrix:
     """
     chi, residual = _chi_raw(data.lam, data.basis)
     skew = float(np.linalg.norm(chi - chi.conj().T) / 2.0)
-    return ChiMatrix((chi + chi.conj().T) / 2.0, data.time_tag, data.basis, skew_norm=skew, residual=float(residual))
+    return ChiMatrix((chi + chi.conj().T) / 2.0, data.time_tag, data.basis, skew_norm=skew, residual=residual)
 
 
 def extract_generator(chi: ChiMatrix) -> EffectiveGenerator:

@@ -17,7 +17,16 @@ stopped building ``g (x) I_B``: both ``chi.json`` files (``storage-1q``'s
 ``skew_norm`` 0 -> 6.4e-20, ``heisenberg-2q``'s ``skew_norm`` and
 ``residual`` in their last digits; every chi entry bit for bit) and
 ``storage-1q``'s ``generations.csv`` (``mean_J`` in the last two digits;
-``best_J`` bit for bit).  Float bits depend on the numpy build; the
+``best_J`` bit for bit).  Two were re-taken when the loop began to read
+chi's column 0 in closed form from the propagator: ``storage-1q``'s
+``generations.csv`` and ``best_group.json``.  Its model is symmetric under
+a system rotation about z, so the groups {I, iX} and {I, iY} cost exactly
+the same; the old read broke that tie by 4.9e-18 in favour of iY, and the
+closed form gives both the same bits, so the stable sort keeps iX, the
+first in the population.  ``best_J`` moved by 4.3e-15 relative and every
+generation kept its group size and flag; the last generation's ``mean_J``
+moved by 2.2% because its elites, and so its tournaments, changed.
+Float bits depend on the numpy build; the
 digests were taken with numpy 2.4.6 and its bundled OpenBLAS on x86-64.
 """
 
@@ -85,9 +94,9 @@ def heisenberg_2q() -> dict:
 # config: {artifact: sha256}
 GOLDEN = {
     "storage-1q": {
-        "best_group.json": "c3096739244cf68a587e75f1622a3f692f74be25be94dabfc9ecf1044c4778aa",
+        "best_group.json": "6717b16173b0f67a634a1b11d187e1a927e6aa95e38a06fe364a617c683bfe21",
         "chi.json": "907ce90ebbcd1abd3e36830ac0ae953427574d278b9bef842ba89f236a0c70e7",
-        "generations.csv": "cc6cbb26fc64412d36646373756c74984fee7e4cdc7f4b42f842d4e98d734289",
+        "generations.csv": "79aba88ce8c753a930db6cb06d51694fd4237ae8b6776aa91f7235cb31f3c3bc",
         "synthesis.json": "83aea058e3d79743b11a5ed25934e8a9ca81076a9a6efc9aebfb666f87fdc322",
         "trajectory.csv": "136be6af0d94669ab245f5030421ca6a44df909b3506621c366389b6fc8eb677",
         "verify.json": "bbd5962f9f12d366f416ecfe2b8a988fec50ddc398e24e5af598608903613cb0",

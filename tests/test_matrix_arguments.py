@@ -1,4 +1,4 @@
-"""Every matrix argument of the library, malformed in each way: a wrong shape raises ``ShapeError``, an infinite entry ``DomainError``.
+"""Every matrix and vector argument of the library, malformed in each way: a wrong shape raises ``ShapeError``, an infinite entry ``DomainError``.
 
 Each site is a builder that passes its one argument as the matrix under
 test, with a valid value of that argument.  The malformed values are
@@ -12,8 +12,18 @@ import pytest
 from bbforge.bb_synthesis import StabilizerSpace, TargetSpec, group_to_pulses, modified_pair_matrix, solve_two_qubit
 from bbforge.errors import DomainError, ShapeError
 from bbforge.open_system_sim import Coupling, DensityMatrix, KrausSet, PulseGroup, SystemBathModel, symmetrize_hamiltonian
-from bbforge.operator_algebra import AdjointRotation, OperatorBasis, adjoint_of, build_pauli_basis, expand, unitary_from_rotation
-from bbforge.tomography import ChiMatrix, TomographyData
+from bbforge.operator_algebra import (
+    AdjointRotation,
+    AxisAngle,
+    OperatorBasis,
+    adjoint_of,
+    axis_angle_rotation,
+    axis_angle_unitary,
+    build_pauli_basis,
+    expand,
+    unitary_from_rotation,
+)
+from bbforge.tomography import ChiMatrix, EffectiveGenerator, TomographyData
 
 from conftest import I2, SX, SZ
 
@@ -41,7 +51,7 @@ SITES = {
     "KrausSet": (lambda m: KrausSet(operators=m), np.array([I2, SZ]) / np.sqrt(2), False, True),
     "PulseGroup": (lambda m: PulseGroup.from_pulses(m, 0.1), np.array([I2, 1j * SX]), False, True),
     "symmetrize_hamiltonian": (lambda m: symmetrize_hamiltonian(m, GROUP_1Q), SZ, True, True),
-    "TomographyData": (lambda m: TomographyData(lam=m, basis=BASIS_1Q), np.eye(4), True, False),
+    "TomographyData": (lambda m: TomographyData(lam=m, basis=BASIS_1Q), np.eye(4), True, True),
     "ChiMatrix": (lambda m: ChiMatrix(entries=m, time_tag=None, basis=BASIS_1Q), np.diag([1.0, 0, 0, 0]), True, True),
     "TargetSpec": (lambda m: TargetSpec(kind="two_qubit", wanted=m), np.diag([0.0, 1, 1, 1]), True, True),
     "modified_pair_matrix": (lambda m: modified_pair_matrix(GROUP_2Q, m), np.diag([0.0, 1, 1, 1]), True, False),
@@ -104,3 +114,34 @@ def test_state_vector_shape(psi):
 def test_state_vector_norm(psi):
     with pytest.raises(DomainError, match="norm"):
         DensityMatrix.from_state_vector(psi)
+
+
+# vector site: (builder of the vector argument, its valid value)
+VECTOR_SITES = {
+    "axis_angle_unitary": (lambda v: axis_angle_unitary(v, 0.3), [1.0, 0.0, 0.0]),
+    "axis_angle_rotation": (lambda v: axis_angle_rotation(v, 0.3), [1.0, 0.0, 0.0]),
+    "AxisAngle": (lambda v: AxisAngle(axis=v, angle=0.3), [1.0, 0.0, 0.0]),
+    "TargetSpec-single_qubit": (lambda v: TargetSpec(kind="single_qubit", wanted=v), [1.0, 2.0, 4.0]),
+    "EffectiveGenerator": (lambda v: EffectiveGenerator(v, BASIS_1Q), [1.0, 2.0, 3.0]),
+}
+MALFORMED_VECTORS = {
+    "ragged": lambda valid: [valid[0], valid[1:], valid[-1]],
+    "non-numeric": lambda valid: ["x", *valid[1:]],
+    "2-D": lambda valid: [valid],
+    "scalar": lambda valid: valid[0],
+    "wrong-length": lambda valid: [*valid, 0.0],
+}
+
+
+@pytest.mark.parametrize("site", VECTOR_SITES)
+def test_valid_vector_passes_the_shape_check(site):
+    build, valid = VECTOR_SITES[site]
+    build(valid)
+
+
+@pytest.mark.parametrize("kind", MALFORMED_VECTORS)
+@pytest.mark.parametrize("site", VECTOR_SITES)
+def test_malformed_vector_raises_shape_error(site, kind):
+    build, valid = VECTOR_SITES[site]
+    with pytest.raises(ShapeError):
+        build(MALFORMED_VECTORS[kind](valid))

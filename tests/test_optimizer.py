@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import bbforge.optimizer as optimizer_mod
 from bbforge.bb_synthesis import TargetSpec, _catalogue, _product_group, error_report, parity_kick_group, solve_storage
 from bbforge.defaults import EXACT_HIT, LINEAR_SOLVE
-from bbforge.errors import CapacityError, DomainError, ShapeError
+from bbforge.errors import CapacityError, DomainError, InconsistencyError, ShapeError
 from bbforge.open_system_sim import Coupling, PulseGroup, SystemBathModel, _reduced_channel, bb_propagator
 from bbforge.operator_algebra import (
     MAX_BASIS_QUBITS,
@@ -58,6 +58,11 @@ from conftest import (
 )
 
 B1 = build_pauli_basis(1)
+
+# Relative bound on the closed-form generator read against the public chain
+# (run_qpt, chi_from_lambda, extract_generator): 10x the largest deviation,
+# 5.9e-14, measured over 11,000 draws of the agreement tests' strategies.
+CHAIN_AGREEMENT = 6e-13
 
 
 def pure_dephasing_model(g=1.0):
@@ -134,6 +139,20 @@ def node_chain_cost(model, group, cost) -> float:
     return float(np.trapezoid([values[0], *values], [0.0, *times]))
 
 
+def chain_test_model(rng, num_qubits, size):
+    """A random model on ``num_qubits`` system qubits and one bath qubit, and a random local-product group of ``size`` pulses."""
+    model = SystemBathModel(
+        system_hamiltonian=0.5 * random_hermitian(2**num_qubits, rng),
+        bath_hamiltonian=random_hermitian(2, rng),
+        couplings=tuple(Coupling(system=0.3 * on_qubit(p, q, num_qubits), bath=random_hermitian(2, rng))
+                        for q in range(num_qubits) for p in (SX, SY, SZ)),
+        bath_initial=random_density(2, rng),
+    )
+    group = _product_group([[I2] + [random_su2(rng) for _ in range(size - 1)] for _ in range(num_qubits)],
+                           float(rng.uniform(0.01, 0.1)))
+    return model, group
+
+
 class TestEvaluateCost:
     @settings(max_examples=40, deadline=None)
     @given(
@@ -144,35 +163,20 @@ class TestEvaluateCost:
         quadrature=st.integers(1, 3),
         gate=st.booleans(),
     )
-    def test_stacked_nodes_equal_the_per_node_chain_bit_for_bit(self, seed, num_qubits, size, cycles, quadrature, gate):
+    def test_stacked_nodes_agree_with_the_per_node_chain(self, seed, num_qubits, size, cycles, quadrature, gate):
         rng = np.random.default_rng(seed)
-        model = SystemBathModel(
-            system_hamiltonian=0.5 * random_hermitian(2**num_qubits, rng),
-            bath_hamiltonian=random_hermitian(2, rng),
-            couplings=tuple(Coupling(system=0.3 * on_qubit(p, q, num_qubits), bath=random_hermitian(2, rng))
-                            for q in range(num_qubits) for p in (SX, SY, SZ)),
-            bath_initial=random_density(2, rng),
-        )
-        group = _product_group([[I2] + [random_su2(rng) for _ in range(size - 1)] for _ in range(num_qubits)],
-                               float(rng.uniform(0.01, 0.1)))
+        model, group = chain_test_model(rng, num_qubits, size)
         target = TargetSpec(kind="single_qubit", wanted=rng.normal(size=3)) if gate else TargetSpec(kind="storage")
         cost = CostFunction(target=target, cycles=cycles, quadrature=quadrature)
-        assert evaluate_cost(model, group, cost) == node_chain_cost(model, group, cost)
+        want = node_chain_cost(model, group, cost)
+        assert abs(evaluate_cost(model, group, cost) - want) <= CHAIN_AGREEMENT * abs(want)
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), num_qubits=st.integers(1, 3), size=st.integers(2, 4))
-    def test_pulsed_probe_equals_the_public_chain_bit_for_bit(self, seed, num_qubits, size):
+    def test_pulsed_probe_agrees_with_the_public_chain(self, seed, num_qubits, size):
         # one cycle probed through the scoring kernel reads what run_qpt, chi_from_lambda and extract_generator read
         rng = np.random.default_rng(seed)
-        model = SystemBathModel(
-            system_hamiltonian=0.5 * random_hermitian(2**num_qubits, rng),
-            bath_hamiltonian=random_hermitian(2, rng),
-            couplings=tuple(Coupling(system=0.3 * on_qubit(p, q, num_qubits), bath=random_hermitian(2, rng))
-                            for q in range(num_qubits) for p in (SX, SY, SZ)),
-            bath_initial=random_density(2, rng),
-        )
-        group = _product_group([[I2] + [random_su2(rng) for _ in range(size - 1)] for _ in range(num_qubits)],
-                               float(rng.uniform(0.01, 0.1)))
+        model, group = chain_test_model(rng, num_qubits, size)
         basis = build_pauli_basis(num_qubits)
         tc = group.cycle_time
         channel = _reduced_channel(model, bb_propagator(model, group, tc))
@@ -181,7 +185,18 @@ class TestEvaluateCost:
             want = extract_generator(chi_from_lambda(run_qpt(channel, basis, time_tag=tc)))
         got = _measure_generator(model, group, 0.01, basis)
         assert isinstance(got, EffectiveGenerator) and got.basis is basis
-        assert got.coords.tobytes() == want.coords.tobytes()
+        assert np.linalg.norm(got.coords - want.coords) <= CHAIN_AGREEMENT * np.linalg.norm(want.coords)
+
+    @pytest.mark.parametrize("spoil", [1.0 + 1e-4, np.array([1.0, np.nan])[:, None, None]], ids=["scaled", "nan"])
+    def test_non_unitary_propagator_fails_the_trace_check(self, monkeypatch, spoil):
+        # the closed form is linear and keeps Hermiticity for any U; trace preservation is the one check that can fire
+        model, group = chain_test_model(np.random.default_rng(3), 2, 3)
+        times = np.array([0.5, 1.0]) * group.cycle_time
+        basis = build_pauli_basis(2)
+        optimizer_mod._generator_coords(model, group, times, basis)
+        monkeypatch.setattr(optimizer_mod, "bb_propagator", lambda *args: spoil * bb_propagator(*args))
+        with pytest.raises(InconsistencyError, match="not trace preserving"):
+            optimizer_mod._generator_coords(model, group, times, basis)
 
     def test_exact_solution_gives_zero(self):
         model = pure_dephasing_model()

@@ -151,70 +151,53 @@ class TestRunQPT:
             run_qpt(lambda r: r[0], b)
 
 
-class TestStackedKernels:
-    """``lam`` assembly and the chi product over leading axes: each slice as if it were alone, each slice checked."""
+class TestKernelChecks:
+    """``_assemble_lam`` and the chi product on one channel's responses: the residual is the chi-side sum, and each check fires."""
 
     @staticmethod
-    def unitary_responses(num_qubits, count, rng):
-        states = _probe_inputs(2**num_qubits)[0]
-        u = np.array([random_unitary(2**num_qubits, rng) for _ in range(count)])
-        return u[:, None] @ states @ u.conj().swapaxes(-1, -2)[:, None]
-
-    @pytest.mark.parametrize("num_qubits", [1, 2, 3])
-    def test_each_slice_equals_its_single_run_bit_for_bit(self, rng, num_qubits):
-        b = build_pauli_basis(num_qubits)
-        responses = self.unitary_responses(num_qubits, 3, rng)
-        lam = _assemble_lam(responses, b.dim)
-        chi, residual = _chi_raw(lam, b)
-        assert lam.shape == (3, b.dim**2, b.dim**2) and chi.shape == (3, b.size, b.size) and residual.shape == (3,)
-        for i, r in enumerate(responses):
-            single = run_qpt(lambda _: r, b)
-            assert np.array_equal(lam[i], single.lam)
-            chi_i, residual_i = _chi_raw(single.lam, b)
-            assert np.array_equal(chi[i], chi_i) and residual[i] == residual_i == chi_from_lambda(single).residual
+    def unitary_responses(num_qubits, rng):
+        u = random_unitary(2**num_qubits, rng)
+        return u @ _probe_inputs(2**num_qubits)[0] @ u.conj().T
 
     @pytest.mark.parametrize("num_qubits", [1, 2, 3])
     def test_residual_matches_the_chi_side_sum(self, rng, num_qubits):
         # reference: ||sum_ab chi_ab K_b K_a - I||_F of the same chi
         b = build_pauli_basis(num_qubits)
-        responses = self.unitary_responses(num_qubits, 3, rng)
-        responses *= 1.0 + np.array([0.0, 1e-9, 3e-7])[:, None, None, None]  # slices 1 and 2 leak trace
-        chi, residual = _chi_raw(_assemble_lam(responses, b.dim), b)
         k = b.elements
-        for i in range(3):
-            want = np.linalg.norm(np.einsum("ab,bij,ajk->ik", chi[i], k, k) - np.eye(b.dim))
-            assert abs(residual[i] - want) <= 1e-14
-        assert residual[0] < 1e-14 < residual[1] < residual[2] < 1e-6
+        residuals = []
+        for leak in (0.0, 1e-9, 3e-7):
+            chi, residual = _chi_raw(_assemble_lam(self.unitary_responses(num_qubits, rng) * (1.0 + leak), b.dim), b)
+            want = np.linalg.norm(np.einsum("ab,bij,ajk->ik", chi, k, k) - np.eye(b.dim))
+            assert abs(residual - want) <= 1e-14
+            residuals.append(residual)
+        assert residuals[0] < 1e-14 < residuals[1] < residuals[2] < 1e-6
 
-    @pytest.mark.parametrize("bad", [0, 2])
-    def test_one_nonlinear_slice_rejected(self, rng, bad):
-        responses = self.unitary_responses(1, 3, rng)
-        responses[bad] = responses[bad] @ responses[bad]
+    def test_nonlinear_response_rejected(self, rng):
+        responses = self.unitary_responses(1, rng)
+        _assemble_lam(responses, 2)
         with pytest.raises(DomainError, match="superposition"):
-            _assemble_lam(responses, 2)
+            _assemble_lam(responses @ responses, 2)
 
-    @pytest.mark.parametrize("bad", [0, 2])
-    def test_one_non_trace_preserving_slice_rejected(self, rng, bad):
+    def test_non_trace_preserving_response_rejected(self, rng):
         b = build_pauli_basis(2)
-        lam = _assemble_lam(self.unitary_responses(2, 3, rng), b.dim)
+        lam = _assemble_lam(self.unitary_responses(2, rng), b.dim)
         _chi_raw(lam, b)
-        lam[bad] *= 0.9
         with pytest.raises(InconsistencyError, match="not trace preserving"):
-            _chi_raw(lam, b)
+            _chi_raw(lam * 0.9, b)
 
-    @pytest.mark.parametrize("bad", [0, 2])
-    def test_one_non_hermiticity_preserving_slice_rejected(self, rng, bad):
+    def test_non_hermiticity_preserving_response_rejected(self, rng):
         b = build_pauli_basis(2)
-        responses = self.unitary_responses(2, 3, rng)
+        responses = self.unitary_responses(2, rng)
         _chi_raw(_assemble_lam(responses, b.dim), b)
         zz = np.kron(SZ, SZ)
-        responses[bad] += 0.005 * (zz @ responses[bad] - responses[bad] @ zz)
+        responses += 0.005 * (zz @ responses - responses @ zz)
         with pytest.raises(InconsistencyError, match="not Hermiticity preserving"):
             _chi_raw(_assemble_lam(responses, b.dim), b)
 
-    def test_wrong_trailing_shape_rejected(self, rng):
-        responses = self.unitary_responses(1, 2, rng)
-        for wrong in (responses[..., :1, :1], responses[:, :-1], responses[:, :, None]):
+    def test_wrong_shape_rejected(self, rng):
+        # a leading axis is a wrong shape too: one call probes one channel
+        responses = self.unitary_responses(1, rng)
+        for wrong in (responses[..., :1, :1], responses[:-1], responses[None]):
             with pytest.raises(ShapeError):
                 _assemble_lam(wrong, 2)
 
@@ -348,9 +331,12 @@ class TestChiFromLambda:
             chi_from_lambda(data)
 
     def test_non_finite_response_rejected(self):
+        # a non-finite lam stops at TomographyData; the kernel's residual check still rejects one behind it
         b = build_pauli_basis(2)
-        with pytest.raises(InconsistencyError):
-            chi_from_lambda(TomographyData(lam=np.full((16, 16), np.nan), basis=b))
+        with pytest.raises(DomainError, match="finite"):
+            TomographyData(lam=np.full((16, 16), np.nan), basis=b)
+        with pytest.raises(InconsistencyError, match="not trace preserving"):
+            _chi_raw(np.full((16, 16), np.nan), b)
 
     def test_trace_preserving_residual_reported(self):
         # first-order maps are trace preserving though not completely positive
