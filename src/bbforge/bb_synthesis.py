@@ -102,7 +102,9 @@ class TargetSpec:
 
     ``kind`` is one of ``storage``, ``single_qubit``, ``two_qubit`` or
     ``encoded``; ``wanted`` is a 3-vector for single-qubit targets, a 4x4
-    pair matrix for two-qubit targets, and zero / omitted for storage.
+    pair matrix (or its 3x3 generator block) for two-qubit targets, a
+    vector for encoded targets, and zero / omitted for storage.  Every
+    form must be finite and real.
     """
 
     kind: str
@@ -121,14 +123,12 @@ class TargetSpec:
                     full[1:, 1:] = w
                     w = full
                 w = _square(w, "two-qubit target pair matrix", 4, dtype=float)
-            elif self.kind == "single_qubit":
-                w = _vector(w, "single-qubit target", 3)
+                if not np.isfinite(w).all():
+                    raise DomainError("target coordinates must be finite")
+                if w[0, 0] != 0.0:
+                    raise DomainError("a two-qubit target's entry [0, 0] is the identity string, not a generator term; it must be 0")
             else:
-                w = np.asarray(w, dtype=float)
-            if not np.isfinite(w).all():
-                raise DomainError("target coordinates must be finite")
-            if self.kind == "two_qubit" and w[0, 0] != 0.0:
-                raise DomainError("a two-qubit target's entry [0, 0] is the identity string, not a generator term; it must be 0")
+                w = _vector(w, f"{self.kind.replace('_', '-')} target", 3 if self.kind == "single_qubit" else None)
             object.__setattr__(self, "wanted", _readonly(w))
         elif self.kind == "storage":
             object.__setattr__(self, "wanted", _readonly(np.zeros(3)))
@@ -203,7 +203,7 @@ def averaged_rotation(group: PulseGroup) -> np.ndarray:
 
 def modified_vector(group: PulseGroup, xi: np.ndarray) -> np.ndarray:
     """Coordinates of the generator after averaging over the pulse set."""
-    return averaged_rotation(group).T @ np.asarray(xi, dtype=float)
+    return averaged_rotation(group).T @ _vector(xi, "generator coordinates", group.dim**2 - 1)
 
 
 def _extend_identity(r: np.ndarray) -> np.ndarray:
@@ -238,7 +238,7 @@ def axis_orthogonal_to(vectors) -> np.ndarray | None:
     """
     dirs = []
     for v in vectors:
-        v = np.asarray(v, dtype=float)
+        v = _vector(v, "direction", 3)
         n = np.linalg.norm(v)
         if n > ROUNDOFF:
             dirs.append(v / n)
@@ -300,10 +300,7 @@ def parity_kick_group(axis, delta_t: float = 0.1) -> PulseGroup:
 
 
 def _report(achieved: np.ndarray, wanted: np.ndarray, basis: OperatorBasis) -> ErrorReport:
-    return error_report(
-        CoordinateVector(coords=np.asarray(achieved, dtype=float), basis=basis),
-        CoordinateVector(coords=np.asarray(wanted, dtype=float), basis=basis),
-    )
+    return error_report(CoordinateVector(coords=achieved, basis=basis), CoordinateVector(coords=wanted, basis=basis))
 
 
 def _qubit_xi(generator, qubit) -> tuple[int, np.ndarray]:
@@ -312,10 +309,7 @@ def _qubit_xi(generator, qubit) -> tuple[int, np.ndarray]:
     qubit = _check_count(qubit, "qubit", 0)
     if qubit >= len(vectors):
         raise DomainError(f"qubit {qubit} is outside the {len(vectors)}-qubit generator")
-    xi = np.asarray(vectors[qubit], dtype=float)
-    if not np.isfinite(xi).all():
-        raise DomainError("generator coordinates must be finite")
-    return qubit, xi
+    return qubit, _vector(vectors[qubit], "generator coordinates", 3)
 
 
 @contextmanager

@@ -258,7 +258,7 @@ def cmd_synthesize(args) -> int:
     if target.stabilizer is not None and target.kind != "two_qubit":
         error = result.residual.error_vector
         solved_for = target.wanted_vector() if target.kind == "single_qubit" else 0.0
-        enc = check_encoded(CoordinateVector(np.asarray(error.coords) + solved_for, error.basis), target)
+        enc = check_encoded(CoordinateVector(error.coords + solved_for, error.basis), target)
         payload["stabilizer_distance"] = enc.stabilizer_distance
     out = _out_dir(args)
     dump_json(payload, out / "synthesis.json")

@@ -20,6 +20,8 @@ LINEARITY = 1e-8
 TRACE_PRESERVATION = 1e-6
 # Skew-Hermitian norm ||chi - chi^dag||_F / 2 above which a probed map counts as not Hermiticity preserving.
 HERMITICITY = 1e-6
+# Probe time times generator norm above which extract_generator warns that the first-order reading is questionable.
+FIRST_ORDER = 0.1
 # Second Choi eigenvalue above which a two-qubit rotation is not an SU(4) image.
 CHOI_RANK = 1e-6
 # Difference at which two quaternion solutions, or an axis component, count as distinct.

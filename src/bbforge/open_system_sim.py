@@ -21,7 +21,7 @@ import numpy as np
 
 from .defaults import BATH_EIGENVALUE_CUTOFF, LINEAR_SOLVE, MATRIX_RESIDUAL, ROUNDOFF
 from .errors import DomainError, ShapeError
-from .operator_algebra import AdjointRotation, _check_count, _check_hermitian, _check_time, _check_unitary, _kron, _qubit_count, _readonly, _square, adjoint_of, build_pauli_basis
+from .operator_algebra import AdjointRotation, _array, _check_count, _check_hermitian, _check_time, _check_unitary, _kron, _qubit_count, _readonly, _square, adjoint_of, build_pauli_basis
 
 __all__ = [
     "Coupling",
@@ -34,7 +34,6 @@ __all__ = [
     "kraus_from_model",
     "apply_bb_cycle",
     "bb_propagator",
-    "bb_cycle_propagator",
     "symmetrize_hamiltonian",
     "partial_trace_bath",
     "model_to_dict",
@@ -68,10 +67,7 @@ class DensityMatrix:
     @classmethod
     def from_state_vector(cls, psi) -> "DensityMatrix":
         """``|psi><psi|`` of ``psi`` normalized; ``ShapeError`` unless ``psi`` is a non-empty 1-D vector, ``DomainError`` for a zero or non-finite norm."""
-        try:
-            psi = np.asarray(psi, dtype=complex)
-        except (TypeError, ValueError):  # ragged or non-numeric
-            psi = None
+        psi = _array(psi, "state vector", complex)
         if psi is None or psi.ndim != 1 or not psi.size:
             raise ShapeError("state vector must be a non-empty 1-D vector")
         with np.errstate(over="ignore"):  # an overflowing norm fails the check as inf
@@ -80,6 +76,17 @@ class DensityMatrix:
             raise DomainError("state vector must have a finite, non-zero norm")
         psi = psi / norm
         return cls(np.outer(psi, psi.conj()))
+
+
+def _states(rho, dim: int) -> np.ndarray:
+    """A channel's input as a complex ``(..., dim, dim)`` stack; a ``DensityMatrix`` is its matrix.
+
+    ``ShapeError`` for any other shape and for ragged or non-numeric input.
+    """
+    a = _array(rho.matrix if isinstance(rho, DensityMatrix) else rho, "state", complex)
+    if a is None or a.shape[-2:] != (dim, dim):
+        raise ShapeError("initial state dimension does not match the system")
+    return a
 
 
 @dataclass(frozen=True)
@@ -165,7 +172,7 @@ class KrausSet:
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         """``sum_k A_k rho A_k^dag``, state by state on a ``(..., d, d)`` stack."""
-        rho = np.asarray(rho, dtype=complex)
+        rho = _states(rho, self.operators[0].shape[0])
         out = np.zeros_like(rho)
         for a in self.operators:
             out += a @ rho @ a.conj().T
@@ -262,10 +269,7 @@ def _reduced_channel(model: SystemBathModel, u_full: np.ndarray):
     rho_b = model.bath_initial
 
     def channel(rho):
-        rho = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
-        if rho.shape[-2:] != (ns, ns):
-            raise ShapeError("initial state dimension does not match the system")
-        full = u_full @ _kron(rho, rho_b) @ u_full.conj().T
+        full = u_full @ _kron(_states(rho, ns), rho_b) @ u_full.conj().T
         return partial_trace_bath(full, ns, nb)
 
     return channel
@@ -296,14 +300,6 @@ def kraus_from_model(model: SystemBathModel, t: float) -> KrausSet:
         for mu in range(nb):
             ops.append(np.sqrt(p) * np.einsum("amb,m->ab", blocks, evecs[:, mu].conj()))
     return KrausSet(operators=tuple(ops))
-
-
-def bb_cycle_propagator(model: SystemBathModel, group: PulseGroup) -> np.ndarray:
-    """Propagator for one pulse cycle, ``prod_j g_j^dag U_0(dt) g_j``: ``bb_propagator`` at ``group.cycle_time``.
-
-    The product is taken with ascending ``j`` acting first on the state.
-    """
-    return bb_propagator(model, group, group.cycle_time)
 
 
 def _on_system(g: np.ndarray, u: np.ndarray) -> np.ndarray:

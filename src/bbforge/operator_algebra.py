@@ -125,17 +125,37 @@ def _polar(a: np.ndarray) -> np.ndarray:
     return w @ v
 
 
+def _array(m, name: str, dtype) -> np.ndarray | None:
+    """``m`` as an array of ``dtype``, or None if it is ragged or non-numeric.
+
+    A complex ``m`` for a float ``dtype`` keeps its real part, and raises
+    ``DomainError`` if an imaginary part exceeds ``ROUNDOFF``: real input is
+    told by its dtype, with no test of its values.
+    """
+    try:
+        if dtype is not float:
+            return np.asarray(m, dtype=dtype)
+        a = np.asarray(m)
+        if a.dtype == float:
+            return a
+        if np.iscomplexobj(a):
+            if not (np.abs(a.imag) <= ROUNDOFF).all():  # also false for NaN
+                raise DomainError(f"{name} must be real, got an imaginary part past round-off")
+            a = a.real
+        return a.astype(float)
+    except (TypeError, ValueError):  # ragged or non-numeric
+        return None
+
+
 def _square(m, name: str, dim: int | None = None, *, stack: bool = False, dtype=complex) -> np.ndarray:
     """``m`` as an array of ``dtype``, if it is one square matrix, or with ``stack`` a non-empty ``(P, d, d)`` stack.
 
     ``ShapeError`` for any other shape, for ragged or non-numeric input, for
-    ``d = 0`` and, when ``dim`` is given, for ``d != dim``.  Every matrix
+    ``d = 0`` and, when ``dim`` is given, for ``d != dim``; ``DomainError``
+    for a float ``dtype`` and an imaginary part past round-off.  Every matrix
     argument of the package is converted here.
     """
-    try:
-        a = np.asarray(m, dtype=dtype)
-    except (TypeError, ValueError):  # ragged or non-numeric
-        a = None
+    a = _array(m, name, dtype)
     shape = () if a is None else a.shape
     if len(shape) != 2 + stack or shape[-2] != shape[-1] or not a.size or (dim is not None and shape[-1] != dim):
         what = "a non-empty stack of square matrices that share one dimension" if stack else "a non-empty square matrix"
@@ -145,20 +165,19 @@ def _square(m, name: str, dim: int | None = None, *, stack: bool = False, dtype=
 
 
 def _vector(v, name: str, length: int | None = None) -> np.ndarray:
-    """``v`` as a float array, if it is one 1-D vector, of ``length`` entries when given.
+    """``v`` as a float array, if it is one finite 1-D vector, of ``length`` entries when given.
 
-    ``ShapeError`` for any other shape and for ragged or non-numeric input.
-    Pulse axes, single-qubit targets and generator coordinates are converted
-    here; valid input costs no numpy call beyond the conversion.
+    ``ShapeError`` for any other shape and for ragged or non-numeric input,
+    ``DomainError`` for a non-finite entry or an imaginary part past
+    round-off.  Every vector argument of the package is converted here.
     """
-    try:
-        a = np.asarray(v, dtype=float)
-    except (TypeError, ValueError):  # ragged or non-numeric
-        a = None
+    a = _array(v, name, float)
     if a is None or a.ndim != 1 or (length is not None and len(a) != length):
         what = "a 1-D vector" if length is None else f"a {length}-vector"
         got = "ragged or non-numeric input" if a is None else f"shape {a.shape}"
         raise ShapeError(f"{name} must be {what}, got {got}")
+    if not np.isfinite(a).all():
+        raise DomainError(f"{name} must be finite")
     return a
 
 
@@ -301,13 +320,14 @@ class CoordinateVector:
     basis: OperatorBasis
 
     def __post_init__(self):
-        coords = _readonly(np.asarray(self.coords, dtype=float))
-        object.__setattr__(self, "coords", coords)
-        n = self.basis.num_generators
-        if coords.shape not in ((n,), (4, 4)):
-            raise ShapeError(
-                f"coords shape {coords.shape} does not match basis with {n} generators"
-            )
+        a = _array(self.coords, "coordinates", float)
+        if a is not None and a.ndim == 2:
+            coords = _square(a, "pair-matrix coordinates", 4, dtype=float)
+            if not np.isfinite(coords).all():
+                raise DomainError("pair-matrix coordinates must be finite")
+        else:
+            coords = _vector(self.coords, f"coordinates over {self.basis.num_generators} generators", self.basis.num_generators)
+        object.__setattr__(self, "coords", _readonly(coords))
 
     def as_flat(self) -> np.ndarray:
         """Coordinates over the flat generator ordering of the basis."""

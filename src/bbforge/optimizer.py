@@ -190,8 +190,6 @@ def evaluate_cost(model: SystemBathModel, group: PulseGroup, cost: CostFunction)
     values below ``defaults.EXACT_HIT`` count as exact hits, so a perfect
     pulse set reports a cost of exactly zero.
     """
-    if group.dim != model.system_dim:
-        raise ShapeError("pulse dimension does not match the model")
     basis = build_pauli_basis(model.num_qubits)
     w_flat = _target_flat(cost.target, basis)
     tc = group.cycle_time

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .defaults import HERMITICITY, LINEARITY, TRACE_PRESERVATION
+from .defaults import FIRST_ORDER, HERMITICITY, LINEARITY, TRACE_PRESERVATION
 from .errors import DegenerateTimeError, DomainError, InconsistencyError, ShapeError
-from .open_system_sim import _matrix_to_pairs, _pairs_to_matrix
+from .open_system_sim import _matrix_to_pairs, _pairs_to_matrix, _states
 from .operator_algebra import OperatorBasis, _check_hermitian, _check_pair, _check_time, _pauli_offsets, _readonly, _square, _vector, _within_frobenius, build_pauli_basis
 
 __all__ = [
@@ -76,7 +76,7 @@ class ChiMatrix:
     def apply(self, rho: np.ndarray) -> np.ndarray:
         """Channel action reconstructed from the process matrix, on a ``(..., d, d)`` stack."""
         k = self.basis.elements
-        return np.einsum("ab,aij,...jk,bkl->...il", self.entries, k, np.asarray(rho, dtype=complex), k)
+        return np.einsum("ab,aij,...jk,bkl->...il", self.entries, k, _states(rho, self.basis.dim), k)
 
     def to_dict(self) -> dict:
         return {
@@ -122,10 +122,7 @@ class EffectiveGenerator:
     basis: OperatorBasis
 
     def __post_init__(self):
-        coords = _readonly(_vector(self.coords, "generator coordinates", self.basis.num_generators))
-        object.__setattr__(self, "coords", coords)
-        if not np.isfinite(coords).all():
-            raise DomainError("generator coordinates must be finite")
+        object.__setattr__(self, "coords", _readonly(_vector(self.coords, "generator coordinates", self.basis.num_generators)))
 
     @property
     def num_qubits(self) -> int:
@@ -180,6 +177,12 @@ def _probe_inputs(dim: int):
 def run_qpt(channel, basis: OperatorBasis, *, time_tag: float | None = None) -> TomographyData:
     """Probe a channel on a spanning input set, in one call.
 
+    The channel's output must be one image per input (``ShapeError``
+    otherwise) and pass the superposition test (``DomainError`` otherwise);
+    the matrix-unit responses are then one matmul, the recombination matrix
+    times the ``(dim^2, dim^2)`` flattened responses to the first ``dim^2``
+    states.
+
     Parameters
     ----------
     channel : callable
@@ -187,34 +190,23 @@ def run_qpt(channel, basis: OperatorBasis, *, time_tag: float | None = None) -> 
         the stack of their images.  It is called once, on one shared
         read-only stack of genuine states: the standard preparations, from
         which matrix-unit responses are assembled by linearity, and three
-        states for a superposition test (``DomainError`` if it fails).
+        states for the superposition test.
     basis : OperatorBasis
         Fixed Hermitian basis that the downstream chi matrix refers to.
     time_tag : float, optional
         Evolution time the channel corresponds to; carried through to the
         chi matrix so generator extraction can report rates.
     """
-    states = _probe_inputs(basis.dim)[0]
-    return TomographyData(lam=_assemble_lam(channel(states), basis.dim), basis=basis, time_tag=time_tag)
-
-
-def _assemble_lam(responses, dim: int) -> np.ndarray:
-    """``lam`` from a channel's responses to ``_probe_inputs(dim)``.
-
-    ``responses`` has shape ``(dim^2 + 3, dim, dim)``; ``DomainError`` if
-    it fails the superposition test.  The matrix-unit responses are one
-    matmul: the recombination matrix times the ``(dim^2, dim^2)`` flattened
-    responses to the first ``dim^2`` states.
-    """
-    states, recombine = _probe_inputs(dim)
-    responses = np.asarray(responses, dtype=complex)
+    d2 = basis.dim**2
+    states, recombine = _probe_inputs(basis.dim)
+    responses = np.asarray(channel(states), dtype=complex)
     if responses.shape != states.shape:
         raise ShapeError("channel output dimension does not match its input")
     r_a, r_b, direct = responses[-3:]
     if not _within_frobenius(direct - (0.37 * r_a + 0.63 * r_b), LINEARITY):
         raise DomainError("channel failed the superposition test; tomography needs a linear map")
     # expansion over matrix units is just the entries themselves
-    return recombine @ responses[: dim * dim].reshape(dim * dim, dim * dim)
+    return TomographyData(lam=recombine @ responses[:d2].reshape(d2, d2), basis=basis, time_tag=time_tag)
 
 
 def _trace_residual(traces: np.ndarray) -> np.ndarray:
@@ -230,27 +222,6 @@ def _trace_residual(traces: np.ndarray) -> np.ndarray:
     return residual
 
 
-def _chi_raw(lam: np.ndarray, basis: OperatorBasis) -> tuple[np.ndarray, float]:
-    """``chi = A^dag L A / M^2`` of a ``(d^2, d^2)`` ``lam``, and its trace-preservation residual.
-
-    The residual is ``_trace_residual`` of ``T[m, n] = sum_p lam[(m, n), (p, p)]``,
-    the transpose of ``sum_ab chi_ab K_b K_a``.  ``InconsistencyError`` also
-    if chi's skew-Hermitian norm ``||chi - chi^dag||_F / 2`` exceeds
-    ``defaults.HERMITICITY`` or is not finite: a channel maps Hermitian
-    states to Hermitian states exactly when its chi is Hermitian.  ``A`` and
-    ``A^dag`` are the basis's ``change_of_basis``, built once per basis.
-    """
-    d = basis.dim
-    units = lam.reshape(d, d, d, d)
-    residual = _trace_residual(np.einsum("mnpp->mn", units))
-    a, a_dag = basis.change_of_basis
-    chi = a_dag @ units.transpose(2, 0, 3, 1).reshape(d * d, d * d) @ a / basis.normalization**2
-    skew = chi - chi.conj().T
-    if not _within_frobenius(skew, 2.0 * HERMITICITY):
-        raise InconsistencyError(f"chi skew-Hermitian norm {np.linalg.norm(skew) / 2.0:.2e}; channel is not Hermiticity preserving")
-    return chi, float(residual)
-
-
 def chi_from_lambda(data: TomographyData) -> ChiMatrix:
     """Process matrix from the response matrix, in closed form.
 
@@ -258,21 +229,33 @@ def chi_from_lambda(data: TomographyData) -> ChiMatrix:
     ``L[(p, m), (q, n)] = lam[(m, n), (p, q)]`` the channel reads
     ``L = A chi A^dag``.  The basis is trace-orthogonal,
     ``A^dag A = M * I`` with ``M = basis.normalization``, so
-    ``chi = A^dag L A / M^2`` exactly.  The Hermitian part of chi is
-    returned and the skew-Hermitian remainder reported.
+    ``chi = A^dag L A / M^2`` exactly; ``A`` and ``A^dag`` are the basis's
+    ``change_of_basis``, built once per basis.  The Hermitian part of chi
+    is returned and the skew-Hermitian norm ``||chi - chi^dag||_F / 2``
+    reported.  The trace-preservation residual is ``_trace_residual`` of
+    ``T[m, n] = sum_p lam[(m, n), (p, p)]``, the transpose of
+    ``sum_ab chi_ab K_b K_a``.
 
     Raises
     ------
     InconsistencyError
-        If the trace-preservation residual ``||sum_p lam[(m, n), (p, p)] -
-        delta_mn||_F`` exceeds ``defaults.TRACE_PRESERVATION`` or is not
-        finite, i.e. the probed map is not a trace-preserving channel; or
-        if the skew-Hermitian norm exceeds ``defaults.HERMITICITY`` or is
-        not finite, i.e. the map does not preserve Hermiticity.
+        If the trace-preservation residual ``||T - I||_F`` exceeds
+        ``defaults.TRACE_PRESERVATION`` or is not finite, i.e. the probed
+        map is not a trace-preserving channel; or if the skew-Hermitian
+        norm exceeds ``defaults.HERMITICITY`` or is not finite: a channel
+        maps Hermitian states to Hermitian states exactly when its chi is
+        Hermitian.
     """
-    chi, residual = _chi_raw(data.lam, data.basis)
-    skew = float(np.linalg.norm(chi - chi.conj().T) / 2.0)
-    return ChiMatrix((chi + chi.conj().T) / 2.0, data.time_tag, data.basis, skew_norm=skew, residual=residual)
+    basis, d = data.basis, data.basis.dim
+    units = data.lam.reshape(d, d, d, d)
+    residual = _trace_residual(np.einsum("mnpp->mn", units))
+    a, a_dag = basis.change_of_basis
+    chi = a_dag @ units.transpose(2, 0, 3, 1).reshape(d * d, d * d) @ a / basis.normalization**2
+    chi_dag = chi.conj().T
+    skew = float(np.linalg.norm(chi - chi_dag) / 2.0)
+    if not skew <= HERMITICITY:
+        raise InconsistencyError(f"chi skew-Hermitian norm {skew:.2e}; channel is not Hermiticity preserving")
+    return ChiMatrix((chi + chi_dag) / 2.0, data.time_tag, basis, skew_norm=skew, residual=float(residual))
 
 
 def extract_generator(chi: ChiMatrix) -> EffectiveGenerator:
@@ -280,7 +263,8 @@ def extract_generator(chi: ChiMatrix) -> EffectiveGenerator:
 
     The coordinates are ``Im(chi_{a,0}) / t`` over every non-identity Pauli
     string.  A warning is emitted when ``t * |generator|`` is large enough
-    that the first-order reading is questionable.
+    that the first-order reading is questionable, past
+    ``defaults.FIRST_ORDER``.
 
     Raises
     ------
@@ -300,7 +284,7 @@ def extract_generator(chi: ChiMatrix) -> EffectiveGenerator:
         raise DegenerateTimeError(f"generator extraction: {exc}") from None
     coords = chi.entries[1:, 0].imag / t
     scale = np.linalg.norm(coords)
-    if t * scale > 0.1:
+    if t * scale > FIRST_ORDER:
         warnings.warn(
             f"probe time {t} is large for generator scale {scale:.3g}; "
             "first-order extraction may be inaccurate",

@@ -1,20 +1,43 @@
-"""Every matrix and vector argument of the library, malformed in each way: a wrong shape raises ``ShapeError``, an infinite entry ``DomainError``.
+"""Every matrix, vector and state argument of the library, malformed in each way.
 
-Each site is a builder that passes its one argument as the matrix under
-test, with a valid value of that argument.  The malformed values are
-derived from the valid one; the session's warnings-as-errors setting turns
-a ``RuntimeWarning`` on the way to the error into a failure.
+A wrong shape raises ``ShapeError``; an infinite entry, a non-finite vector
+entry and an imaginary part where a real value is expected raise
+``DomainError``.  Each site is a builder that passes its one argument as the
+value under test, with a valid value of that argument.  The malformed
+values are derived from the valid one; the session's warnings-as-errors
+setting turns a ``RuntimeWarning`` or ``ComplexWarning`` on the way to the
+error into a failure.
 """
 
 import numpy as np
 import pytest
 
-from bbforge.bb_synthesis import StabilizerSpace, TargetSpec, group_to_pulses, modified_pair_matrix, solve_two_qubit
+from bbforge.bb_synthesis import (
+    StabilizerSpace,
+    TargetSpec,
+    axis_orthogonal_to,
+    group_to_pulses,
+    modified_pair_matrix,
+    modified_vector,
+    solve_single_qubit_gate,
+    solve_storage,
+    solve_two_qubit,
+)
 from bbforge.errors import DomainError, ShapeError
-from bbforge.open_system_sim import Coupling, DensityMatrix, KrausSet, PulseGroup, SystemBathModel, symmetrize_hamiltonian
+from bbforge.open_system_sim import (
+    Coupling,
+    DensityMatrix,
+    KrausSet,
+    PulseGroup,
+    SystemBathModel,
+    apply_bb_cycle,
+    reduced_state,
+    symmetrize_hamiltonian,
+)
 from bbforge.operator_algebra import (
     AdjointRotation,
     AxisAngle,
+    CoordinateVector,
     OperatorBasis,
     adjoint_of,
     axis_angle_rotation,
@@ -32,6 +55,7 @@ GROUP_1Q = PulseGroup.from_pulses([I2, 1j * SX], 0.1)
 GROUP_2Q = PulseGroup.from_pulses([np.eye(4)], 0.1)
 HEISENBERG = TargetSpec(kind="two_qubit", wanted=np.eye(3))
 NO_BATH = np.zeros((1, 1))
+MODEL_1Q = SystemBathModel(SZ, SZ, couplings=(Coupling(system=SZ, bath=SX),))
 
 # site: (builder of the matrix argument, a valid value, whether the argument has a fixed dimension, whether an infinite entry fails a value check)
 SITES = {
@@ -58,8 +82,12 @@ SITES = {
     "solve_two_qubit": (lambda m: solve_two_qubit(m, HEISENBERG, max_group_size=4), np.diag([0.0, 1, 1, 1]), True, True),
     "group_to_pulses": (lambda m: group_to_pulses([m], 2), np.eye(3), True, True),
     "StabilizerSpace": (lambda m: StabilizerSpace(generators=(m,)), SZ, False, True),
+    "CoordinateVector-pair": (lambda m: CoordinateVector(m, build_pauli_basis(2)), np.diag([0.0, 1, 1, 1]), True, True),
 }
 STACKS = ("OperatorBasis", "KrausSet", "PulseGroup")
+# the sites whose matrix is real: an imaginary part past round-off is refused, one within it dropped
+REAL = ("AdjointRotation", "unitary_from_rotation", "TargetSpec", "modified_pair_matrix", "solve_two_qubit", "group_to_pulses",
+        "CoordinateVector-pair")
 
 
 def _ragged(valid):
@@ -104,6 +132,14 @@ def test_infinite_entry_raises_domain_error(site):
         build(bad)
 
 
+@pytest.mark.parametrize("site", REAL)
+def test_real_matrix_refuses_an_imaginary_part(site):
+    build, valid, _, _ = SITES[site]
+    build(np.asarray(valid) + 1e-14j)  # round-off: the real part is kept
+    with pytest.raises(DomainError, match="real"):
+        build(np.asarray(valid) * (1 + 1e-3j))
+
+
 @pytest.mark.parametrize("psi", [[1, [0, 1]], [], [[1, 0]], 1.0, ["x", 0]], ids=["ragged", "empty", "2-D", "scalar", "non-numeric"])
 def test_state_vector_shape(psi):
     with pytest.raises(ShapeError, match="1-D vector"):
@@ -116,13 +152,20 @@ def test_state_vector_norm(psi):
         DensityMatrix.from_state_vector(psi)
 
 
-# vector site: (builder of the vector argument, its valid value)
+# vector site: (builder of the vector argument, its valid value, whether its length is fixed)
 VECTOR_SITES = {
-    "axis_angle_unitary": (lambda v: axis_angle_unitary(v, 0.3), [1.0, 0.0, 0.0]),
-    "axis_angle_rotation": (lambda v: axis_angle_rotation(v, 0.3), [1.0, 0.0, 0.0]),
-    "AxisAngle": (lambda v: AxisAngle(axis=v, angle=0.3), [1.0, 0.0, 0.0]),
-    "TargetSpec-single_qubit": (lambda v: TargetSpec(kind="single_qubit", wanted=v), [1.0, 2.0, 4.0]),
-    "EffectiveGenerator": (lambda v: EffectiveGenerator(v, BASIS_1Q), [1.0, 2.0, 3.0]),
+    "axis_angle_unitary": (lambda v: axis_angle_unitary(v, 0.3), [1.0, 0.0, 0.0], True),
+    "axis_angle_rotation": (lambda v: axis_angle_rotation(v, 0.3), [1.0, 0.0, 0.0], True),
+    "AxisAngle": (lambda v: AxisAngle(axis=v, angle=0.3), [1.0, 0.0, 0.0], True),
+    "TargetSpec-single_qubit": (lambda v: TargetSpec(kind="single_qubit", wanted=v), [1.0, 2.0, 4.0], True),
+    "TargetSpec-storage": (lambda v: TargetSpec(kind="storage", wanted=v), [0.0, 0.0, 0.0], False),
+    "TargetSpec-encoded": (lambda v: TargetSpec(kind="encoded", wanted=v), [1.0, 2.0, 4.0], False),
+    "EffectiveGenerator": (lambda v: EffectiveGenerator(v, BASIS_1Q), [1.0, 2.0, 3.0], True),
+    "CoordinateVector": (lambda v: CoordinateVector(v, BASIS_1Q), [1.0, 2.0, 3.0], True),
+    "solve_storage": (solve_storage, [1.0, 2.0, 4.0], True),
+    "solve_single_qubit_gate": (lambda v: solve_single_qubit_gate(v, TargetSpec(kind="single_qubit", wanted=[0.0, 0.0, 0.1])), [1.0, 2.0, 4.0], True),
+    "axis_orthogonal_to": (lambda v: axis_orthogonal_to([v]), [1.0, 2.0, 4.0], True),
+    "modified_vector": (lambda v: modified_vector(GROUP_1Q, v), [1.0, 2.0, 4.0], True),
 }
 MALFORMED_VECTORS = {
     "ragged": lambda valid: [valid[0], valid[1:], valid[-1]],
@@ -130,18 +173,72 @@ MALFORMED_VECTORS = {
     "2-D": lambda valid: [valid],
     "scalar": lambda valid: valid[0],
     "wrong-length": lambda valid: [*valid, 0.0],
+    "short": lambda valid: valid[:-1],
 }
+VECTOR_CASES = [
+    (site, kind)
+    for site, (_, _, fixed_length) in VECTOR_SITES.items()
+    for kind in MALFORMED_VECTORS
+    if fixed_length or kind not in ("wrong-length", "short")
+]
 
 
 @pytest.mark.parametrize("site", VECTOR_SITES)
 def test_valid_vector_passes_the_shape_check(site):
-    build, valid = VECTOR_SITES[site]
+    build, valid, _ = VECTOR_SITES[site]
     build(valid)
 
 
-@pytest.mark.parametrize("kind", MALFORMED_VECTORS)
-@pytest.mark.parametrize("site", VECTOR_SITES)
+@pytest.mark.parametrize("site,kind", VECTOR_CASES, ids=[f"{s}-{k}" for s, k in VECTOR_CASES])
 def test_malformed_vector_raises_shape_error(site, kind):
-    build, valid = VECTOR_SITES[site]
+    build, valid, _ = VECTOR_SITES[site]
     with pytest.raises(ShapeError):
         build(MALFORMED_VECTORS[kind](valid))
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("site", VECTOR_SITES)
+def test_non_finite_vector_raises_domain_error(site, value):
+    build, valid, _ = VECTOR_SITES[site]
+    with pytest.raises(DomainError, match="finite"):
+        build([value, *valid[1:]])
+
+
+@pytest.mark.parametrize("site", VECTOR_SITES)
+def test_real_vector_refuses_an_imaginary_part(site):
+    build, valid, _ = VECTOR_SITES[site]
+    build(np.asarray(valid) + 1e-14j)  # round-off: the real part is kept
+    with pytest.raises(DomainError, match="real"):
+        build(np.asarray(valid) * (1 + 1e-3j) + 1e-3j)
+
+
+# channel site: a channel of one system qubit, given the state under test
+CHANNEL_SITES = {
+    "reduced_state": lambda rho: reduced_state(MODEL_1Q, rho, 0.1),
+    "apply_bb_cycle": lambda rho: apply_bb_cycle(MODEL_1Q, GROUP_1Q, 1, rho),
+    "KrausSet.apply": KrausSet(operators=np.array([I2, SZ]) / np.sqrt(2)).apply,
+    "ChiMatrix.apply": ChiMatrix(entries=np.diag([1.0, 0, 0, 0]), time_tag=None, basis=BASIS_1Q).apply,
+}
+MALFORMED_STATES = {
+    "ragged": [[0.5, 0.0], [0.0]],
+    "non-numeric": np.full((2, 2), "x"),
+    "wrong-dimension": np.eye(3) / 3,
+    "non-square": np.ones((2, 3)) / 2,
+    "1-D": np.ones(2) / 2,
+    "scalar": 0.5,
+}
+
+
+@pytest.mark.parametrize("site", CHANNEL_SITES)
+def test_valid_state_passes_the_shape_check(site):
+    channel = CHANNEL_SITES[site]
+    want = channel(I2 / 2)
+    got = channel(DensityMatrix(I2 / 2))
+    assert np.array_equal(getattr(got, "matrix", got), getattr(want, "matrix", want))
+
+
+@pytest.mark.parametrize("kind", MALFORMED_STATES)
+@pytest.mark.parametrize("site", CHANNEL_SITES)
+def test_malformed_state_raises_shape_error(site, kind):
+    with pytest.raises(ShapeError, match="initial state dimension does not match the system"):
+        CHANNEL_SITES[site](MALFORMED_STATES[kind])

@@ -9,8 +9,6 @@ from bbforge.operator_algebra import OperatorBasis, build_pauli_basis, expand
 from bbforge.tomography import (
     ChiMatrix,
     TomographyData,
-    _assemble_lam,
-    _chi_raw,
     _probe_inputs,
     chi_from_lambda,
     extract_generator,
@@ -152,7 +150,7 @@ class TestRunQPT:
 
 
 class TestKernelChecks:
-    """``_assemble_lam`` and the chi product on one channel's responses: the residual is the chi-side sum, and each check fires."""
+    """``run_qpt`` and ``chi_from_lambda`` on one channel's responses: the residual is the chi-side sum, and each check fires where it lives."""
 
     @staticmethod
     def unitary_responses(num_qubits, rng):
@@ -166,50 +164,54 @@ class TestKernelChecks:
         k = b.elements
         residuals = []
         for leak in (0.0, 1e-9, 3e-7):
-            chi, residual = _chi_raw(_assemble_lam(self.unitary_responses(num_qubits, rng) * (1.0 + leak), b.dim), b)
-            want = np.linalg.norm(np.einsum("ab,bij,ajk->ik", chi, k, k) - np.eye(b.dim))
-            assert abs(residual - want) <= 1e-14
-            residuals.append(residual)
+            responses = self.unitary_responses(num_qubits, rng) * (1.0 + leak)
+            chi = chi_from_lambda(run_qpt(lambda states: responses, b))
+            want = np.linalg.norm(np.einsum("ab,bij,ajk->ik", chi.entries, k, k) - np.eye(b.dim))
+            assert abs(chi.residual - want) <= 1e-14
+            residuals.append(chi.residual)
         assert residuals[0] < 1e-14 < residuals[1] < residuals[2] < 1e-6
 
     def test_nonlinear_response_rejected(self, rng):
+        b = build_pauli_basis(1)
         responses = self.unitary_responses(1, rng)
-        _assemble_lam(responses, 2)
+        run_qpt(lambda states: responses, b)
         with pytest.raises(DomainError, match="superposition"):
-            _assemble_lam(responses @ responses, 2)
+            run_qpt(lambda states: responses @ responses, b)
 
     def test_non_trace_preserving_response_rejected(self, rng):
         b = build_pauli_basis(2)
-        lam = _assemble_lam(self.unitary_responses(2, rng), b.dim)
-        _chi_raw(lam, b)
+        responses = self.unitary_responses(2, rng)
+        lam = run_qpt(lambda states: responses, b).lam
+        chi_from_lambda(TomographyData(lam=lam, basis=b))
         with pytest.raises(InconsistencyError, match="not trace preserving"):
-            _chi_raw(lam * 0.9, b)
+            chi_from_lambda(TomographyData(lam=lam * 0.9, basis=b))
 
     def test_non_hermiticity_preserving_response_rejected(self, rng):
         b = build_pauli_basis(2)
         responses = self.unitary_responses(2, rng)
-        _chi_raw(_assemble_lam(responses, b.dim), b)
+        chi_from_lambda(run_qpt(lambda states: responses, b))
         zz = np.kron(SZ, SZ)
         responses += 0.005 * (zz @ responses - responses @ zz)
         with pytest.raises(InconsistencyError, match="not Hermiticity preserving"):
-            _chi_raw(_assemble_lam(responses, b.dim), b)
+            chi_from_lambda(run_qpt(lambda states: responses, b))
 
     def test_wrong_shape_rejected(self, rng):
         # a leading axis is a wrong shape too: one call probes one channel
         responses = self.unitary_responses(1, rng)
         for wrong in (responses[..., :1, :1], responses[:-1], responses[None]):
             with pytest.raises(ShapeError):
-                _assemble_lam(wrong, 2)
+                run_qpt(lambda states: wrong, build_pauli_basis(1))
 
 
 class TestRecombination:
-    """``_assemble_lam``'s one matmul gives the channel's responses to the matrix units themselves."""
+    """``run_qpt``'s one matmul gives the channel's responses to the matrix units themselves."""
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), num_qubits=st.integers(1, 3), count=st.integers(1, 4))
     def test_lam_equals_the_responses_to_matrix_units(self, seed, num_qubits, count):
         rng = np.random.default_rng(seed)
         d = 2**num_qubits
+        b = build_pauli_basis(num_qubits)
         kraus = np.array(normalized_kraus(d, count, rng))
 
         def channel(rho):
@@ -217,9 +219,10 @@ class TestRecombination:
 
         units = np.eye(d * d, dtype=complex).reshape(d * d, d, d)  # |m><n| at row m * d + n
         want = channel(units).reshape(d * d, d * d)  # lam[(m, n), (p, q)] = channel(|m><n|)[p, q]
-        lam = _assemble_lam(channel(_probe_inputs(d)[0]), d)
+        responses = channel(_probe_inputs(d)[0])
+        lam = run_qpt(lambda states: responses, b).lam
         assert np.max(np.abs(lam - want)) <= 1e-14
-        assert np.array_equal(run_qpt(channel, build_pauli_basis(num_qubits)).lam, lam)
+        assert np.array_equal(run_qpt(channel, b).lam, lam)
 
     @pytest.mark.parametrize("dim", [2, 4, 8])
     def test_recombination_matrix_built_once_and_read_only(self, dim):
@@ -331,12 +334,9 @@ class TestChiFromLambda:
             chi_from_lambda(data)
 
     def test_non_finite_response_rejected(self):
-        # a non-finite lam stops at TomographyData; the kernel's residual check still rejects one behind it
-        b = build_pauli_basis(2)
+        # a non-finite lam stops at TomographyData, before chi_from_lambda
         with pytest.raises(DomainError, match="finite"):
-            TomographyData(lam=np.full((16, 16), np.nan), basis=b)
-        with pytest.raises(InconsistencyError, match="not trace preserving"):
-            _chi_raw(np.full((16, 16), np.nan), b)
+            TomographyData(lam=np.full((16, 16), np.nan), basis=build_pauli_basis(2))
 
     def test_trace_preserving_residual_reported(self):
         # first-order maps are trace preserving though not completely positive
